@@ -13,13 +13,22 @@ order, depth-first — and differ in how an atom may be closed or reduced:
   the goal in place).  After ``lazy_k`` substitution steps a branch reports a
   partial answer.
 
+Every engine records a branch as one immutable chain of ``Step`` records,
+each linked to the step before it: its kind (``sld``, ``hyp``, ``rw`` or
+``su``), clause, selected atom and the environments around it.  What the
+engines report about a branch is read off that chain: colp's ancestors (walk
+``prev``, most recent first), the trace lines (rendered only when an answer
+is built), the selected atoms of a certificate, and a node's ``rule``.
+Structural resolution extends the chain only when a trace is asked for.
+
 A diverging rewriting phase is evidence against universal observability and
-turns into a ``not_universally_observable`` verdict carrying the witness.
+turns into a ``not_universally_observable`` verdict carrying the witness,
+the goals of the phase's last steps, rendered once it has diverged.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +46,7 @@ from hornlog.terms import (
     match_atoms,
     rename_apart,
     resolve,
+    subterms,
     term_vars,
     unify_atoms,
 )
@@ -60,15 +70,47 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
+@dataclass(frozen=True, eq=False)
+class Step:
+    """One reduction on a branch, linked to the branch's previous step.
+
+    ``ref`` is the clause index, or for a ``hyp`` step how many steps back
+    the closing ancestor was selected; ``before`` and ``after`` are the
+    environments around the step."""
+
+    kind: str  # sld | hyp | rw | su
+    ref: int
+    atom_index: int
+    atom: Atom
+    before: BindingEnv
+    after: BindingEnv
+    prev: Optional["Step"] = field(repr=False)
+
+
+def _chain(step: Optional[Step]) -> list:
+    """The steps of the branch ending at ``step``, root first."""
+    out = []
+    while step is not None:
+        out.append(step)
+        step = step.prev
+    out.reverse()
+    return out
+
+
 @dataclass
 class DerivationNode:
     goal: Goal
     env: BindingEnv
-    ancestors: tuple = ()  # ((atom, env snapshot), ...) root first
     depth: int = 0
-    rule: Optional[str] = None
-    parent: Optional["DerivationNode"] = field(default=None, repr=False)
-    entry: Optional[tuple] = field(default=None, repr=False)
+    step: Optional[Step] = field(default=None, repr=False)
+
+    @property
+    def rule(self) -> Optional[str]:
+        if self.step is None:
+            return None
+        if self.step.kind == "hyp":
+            return f"hyp ancestor {self.step.ref}"
+        return f"{self.step.kind} clause {self.step.ref}"
 
 
 @dataclass
@@ -106,7 +148,12 @@ class RewriteResult:
     env: BindingEnv
     steps: int = 0
     witness: Optional[list] = None
-    trace: Optional[list] = None
+    last: Optional[Step] = None  # the branch's last step
+
+    @property
+    def trace(self) -> list:
+        """Trace lines of the branch up to this result, numbered from 1."""
+        return _trace_lines(self.last)
 
 
 @dataclass
@@ -125,13 +172,6 @@ def goal_var_names(g: Goal) -> tuple:
                 if v.name not in names:
                     names.append(v.name)
     return tuple(names)
-
-
-def _clause_index(p: Program) -> dict:
-    idx = defaultdict(list)
-    for c in p.clauses:
-        idx[c.head.key].append(c)
-    return idx
 
 
 def _capped(t, depth: int = 12):
@@ -154,8 +194,20 @@ def _new_bindings(child_env: BindingEnv, parent_env: BindingEnv) -> list:
     return out
 
 
+def _trace_lines(step: Optional[Step]) -> list:
+    return [syntax.trace_line(n, s.kind, s.ref, s.atom_index,
+                              _new_bindings(s.after, s.before))
+            for n, s in enumerate(_chain(step), start=1)]
+
+
 # ---------------------------------------------------------------------------
 # Single steps
+
+
+def _child(node: DerivationNode, goal: Goal, kind: str, ref: int,
+           env: BindingEnv) -> DerivationNode:
+    step = Step(kind, ref, 0, node.goal.atoms[0], node.env, env, node.step)
+    return DerivationNode(goal, env, node.depth + 1, step)
 
 
 def sld_step(node: DerivationNode, p: Program, occurs_check: bool = True) -> list:
@@ -170,15 +222,7 @@ def sld_step(node: DerivationNode, p: Program, occurs_check: bool = True) -> lis
         u = unify_atoms(rc.head, selected, env2, occurs_check)
         if u is None:
             continue
-        children.append(DerivationNode(
-            goal=Goal(rc.body + rest),
-            env=u,
-            ancestors=node.ancestors + ((selected, node.env),),
-            depth=node.depth + 1,
-            rule=f"sld clause {clause.idx}",
-            parent=node,
-            entry=("sld", clause.idx, 0, u),
-        ))
+        children.append(_child(node, Goal(rc.body + rest), "sld", clause.idx, u))
     return children
 
 
@@ -191,21 +235,15 @@ def colp_step(node: DerivationNode, p: Program) -> list:
     selected = node.goal.atoms[0]
     rest = node.goal.atoms[1:]
     children = []
-    for back, (anc, _snapshot) in enumerate(reversed(node.ancestors), start=1):
-        if anc.key != selected.key:
-            continue
-        u = unify_atoms(anc, selected, node.env, occurs_check=False)
-        if u is None:
-            continue
-        children.append(DerivationNode(
-            goal=Goal(rest),
-            env=u,
-            ancestors=node.ancestors + ((selected, node.env),),
-            depth=node.depth + 1,
-            rule=f"hyp ancestor {back}",
-            parent=node,
-            entry=("hyp", back, 0, u),
-        ))
+    back = 0
+    anc = node.step
+    while anc is not None:
+        back += 1
+        if anc.atom.key == selected.key:
+            u = unify_atoms(anc.atom, selected, node.env, occurs_check=False)
+            if u is not None:
+                children.append(_child(node, Goal(rest), "hyp", back, u))
+        anc = anc.prev
     children.extend(sld_step(node, p, occurs_check=False))
     return children
 
@@ -220,45 +258,23 @@ def _classify(env: BindingEnv, goal_vars: tuple) -> str:
     return "total"
 
 
-def _trace_of(node: DerivationNode) -> list:
-    entries = []
-    cur = node
-    while cur is not None:
-        if cur.entry is not None:
-            entries.append(cur)
-        cur = cur.parent
-    entries.reverse()
-    lines = []
-    for n, cur in enumerate(entries, start=1):
-        kind, clause_id, atom_index, env = cur.entry
-        parent_env = cur.parent.env if cur.parent else EMPTY_ENV
-        lines.append(syntax.trace_line(
-            n, kind, clause_id, atom_index, _new_bindings(env, parent_env)))
-    return lines
-
-
-def _answer_from(node: DerivationNode, goal_vars: tuple, steps: int,
-                 want_trace: bool, certificate: bool,
-                 kind: Optional[str] = None) -> Answer:
-    env = node.env.restrict(goal_vars)
-    answer = Answer(
-        bindings=env,
-        goal_vars=goal_vars,
-        kind=kind or _classify(env, goal_vars),
-        steps_used=steps,
-        trace=_trace_of(node) if want_trace else None,
-    )
+def _answer(env: BindingEnv, goal_vars: tuple, steps: int,
+            last: Optional[Step], want_trace: bool, certificate: bool = False,
+            kind: Optional[str] = None) -> Answer:
+    bindings = env.restrict(goal_vars)
+    answer = Answer(bindings, goal_vars, kind or _classify(bindings, goal_vars),
+                    steps_used=steps,
+                    trace=_trace_lines(last) if want_trace else None)
     if certificate:
-        chain = []
-        cur = node
-        while cur is not None:
-            if cur.entry is not None and cur.parent is not None:
-                chain.append(cur.parent.goal.atoms[0])
-            cur = cur.parent
-        chain.reverse()
-        answer.full_env = node.env
-        answer.selected = tuple(chain)
+        answer.full_env = env
+        answer.selected = tuple(s.atom for s in _chain(last))
     return answer
+
+
+def _verdict(answers: list, truncated: bool, steps: int) -> Verdict:
+    if answers:
+        return Verdict("answers", answers, steps_used=steps)
+    return Verdict("exhausted" if truncated else "failed", steps_used=steps)
 
 
 def _dfs_solve(g: Goal, p: Program, b: Budget, step_fn, want_trace: bool,
@@ -273,8 +289,8 @@ def _dfs_solve(g: Goal, p: Program, b: Budget, step_fn, want_trace: bool,
     while stack:
         node = stack.pop()
         if not node.goal.atoms:
-            answers.append(_answer_from(node, goal_vars, steps, want_trace,
-                                        certificate))
+            answers.append(_answer(node.env, goal_vars, steps, node.step,
+                                   want_trace, certificate))
             if b.max_answers and len(answers) >= b.max_answers:
                 break
             continue
@@ -287,11 +303,7 @@ def _dfs_solve(g: Goal, p: Program, b: Budget, step_fn, want_trace: bool,
         steps += 1
         children = step_fn(node)
         stack.extend(reversed(children))
-    if answers:
-        return Verdict("answers", answers, steps_used=steps)
-    if truncated:
-        return Verdict("exhausted", steps_used=steps)
-    return Verdict("failed", steps_used=steps)
+    return _verdict(answers, truncated, steps)
 
 
 def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
@@ -315,21 +327,23 @@ def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
 def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
                       b: Budget = DEFAULT_BUDGET, collect_trace: bool = False,
                       consumed: Optional[dict] = None,
-                      observer=None) -> RewriteResult:
+                      observer=None, last: Optional[Step] = None) -> RewriteResult:
     """Apply the rewriting reduction until no clause head matches any atom.
 
     One step replaces the leftmost matching atom by the clause body under the
     matcher; matching never instantiates the goal, so rewriting is the
     deterministic, answer-preserving half of a resolution step.  Exceeding
     ``max_rewrite_steps`` reports divergence with the recent goal history.
+    With ``collect_trace`` every step extends the branch that ends at
+    ``last``, and the result's ``last`` ends the extended branch.
     ``observer(atoms, env)`` is called after every step, which lets callers
     watch termination measures shrink.
     """
     env0 = bump_counter_past(env, p)
-    atoms = list(g.atoms)
+    atoms = tuple(g.atoms)
     cur_env = env0
     steps = 0
-    trace = [] if collect_trace else None
+    # (atoms, env) before each of the last steps; rendered on divergence.
     history: deque = deque(maxlen=8)
     # Atoms to the left of the last rewrite position stay dead for the rest
     # of the phase: a step binds only freshly renamed clause variables, which
@@ -349,27 +363,27 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
             if found:
                 break
         if found is None:
-            return RewriteResult("normal_form", Goal(tuple(atoms)), cur_env,
-                                 steps, trace=trace)
+            return RewriteResult("normal_form", Goal(atoms), cur_env, steps,
+                                 last=last)
         if steps >= b.max_rewrite_steps:
-            witness = list(history) + [_goal_snapshot(atoms, cur_env)]
-            return RewriteResult("diverged", Goal(tuple(atoms)), cur_env,
-                                 steps, witness=witness, trace=trace)
+            witness = [_goal_snapshot(a, e) for a, e in history]
+            witness.append(_goal_snapshot(atoms, cur_env))
+            return RewriteResult("diverged", Goal(atoms), cur_env, steps,
+                                 witness=witness, last=last)
         ai, rc, clause, sigma = found
         if consumed is not None:
-            for arg in rc.head.args:
-                for f in _functors_of(arg, cur_env):
-                    consumed[f] = consumed.get(f, 0) + 1
-        if trace is not None:
-            trace.append(syntax.trace_line(
-                steps + 1, "rw", clause.idx, ai, _new_bindings(sigma, cur_env)))
-        history.append(_goal_snapshot(atoms, cur_env))
-        atoms[ai:ai + 1] = list(rc.body)
+            for x in subterms(rc.head.args, cur_env):
+                if isinstance(x, Compound):
+                    consumed[x.functor] = consumed.get(x.functor, 0) + 1
+        if collect_trace:
+            last = Step("rw", clause.idx, ai, atoms[ai], cur_env, sigma, last)
+        history.append((atoms, cur_env))
+        atoms = atoms[:ai] + rc.body + atoms[ai + 1:]
         cur_env = sigma
         frontier = ai
         steps += 1
         if observer is not None:
-            observer(tuple(atoms), cur_env)
+            observer(atoms, cur_env)
 
 
 def _goal_snapshot(atoms, env: BindingEnv, limit: int = 6) -> str:
@@ -378,41 +392,6 @@ def _goal_snapshot(atoms, env: BindingEnv, limit: int = 6) -> str:
     if len(atoms) > limit:
         shown.append("...")
     return ", ".join(shown) if shown else "<empty>"
-
-
-def _free_vars(atoms, env: BindingEnv) -> set:
-    """Names of the unbound variables of the instantiated goal."""
-    names = set()
-    seen = set()
-    stack = [Compound(a.pred, a.args) for a in atoms]
-    while stack:
-        x = env.walk(stack.pop())
-        if isinstance(x, Var):
-            names.add(x.name)
-            continue
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        stack.extend(x.args)
-    return names
-
-
-def _functors_of(t, env: BindingEnv) -> list:
-    """Function symbols of the finite skeleton of ``t`` (no env expansion of
-    cyclic parts beyond one pass)."""
-    out = []
-    seen = set()
-    stack = [t]
-    while stack:
-        x = env.walk(stack.pop())
-        if isinstance(x, Var):
-            continue
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        out.append(x.functor)
-        stack.extend(x.args)
-    return out
 
 
 def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
@@ -449,12 +428,47 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
     return best
 
 
-@dataclass
-class _SNode:
-    atoms: tuple
-    env: BindingEnv
-    substs: int
-    trace: list
+def _structural_walk(g: Goal, p: Program, b: Budget,
+                     lazy_k: Optional[int] = None, trace: bool = False,
+                     consumed: Optional[dict] = None):
+    """Depth-first walk of the structural-resolution tree, shared by
+    ``sres_solve`` and ``productivity_report``.
+
+    Each branch normalizes by rewriting and then either ends — its normal
+    form is empty, or it has taken ``lazy_k`` substitution steps — or splits
+    into one child per substitution option.  Yields ``(rw, options, steps,
+    substs)`` for every normalized branch, with ``options`` None at a leaf
+    and at a diverged phase, which ends the walk; ``steps`` and ``substs``
+    count the walk's reductions and substitution steps so far.  When a cap
+    cuts the walk short, the last item is ``(None, None, steps, substs)``.
+    """
+    env0 = bump_counter_past(EMPTY_ENV, p, g)
+    stack = [(g.atoms, env0, 0, None)]
+    steps = 0
+    substs = 0
+    while stack:
+        atoms, env, branch_substs, last = stack.pop()
+        rw = rewrite_normalize(Goal(atoms), p, env, b, collect_trace=trace,
+                               consumed=consumed, last=last)
+        steps += rw.steps
+        if rw.status == "diverged":
+            yield rw, None, steps, substs
+            return
+        if not rw.goal.atoms or (lazy_k is not None
+                                 and branch_substs >= lazy_k):
+            yield rw, None, steps, substs
+            continue
+        if steps >= b.max_steps or substs >= b.max_subst_steps:
+            yield None, None, steps, substs
+            return
+        options = subst_step(rw.goal, p, rw.env)
+        for goal2, env2, clause_idx, ai in reversed(options):
+            substs += 1
+            steps += 1
+            step = (Step("su", clause_idx, ai, goal2.atoms[ai], rw.env, env2,
+                         rw.last) if trace else None)
+            stack.append((goal2.atoms, env2, branch_substs + 1, step))
+        yield rw, options, steps, substs
 
 
 def sres_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
@@ -467,63 +481,21 @@ def sres_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
     with whatever the goal variables are bound to so far.  A diverging
     normalization aborts the whole search as not universally observable.
     """
-    env0 = bump_counter_past(EMPTY_ENV, p, g)
     goal_vars = goal_var_names(g)
-    stack = [_SNode(g.atoms, env0, 0, [])]
     answers = []
-    steps = 0
-    subst_total = 0
     truncated = False
-    while stack:
-        node = stack.pop()
-        rw = rewrite_normalize(Goal(node.atoms), p, node.env, b,
-                               collect_trace=trace)
-        steps += rw.steps
-        if rw.status == "diverged":
+    for rw, options, steps, _ in _structural_walk(g, p, b, lazy_k, trace):
+        if rw is None:
+            truncated = True
+        elif rw.status == "diverged":
             return Verdict("not_universally_observable", answers,
                            witness=rw.witness, steps_used=steps)
-        lines = node.trace + _renumber(rw.trace, len(node.trace)) if trace else []
-        if not rw.goal.atoms:
-            env = rw.env.restrict(goal_vars)
-            answers.append(Answer(env, goal_vars, _classify(env, goal_vars),
-                                  steps_used=steps,
-                                  trace=lines if trace else None))
+        elif options is None:
+            answers.append(_answer(rw.env, goal_vars, steps, rw.last, trace,
+                                   kind="partial" if rw.goal.atoms else None))
             if b.max_answers and len(answers) >= b.max_answers:
                 break
-            continue
-        if node.substs >= lazy_k:
-            env = rw.env.restrict(goal_vars)
-            answers.append(Answer(env, goal_vars, "partial", steps_used=steps,
-                                  trace=lines if trace else None))
-            if b.max_answers and len(answers) >= b.max_answers:
-                break
-            continue
-        if steps >= b.max_steps or subst_total >= b.max_subst_steps:
-            truncated = True
-            break
-        options = subst_step(rw.goal, p, rw.env)
-        for goal2, env2, clause_idx, ai in reversed(options):
-            subst_total += 1
-            steps += 1
-            child_lines = lines + [syntax.trace_line(
-                len(lines) + 1, "su", clause_idx, ai,
-                _new_bindings(env2, rw.env))] if trace else []
-            stack.append(_SNode(goal2.atoms, env2, node.substs + 1, child_lines))
-    if answers:
-        return Verdict("answers", answers, steps_used=steps)
-    if truncated:
-        return Verdict("exhausted", steps_used=steps)
-    return Verdict("failed", steps_used=steps)
-
-
-def _renumber(lines, offset: int) -> list:
-    if not lines:
-        return []
-    out = []
-    for line in lines:
-        head, _, rest = line.partition(" ")
-        out.append(f"#{int(head[1:]) + offset} {rest}")
-    return out
+    return _verdict(answers, truncated, steps)
 
 
 def productivity_report(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET) -> ProductivityReport:
@@ -535,33 +507,23 @@ def productivity_report(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET) -> Prod
     counts constructors that substitution steps introduced and rewriting
     steps then consumed.
     """
-    env0 = bump_counter_past(EMPTY_ENV, p, g)
-    stack = [_SNode(g.atoms, env0, 0, [])]
-    liveness = 0
     introduced: dict = {}
     consumed: dict = {}
-    steps = 0
-    while stack:
-        node = stack.pop()
-        rw = rewrite_normalize(Goal(node.atoms), p, node.env, b,
-                               consumed=consumed)
-        steps += rw.steps
-        if rw.status == "diverged":
+    for rw, options, _, liveness in _structural_walk(g, p, b,
+                                                      consumed=consumed):
+        if rw is not None and rw.status == "diverged":
             return ProductivityReport(False, liveness, {}, witness=rw.witness)
-        if not rw.goal.atoms:
+        if not options:
             continue
-        if steps >= b.max_steps or liveness >= b.max_subst_steps:
-            break
-        pre_vars = _free_vars(rw.goal.atoms, rw.env)
-        options = subst_step(rw.goal, p, rw.env)
-        for goal2, env2, _cid, _ai in reversed(options):
-            liveness += 1
-            steps += 1
+        pre_vars = {x.name for x in subterms([t for a in rw.goal.atoms
+                                              for t in a.args], rw.env)
+                    if isinstance(x, Var)}
+        for _goal, env2, _cid, _ai in options:
             for name in env2.bindings.keys() - rw.env.bindings.keys():
                 if name in pre_vars:
-                    for f in _functors_of(env2.walk(Var(name)), env2):
-                        introduced[f] = introduced.get(f, 0) + 1
-            stack.append(_SNode(goal2.atoms, env2, node.substs + 1, []))
+                    for x in subterms((Var(name),), env2):
+                        if isinstance(x, Compound):
+                            introduced[x.functor] = introduced.get(x.functor, 0) + 1
     produced = {f: min(n, consumed.get(f, 0))
                 for f, n in introduced.items() if consumed.get(f)}
     return ProductivityReport(True, liveness, produced)

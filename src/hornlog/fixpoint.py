@@ -33,6 +33,7 @@ from hornlog.terms import (
     canon_key,
     from_mu,
     rename_apart,
+    subterms,
     to_mu,
     unify_atoms,
 )
@@ -114,20 +115,6 @@ def _signature(p: Program):
     return funcs, preds
 
 
-def _subterm_objects(t, env: BindingEnv):
-    seen = set()
-    out = []
-    stack = [t]
-    while stack:
-        x = env.walk(stack.pop())
-        if isinstance(x, Var) or id(x) in seen:
-            continue
-        seen.add(id(x))
-        out.append(x)
-        stack.extend(x.args)
-    return out
-
-
 def build_fragment(p: Program, d: int = 2, c: int = 0, *,
                    seed_terms=(), seed_atoms=(), atom_products: bool = True,
                    cap: int = DEFAULT_CAP) -> GroundFragment:
@@ -192,13 +179,11 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
                     continue
                 frag.add_term(Compound(name, combo), frag.env)
 
-    for t, env in seed_terms:
-        for sub in _subterm_objects(t, env):
-            frag.add_term(sub, env)
-
-    for a, env in seed_atoms:
-        for arg in a.args:
-            for sub in _subterm_objects(arg, env):
+    seeds = [((t,), env) for t, env in seed_terms]
+    seeds += [(a.args, env) for a, env in seed_atoms]
+    for terms, env in seeds:
+        for sub in subterms(terms, env):
+            if isinstance(sub, Compound):
                 frag.add_term(sub, env)
 
     if atom_products:
@@ -219,25 +204,9 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
 # The immediate-consequence operator
 
 
-def _free_var_names(terms, env: BindingEnv) -> list:
-    names = []
-    seen = set()
-    stack = list(reversed(list(terms)))
-    while stack:
-        x = env.walk(stack.pop())
-        if isinstance(x, Var):
-            if x.name not in names:
-                names.append(x.name)
-            continue
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        stack.extend(reversed(x.args))
-    return names
-
-
 def _ground_leftovers(args, env: BindingEnv, frag: GroundFragment):
-    free = _free_var_names(args, env)
+    free = list(dict.fromkeys(x.name for x in subterms(args, env)
+                              if isinstance(x, Var)))
     if not free:
         yield env
         return
@@ -291,7 +260,8 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
             # would witness the same key.)
             width = len(rc.head.args) - (1 if ignore_last else 0)
             trimmed = Atom(rc.head.pred, rc.head.args[:width])
-            if not _free_var_names(trimmed.args, env):
+            if not any(isinstance(x, Var)
+                       for x in subterms(trimmed.args, env)):
                 if not frag.has_atom(rc.head, env, ignore_last):
                     continue
                 matches = [env]

@@ -210,6 +210,23 @@ def term_vars(t: Term) -> Iterator[Var]:
             stack.extend(reversed(x.args))
 
 
+def subterms(terms, env: BindingEnv) -> Iterator[Term]:
+    """Walk the sequence ``terms`` under ``env``, depth first and left to
+    right, without recursion.  Yields every unbound variable occurrence it
+    reaches and every compound object once, so a cyclic binding is entered
+    only once."""
+    seen = set()
+    stack = list(reversed(terms))
+    while stack:
+        x = env.walk(stack.pop())
+        if isinstance(x, Var):
+            yield x
+        elif id(x) not in seen:
+            seen.add(id(x))
+            yield x
+            stack.extend(reversed(x.args))
+
+
 def _occurs(bindings: Mapping[str, Term], name: str, t: Term) -> bool:
     seen = set()
     stack = [t]
@@ -645,10 +662,6 @@ def canon_key(t, env: Optional[BindingEnv] = None):
         return ("f", n.functor, tuple(parts))
 
     return emit(cls[index[id(root)]], ())
-
-
-def canon_atom_key(a: Atom, env: Optional[BindingEnv] = None) -> tuple:
-    return (a.pred,) + tuple(canon_key(arg, env) for arg in a.args)
 
 
 # ---------------------------------------------------------------------------

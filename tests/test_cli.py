@@ -124,6 +124,222 @@ def test_solve_occurs_check_note_for_colp(capsys):
     assert "fixed off" in err
 
 
+# Exact text of ``solve --trace`` and of a divergence witness.  Scripts parse
+# these lines, so they are interface, not incidental formatting.  colp on
+# ``from`` gets a small depth cap: the goal never closes, and the full
+# default-budget search takes most of a minute.
+GOLDEN = [
+    (("solve", ZEROS, "zeros(X)", "--engine", "sld", "--trace"),
+     2, "",
+     "budget exhausted after 500 steps, no answers\n"),
+    (("solve", ZEROS, "zeros(X)", "--engine", "sld", "--trace", "--transform"),
+     2, "",
+     "budget exhausted after 500 steps, no answers\n"),
+    (("solve", ZEROS, "zeros(X)", "--engine", "colp", "--trace"),
+     0, "#1 sld clause 1 atom 0 σ={X=cons(0, V0)}\n"
+     "#2 hyp clause 1 atom 0 σ={V0=cons(0, cons(0, V0))}\n"
+     "X = cons(0, X)\n",
+     ""),
+    (("solve", ZEROS, "zeros(X)", "--engine", "colp", "--trace", "--transform"),
+     0, "#1 sld clause 1 atom 0 σ={K$1=k$1(V1), X=cons(0, V0)}\n"
+     "#2 hyp clause 1 atom 0 σ={V0=cons(0, cons(0, V0)), V1=k$1(k$1(V1))}\n"
+     "X = cons(0, X)\n",
+     ""),
+    (("solve", ZEROS, "zeros(X)", "--engine", "sres", "--trace"),
+     0, "#1 su clause 1 atom 0 σ={X=cons(0, V0)}\n"
+     "#2 rw clause 1 atom 0 σ={V1=V0}\n"
+     "#3 su clause 1 atom 0 σ={V0=cons(0, V2)}\n"
+     "#4 rw clause 1 atom 0 σ={V3=V2}\n"
+     "#5 su clause 1 atom 0 σ={V2=cons(0, V4)}\n"
+     "#6 rw clause 1 atom 0 σ={V5=V4}\n"
+     "X = cons(0, cons(0, cons(0, V4?)))  % partial\n",
+     ""),
+    (("solve", ZEROS, "zeros(X)", "--engine", "sres", "--trace", "--transform"),
+     0, "#1 su clause 1 atom 0 σ={K$1=k$1(V1), X=cons(0, V0)}\n"
+     "#2 rw clause 1 atom 0 σ={V2=V0, V3=V1}\n"
+     "#3 su clause 1 atom 0 σ={V0=cons(0, V4), V1=k$1(V5)}\n"
+     "#4 rw clause 1 atom 0 σ={V6=V4, V7=V5}\n"
+     "#5 su clause 1 atom 0 σ={V4=cons(0, V8), V5=k$1(V9)}\n"
+     "#6 rw clause 1 atom 0 σ={V10=V8, V11=V9}\n"
+     "X = cons(0, cons(0, cons(0, V8?)))  % partial\n",
+     ""),
+    (("solve", FROM, "from(0, X)", "--engine", "sld", "--trace"),
+     2, "",
+     "budget exhausted after 500 steps, no answers\n"),
+    (("solve", FROM, "from(0, X)", "--engine", "sld", "--trace", "--transform"),
+     2, "",
+     "budget exhausted after 500 steps, no answers\n"),
+    (("solve", FROM, "from(0, X)", "--engine", "colp", "--trace", "--max-depth", "60"),
+     2, "",
+     "budget exhausted after 60 steps, no answers\n"),
+    (("solve", FROM, "from(0, X)", "--engine", "colp", "--trace", "--transform", "--max-depth", "60"),
+     2, "",
+     "budget exhausted after 60 steps, no answers\n"),
+    (("solve", FROM, "from(0, X)", "--engine", "sres", "--trace"),
+     0, "#1 su clause 1 atom 0 σ={V0=0, X=[0|V1]}\n"
+     "#2 rw clause 1 atom 0 σ={V2=0, V3=V1}\n"
+     "#3 su clause 1 atom 0 σ={V1=[s(0)|V5], V4=s(0)}\n"
+     "#4 rw clause 1 atom 0 σ={V6=s(0), V7=V5}\n"
+     "#5 su clause 1 atom 0 σ={V5=[s(s(0))|V9], V8=s(s(0))}\n"
+     "#6 rw clause 1 atom 0 σ={V10=s(s(0)), V11=V9}\n"
+     "X = [0|[s(0)|[s(s(0))|V9?]]]  % partial\n",
+     ""),
+    (("solve", FROM, "from(0, X)", "--engine", "sres", "--trace", "--transform"),
+     0, "#1 su clause 1 atom 0 σ={K$1=k$1(V2), V0=0, X=[0|V1]}\n"
+     "#2 rw clause 1 atom 0 σ={V3=0, V4=V1, V5=V2}\n"
+     "#3 su clause 1 atom 0 σ={V1=[s(0)|V7], V2=k$1(V8), V6=s(0)}\n"
+     "#4 rw clause 1 atom 0 σ={V10=V7, V11=V8, V9=s(0)}\n"
+     "#5 su clause 1 atom 0 σ={V12=s(s(0)), V7=[s(s(0))|V13], V8=k$1(V14)}\n"
+     "#6 rw clause 1 atom 0 σ={V15=s(s(0)), V16=V13, V17=V14}\n"
+     "X = [0|[s(0)|[s(s(0))|V13?]]]  % partial\n",
+     ""),
+    (("solve", SUBCLASS, "subclass(X, object)", "--engine", "sld", "--trace"),
+     0, "#1 sld clause 1 atom 0 σ={V0=object, X=object}\n"
+     "#2 sld clause 4 atom 0 σ={}\n"
+     "X = object\n"
+     "#1 sld clause 2 atom 0 σ={V0=X}\n"
+     "#2 sld clause 5 atom 0 σ={X=a}\n"
+     "X = a\n",
+     ""),
+    (("solve", SUBCLASS, "subclass(X, object)", "--engine", "sld", "--trace", "--transform"),
+     0, "#1 sld clause 1 atom 0 σ={K$1=k$1(V1), V0=object, X=object}\n"
+     "#2 sld clause 4 atom 0 σ={V1=k$4}\n"
+     "X = object\n"
+     "#1 sld clause 2 atom 0 σ={K$1=k$2(V1), V0=X}\n"
+     "#2 sld clause 5 atom 0 σ={V1=k$5, X=a}\n"
+     "X = a\n",
+     ""),
+    (("solve", SUBCLASS, "subclass(X, object)", "--engine", "colp", "--trace"),
+     0, "#1 sld clause 1 atom 0 σ={V0=object, X=object}\n"
+     "#2 sld clause 4 atom 0 σ={}\n"
+     "X = object\n"
+     "#1 sld clause 2 atom 0 σ={V0=X}\n"
+     "#2 sld clause 5 atom 0 σ={X=a}\n"
+     "X = a\n",
+     ""),
+    (("solve", SUBCLASS, "subclass(X, object)", "--engine", "colp", "--trace", "--transform"),
+     0, "#1 sld clause 1 atom 0 σ={K$1=k$1(V1), V0=object, X=object}\n"
+     "#2 sld clause 4 atom 0 σ={V1=k$4}\n"
+     "X = object\n"
+     "#1 sld clause 2 atom 0 σ={K$1=k$2(V1), V0=X}\n"
+     "#2 sld clause 5 atom 0 σ={V1=k$5, X=a}\n"
+     "X = a\n",
+     ""),
+    (("solve", SUBCLASS, "subclass(X, object)", "--engine", "sres", "--trace"),
+     0, "#1 rw clause 2 atom 0 σ={V0=X}\n"
+     "#2 su clause 4 atom 0 σ={X=object}\n"
+     "#3 rw clause 4 atom 0 σ={}\n"
+     "X = object\n"
+     "#1 rw clause 2 atom 0 σ={V0=X}\n"
+     "#2 su clause 5 atom 0 σ={X=a}\n"
+     "#3 rw clause 5 atom 0 σ={}\n"
+     "X = a\n",
+     ""),
+    (("solve", SUBCLASS, "subclass(X, object)", "--engine", "sres", "--trace", "--transform"),
+     0, "#1 su clause 1 atom 0 σ={K$1=k$1(V1), V0=object, X=object}\n"
+     "#2 rw clause 1 atom 0 σ={V2=object, V3=V1}\n"
+     "#3 su clause 4 atom 0 σ={V1=k$4}\n"
+     "#4 rw clause 4 atom 0 σ={}\n"
+     "X = object\n"
+     "#1 su clause 2 atom 0 σ={K$1=k$2(V1), V0=X}\n"
+     "#2 rw clause 2 atom 0 σ={V2=X, V3=V1}\n"
+     "#3 su clause 5 atom 0 σ={V1=k$5, X=a}\n"
+     "#4 rw clause 5 atom 0 σ={}\n"
+     "X = a\n"
+     "#1 su clause 3 atom 0 σ={K$1=k$3(V2, V3), V0=X, V1=object}\n"
+     "#2 rw clause 3 atom 0 σ={V5=X, V6=object, V7=V2, V8=V3}\n"
+     "#3 su clause 6 atom 0 σ={V2=k$6, V9=object, X=a}\n"
+     "#4 rw clause 6 atom 0 σ={}\n"
+     "#5 su clause 1 atom 0 σ={V10=object, V3=k$1(V11)}\n"
+     "#6 rw clause 1 atom 0 σ={V12=object, V13=V11}\n"
+     "X = a  % partial\n",
+     ""),
+    (("solve", EX3, "p(X)", "--engine", "sld", "--trace"),
+     2, "",
+     "budget exhausted after 500 steps, no answers\n"),
+    (("solve", EX3, "p(X)", "--engine", "sld", "--trace", "--transform"),
+     2, "",
+     "budget exhausted after 500 steps, no answers\n"),
+    (("solve", EX3, "p(X)", "--engine", "colp", "--trace"),
+     0, "#1 sld clause 1 atom 0 σ={X=f(V0)}\n"
+     "#2 hyp clause 1 atom 0 σ={V0=f(f(V0))}\n"
+     "X = f(X)\n",
+     ""),
+    (("solve", EX3, "p(X)", "--engine", "colp", "--trace", "--transform"),
+     0, "#1 sld clause 1 atom 0 σ={K$1=k$1(V1), X=f(V0)}\n"
+     "#2 hyp clause 1 atom 0 σ={V0=f(f(V0)), V1=k$1(k$1(V1))}\n"
+     "X = f(X)\n",
+     ""),
+    (("solve", EX3, "p(X)", "--engine", "sres", "--trace"),
+     0, "#1 su clause 1 atom 0 σ={X=f(V0)}\n"
+     "#2 rw clause 1 atom 0 σ={V1=V0}\n"
+     "#3 su clause 1 atom 0 σ={V0=f(V2)}\n"
+     "#4 rw clause 1 atom 0 σ={V3=V2}\n"
+     "#5 su clause 1 atom 0 σ={V2=f(V4)}\n"
+     "#6 rw clause 1 atom 0 σ={V5=V4}\n"
+     "X = f(f(f(V4?)))  % partial\n",
+     ""),
+    (("solve", EX3, "p(X)", "--engine", "sres", "--trace", "--transform"),
+     0, "#1 su clause 1 atom 0 σ={K$1=k$1(V1), X=f(V0)}\n"
+     "#2 rw clause 1 atom 0 σ={V2=V0, V3=V1}\n"
+     "#3 su clause 1 atom 0 σ={V0=f(V4), V1=k$1(V5)}\n"
+     "#4 rw clause 1 atom 0 σ={V6=V4, V7=V5}\n"
+     "#5 su clause 1 atom 0 σ={V4=f(V8), V5=k$1(V9)}\n"
+     "#6 rw clause 1 atom 0 σ={V10=V8, V11=V9}\n"
+     "X = f(f(f(V8?)))  % partial\n",
+     ""),
+    (("solve", EX3, "q(X)", "--engine", "sld", "--trace"),
+     2, "",
+     "budget exhausted after 500 steps, no answers\n"),
+    (("solve", EX3, "q(X)", "--engine", "sld", "--trace", "--transform"),
+     2, "",
+     "budget exhausted after 500 steps, no answers\n"),
+    (("solve", EX3, "q(X)", "--engine", "colp", "--trace"),
+     0, "#1 sld clause 2 atom 0 σ={V0=X}\n"
+     "#2 hyp clause 1 atom 0 σ={}\n"
+     "true\n",
+     ""),
+    (("solve", EX3, "q(X)", "--engine", "colp", "--trace", "--transform"),
+     0, "#1 sld clause 2 atom 0 σ={K$1=k$2(V1), V0=X}\n"
+     "#2 hyp clause 1 atom 0 σ={V1=k$2(k$2(V1))}\n"
+     "true\n",
+     ""),
+    (("solve", EX3, "q(X)", "--engine", "sres", "--trace"),
+     2, "",
+     "not universally observable: a rewriting phase diverged\n"
+     + "q(X)\n" * 9),
+    (("solve", EX3, "q(X)", "--engine", "sres", "--trace", "--transform"),
+     0, "#1 su clause 2 atom 0 σ={K$1=k$2(V1), V0=X}\n"
+     "#2 rw clause 2 atom 0 σ={V2=X, V3=V1}\n"
+     "#3 su clause 2 atom 0 σ={V1=k$2(V5), V4=X}\n"
+     "#4 rw clause 2 atom 0 σ={V6=X, V7=V5}\n"
+     "#5 su clause 2 atom 0 σ={V5=k$2(V9), V8=X}\n"
+     "#6 rw clause 2 atom 0 σ={V10=X, V11=V9}\n"
+     "true  % partial\n",
+     ""),
+    (("solve", SUBCLASS, "subclass(a, object)", "--engine", "sres", "--trace"),
+     0, "#1 rw clause 2 atom 0 σ={V0=a}\n"
+     "#2 rw clause 5 atom 0 σ={}\n"
+     "true\n",
+     ""),
+    (("solve", EX3, "q(X)", "--engine", "sres", "--max-rewrite-steps", "40"),
+     2, "",
+     "not universally observable: a rewriting phase diverged\n"
+     + "q(X)\n" * 9),
+]
+
+
+def _golden_id(argv):
+    return "-".join(a.lstrip("-") for a in argv[2:]
+                    if a not in ("--engine", "--trace"))
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN,
+                         ids=[_golden_id(case[0]) for case in GOLDEN])
+def test_solve_golden_text(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
 # ---------------------------------------------------------------------------
 # compile / infer
 
@@ -231,6 +447,19 @@ def test_check_zeros_is_productive(capsys):
     assert "universally observable: yes" in out
     assert re.search(r"liveness: \d+ substitution steps", out)
     assert "cons" in out
+
+
+def test_check_from_deep_stream_is_productive(capsys):
+    # Each substitution step adds a cell to the stream, so after 1000 of
+    # them the goal is far deeper than the interpreter's recursion limit;
+    # the check renders goals only for a divergence witness.
+    code, out, err = run(capsys, "check", FROM, "from(0, X)")
+    assert (code, out, err) == (
+        0,
+        "universally observable: yes\n"
+        "liveness: 1000 substitution steps witnessed\n"
+        "produced constructors: .:1000\n",
+        "")
 
 
 def test_check_q_fails_with_witness(capsys):

@@ -6,9 +6,12 @@ only handles finite derivation trees, which is exactly what we want: the
 engine's answers on inductive programs must agree with it.
 """
 
+import random
 import re
 
 import pytest
+
+from genprog import random_atom, random_program
 
 from hornlog.engine import (
     Budget,
@@ -393,3 +396,39 @@ def test_productivity_terminating_goal_not_live():
     assert report.observable
     assert report.liveness == 0
     assert report.produced == {}
+
+
+# ---------------------------------------------------------------------------
+# Tracing is observation only
+
+
+def _answer_keys(verdict):
+    return [(a.kind, a.steps_used,
+             canon_key(Compound("$ans", tuple(Var(n) for n in a.goal_vars)),
+                       a.bindings))
+            for a in verdict.answers]
+
+
+@pytest.mark.parametrize("solve", [sld_solve, colp_solve, sres_solve],
+                         ids=["sld", "colp", "sres"])
+def test_trace_changes_nothing_but_the_trace(solve):
+    budget = Budget(max_steps=300, max_depth=40, max_rewrite_steps=60,
+                    max_subst_steps=60, max_answers=5)
+    extra = {} if solve is sres_solve else {"certificate": True}
+    with_answers = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        p = random_program(rng)
+        g = Goal((random_atom(rng),))
+        plain = solve(g, p, budget)
+        traced = solve(g, p, budget, trace=True, **extra)
+        assert (traced.kind, traced.steps_used, traced.witness) == \
+            (plain.kind, plain.steps_used, plain.witness)
+        assert _answer_keys(traced) == _answer_keys(plain)
+        for answer in traced.answers:
+            numbers = [parse_trace_line(t)["n"] for t in answer.trace]
+            assert numbers == list(range(1, len(answer.trace) + 1))
+            if extra:
+                assert len(answer.selected) == len(answer.trace)
+        with_answers += bool(plain.answers)
+    assert with_answers >= 20
