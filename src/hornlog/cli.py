@@ -7,7 +7,8 @@ productivity evidence, and ``oracle`` dumps bounded fixpoint iterations.
 
 Exit codes are part of the interface: 0 answers found / check passed,
 1 no answers / counterexample, 2 budget exhausted (including searches
-aborted because a rewriting phase diverged), 3 usage or parse errors.
+aborted because a rewriting phase diverged), 3 usage or parse errors,
+4 internal error (a failure of hornlog itself, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from hornlog.syntax import (
     program_text,
     term_text,
 )
-from hornlog.terms import Atom, BindingEnv, Var, canon_key, has_cycle, to_mu
+from hornlog.terms import Atom, BindingEnv, Var, canon_key, to_mu
 from hornlog.transform import (
     TransformError,
-    strip_answer,
+    strip_verdict,
     transform_goal,
     transform_program,
 )
@@ -57,6 +58,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _ENGINES = ("sld", "colp", "sres")
 
@@ -98,12 +100,7 @@ def _budget(args) -> Budget:
 
 
 def _auto_style(answer) -> str:
-    if answer.kind == "partial":
-        return "lazy"
-    env = answer.bindings
-    if any(has_cycle(env, Var(n)) for n in answer.goal_vars):
-        return "mu"
-    return "flat"
+    return {"partial": "lazy", "rational": "mu"}.get(answer.kind, "flat")
 
 
 def _report_verdict(verdict: Verdict, args) -> int:
@@ -165,15 +162,8 @@ def _cmd_solve(args) -> int:
         verdict = sres_solve(goal, program, budget, lazy_k=args.lazy_k,
                              trace=args.trace)
     if args.transform:
-        verdict = Verdict(verdict.kind,
-                          [strip_answer(a, transformed)
-                           for a in verdict.answers],
-                          verdict.witness, verdict.steps_used)
+        verdict = strip_verdict(verdict, transformed)
     return _report_verdict(verdict, args)
-
-
-def _provenance_text(entry) -> str:
-    return entry if isinstance(entry, str) else str(entry)
 
 
 def _cmd_compile(args) -> int:
@@ -181,8 +171,7 @@ def _cmd_compile(args) -> int:
     unit = compile_class_table(table)
     lines = []
     for clause in unit.program.clauses:
-        lines.append(f"% provenance: "
-                     f"{_provenance_text(unit.provenance[clause.idx])}")
+        lines.append(f"% provenance: {unit.provenance[clause.idx]}")
         lines.append(clause_text(clause))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -390,6 +379,11 @@ def main(argv=None) -> int:
     except FragmentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

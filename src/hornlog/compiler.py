@@ -46,7 +46,7 @@ from hornlog.terms import (
     const,
     mklist,
 )
-from hornlog.transform import strip_answer, transform_goal, transform_program
+from hornlog.transform import strip_verdict, transform_goal, transform_program
 
 #: Maps source variable names to the logic variable or closed type term
 #: standing for them during expression compilation.
@@ -243,8 +243,7 @@ def compile_class_table(ct: moo.ClassTable) -> CompiledUnit:
 
 def infer(ct: moo.ClassTable, e: moo.Expr, engine: str = "sres",
           budget: Budget = DEFAULT_BUDGET,
-          assumptions: Optional[TypeEnv] = None, lazy_k: int = 3,
-          occurs_check: bool = True) -> Verdict:
+          assumptions: Optional[TypeEnv] = None, lazy_k: int = 3) -> Verdict:
     """Compile the class table, compile ``e`` as a goal, and solve it.
 
     ``assumptions`` gives closed types for free source variables; anything
@@ -256,14 +255,12 @@ def infer(ct: moo.ClassTable, e: moo.Expr, engine: str = "sres",
     env: TypeEnv = dict(assumptions) if assumptions else {}
     goal, _result = compile_expr(e, env)
     if engine == "sld":
-        return sld_solve(goal, unit.program, budget, occurs_check=occurs_check)
+        return sld_solve(goal, unit.program, budget)
     if engine == "colp":
         return colp_solve(goal, unit.program, budget)
     if engine == "sres":
         t = transform_program(unit.program)
         verdict = sres_solve(transform_goal(goal), t.program, budget,
                              lazy_k=lazy_k)
-        return Verdict(verdict.kind,
-                       [strip_answer(a, t) for a in verdict.answers],
-                       verdict.witness, verdict.steps_used)
+        return strip_verdict(verdict, t)
     raise ValueError(f"unknown engine {engine!r}")

@@ -14,6 +14,11 @@ programs whose full fragment would be astronomically large.
 All fragment terms live in one shared "arena" environment; rational seeds
 are rebased into it through their canonical equation form.  The arena only
 ever grows, so previously returned atoms stay valid.
+
+A fragment member is identified by its canonical key, and ``GroundFragment``
+is the one place that computes it: each term and atom argument entering the
+fragment is keyed once, and the loops below carry the keys of the atoms they
+hold (from ``frag.atoms`` or from a stage set) instead of keying them again.
 """
 
 from __future__ import annotations
@@ -72,31 +77,34 @@ class GroundFragment:
 
     def intern(self, t, env: BindingEnv):
         """Rebase a (possibly rational) ground term onto the arena."""
-        key = canon_key(t, env)
+        return self._intern(canon_key(t, env), t, env)
+
+    def _intern(self, key, t, env: BindingEnv):
         hit = self._interned.get(key)
-        if hit is not None:
-            return hit
-        mu = to_mu(env, t)
-        term, self.env = from_mu(mu, self.env)
-        self._interned[key] = term
+        if hit is None:
+            hit, self.env = from_mu(to_mu(env, t), self.env)
+            self._interned[key] = hit
+        return hit
+
+    def add_term(self, t, env: BindingEnv):
+        """Add ``t`` to the universe; its arena term if new, else None."""
+        key = canon_key(t, env)
+        if key in self._interned:
+            return None
+        if len(self.universe) >= self.cap:
+            raise FragmentError(f"fragment cap {self.cap} exceeded")
+        term = self._intern(key, t, env)
+        self.universe.append(term)
         return term
 
-    def intern_atom(self, a: Atom, env: BindingEnv) -> Atom:
-        return Atom(a.pred, tuple(self.intern(t, env) for t in a.args))
-
-    def add_term(self, t, env: BindingEnv) -> None:
-        key = canon_key(t, env)
-        if key not in self._interned:
-            if len(self.universe) >= self.cap:
-                raise FragmentError(f"fragment cap {self.cap} exceeded")
-            self.universe.append(self.intern(t, env))
-
     def add_atom(self, a: Atom, env: BindingEnv) -> None:
-        key = self.atom_key(a, env)
+        arg_keys = tuple(canon_key(t, env) for t in a.args)
+        key = (a.pred, len(a.args)) + arg_keys
         if key not in self.atoms:
             if len(self.atoms) >= self.cap:
                 raise FragmentError(f"fragment cap {self.cap} exceeded")
-            self.atoms[key] = self.intern_atom(a, env)
+            self.atoms[key] = Atom(a.pred, tuple(
+                self._intern(k, t, env) for k, t in zip(arg_keys, a.args)))
 
 
 def _signature(p: Program):
@@ -105,13 +113,9 @@ def _signature(p: Program):
     for c in p.clauses:
         for atom in (c.head,) + c.body:
             preds.add(atom.key)
-            stack = list(atom.args)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Var):
-                    continue
-                funcs.add((t.functor, len(t.args)))
-                stack.extend(t.args)
+            funcs.update((t.functor, len(t.args))
+                         for t in subterms(atom.args, EMPTY_ENV)
+                         if isinstance(t, Compound))
     return funcs, preds
 
 
@@ -144,11 +148,9 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
         grown = list(finite)
         for name, arity in constructors:
             for combo in itertools.product(finite, repeat=arity):
-                t = Compound(name, combo)
-                key = canon_key(t, frag.env)
-                if key not in frag._interned:
-                    frag.add_term(t, frag.env)
-                    grown.append(frag._interned[key])
+                term = frag.add_term(Compound(name, combo), frag.env)
+                if term is not None:
+                    grown.append(term)
         finite = grown
 
     # Rational terms: systems of up to c equations, one constructor deep.
@@ -164,11 +166,9 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
                                                              repeat=arity))
             for system in itertools.product(bodies, repeat=m):
                 env = BindingEnv({n: b for n, b in zip(names, system)})
-                root = Var(names[0])
-                key = canon_key(root, env)
-                if key not in frag._interned:
-                    frag.add_term(root, env)
-                    rational.append(frag._interned[key])
+                term = frag.add_term(Var(names[0]), env)
+                if term is not None:
+                    rational.append(term)
 
         # One constructor layer mixing finite and rational parts.
         rational_ids = {id(t) for t in rational}
@@ -231,20 +231,21 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
     argument — the mode used for programs carrying proof arguments, whose
     proof terms are not fragment members.
     """
-    by_key = {}
+    by_pred = {}
     for a in s.values():
-        by_key.setdefault(a.key, []).append(a)
-    fragment_by_key = {}
-    for a in frag.atoms.values():
-        fragment_by_key.setdefault(a.key, []).append(a)
+        by_pred.setdefault(a.key, []).append(a)
+    fragment_by_pred = {}
+    for key, a in frag.atoms.items():
+        fragment_by_pred.setdefault(a.key, []).append((key, a))
     out = {}
     for clause in p.clauses:
         rc, env0 = rename_apart(clause, frag.env)
+        head = rc.head
         stack = [(0, env0)]
         while stack:
             i, env = stack.pop()
             if i < len(rc.body):
-                for member in by_key.get(rc.body[i].key, ()):
+                for member in by_pred.get(rc.body[i].key, ()):
                     u = unify_atoms(rc.body[i], member, env,
                                     occurs_check=False)
                     if u is not None:
@@ -254,29 +255,33 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
             # head against the fragment's own atoms: every admissible ground
             # instance *is* a fragment atom, so this enumerates exactly the
             # instantiations a product over the term universe would find,
-            # without the universe^arity blowup.  (With ``ignore_last`` the
+            # without the universe^arity blowup, and each instance takes the
+            # key of the atom it unified with.  (With ``ignore_last`` the
             # proof argument stays out of the key, so proof variables simply
             # remain free in the stored representative: any junk grounding
             # would witness the same key.)
-            width = len(rc.head.args) - (1 if ignore_last else 0)
-            trimmed = Atom(rc.head.pred, rc.head.args[:width])
+            width = len(head.args) - (1 if ignore_last else 0)
+            trimmed = Atom(head.pred, head.args[:width])
             if not any(isinstance(x, Var)
                        for x in subterms(trimmed.args, env)):
-                if not frag.has_atom(rc.head, env, ignore_last):
-                    continue
-                matches = [env]
+                key = frag.atom_key(head, env, ignore_last)
+                matches = [(key, env)] if key in frag.atoms else []
             else:
                 matches = []
-                for cand in fragment_by_key.get(trimmed.key, ()):
+                for key, cand in fragment_by_pred.get(trimmed.key, ()):
                     u = unify_atoms(trimmed, cand, env, occurs_check=False)
                     if u is not None:
-                        matches.append(u)
-            for envf in matches:
-                key = frag.atom_key(rc.head, envf, ignore_last)
-                if key not in out:
-                    if len(out) > frag.cap:
-                        raise FragmentError("consequence set exceeds cap")
-                    out[key] = frag.intern_atom(rc.head, envf)
+                        matches.append((key, u))
+            for key, envf in matches:
+                if key in out:
+                    continue
+                if len(out) > frag.cap:
+                    raise FragmentError("consequence set exceeds cap")
+                atom = frag.atoms[key]
+                if ignore_last:
+                    atom = Atom(atom.pred, atom.args
+                                + (frag.intern(head.args[-1], envf),))
+                out[key] = atom
     return out
 
 
@@ -294,31 +299,28 @@ class FixpointTrace:
 def tp_up(p: Program, n: int, frag: GroundFragment,
           ignore_last: bool = False) -> FixpointTrace:
     """Iterate upward from the empty set: n+1 increasing sets."""
-    sets = [{}]
+    return _iterate("up", p, n, frag, ignore_last)
+
+
+def tp_down(p: Program, n: int, frag: GroundFragment) -> FixpointTrace:
+    """Iterate downward from the whole fragment: n+1 decreasing sets."""
+    return _iterate("down", p, n, frag, False)
+
+
+def _iterate(direction: str, p: Program, n: int, frag: GroundFragment,
+             ignore_last: bool) -> FixpointTrace:
+    sets = [{} if direction == "up" else dict(frag.atoms)]
     fixed = False
     for _ in range(n):
         if fixed:
             sets.append(sets[-1])
             continue
         nxt = tp_step(p, sets[-1], frag, ignore_last)
+        if direction == "down":
+            nxt = {k: a for k, a in nxt.items() if k in sets[-1]}
         fixed = nxt.keys() == sets[-1].keys()
         sets.append(nxt)
-    return FixpointTrace("up", sets, fixed, frag)
-
-
-def tp_down(p: Program, n: int, frag: GroundFragment) -> FixpointTrace:
-    """Iterate downward from the whole fragment: n+1 decreasing sets."""
-    sets = [dict(frag.atoms)]
-    fixed = False
-    for _ in range(n):
-        if fixed:
-            sets.append(sets[-1])
-            continue
-        nxt = tp_step(p, sets[-1], frag)
-        nxt = {k: a for k, a in nxt.items() if k in sets[-1]}
-        fixed = nxt.keys() == sets[-1].keys()
-        sets.append(nxt)
-    return FixpointTrace("down", sets, fixed, frag)
+    return FixpointTrace(direction, sets, fixed, frag)
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +366,19 @@ def down_member_with_proof(p_trans: Program, a: Atom, k: int,
     """
     if memo is None:
         memo = {}
-    return _down_ok(p_trans, frag, a, k, memo)
+    return _down_ok(p_trans, frag, a, frag.atom_key(a), k, memo)
 
 
-def _down_ok(p_trans, frag, a, k, memo) -> bool:
+def _down_ok(p_trans, frag, a, key, k, memo) -> bool:
+    """``down_member_with_proof`` for the fragment atom ``a`` with key
+    ``key``; body atoms recurse with the keys they are stored under."""
     if k <= 0:
         return True
-    key = (frag.atom_key(a), k)
-    hit = memo.get(key)
+    hit = memo.get((key, k))
     if hit is not None:
         return hit
     result = False
-    for clause in p_trans.clauses:
-        if clause.head.key != (a.pred, len(a.args) + 1):
-            continue
+    for clause in p_trans.clauses_for((a.pred, len(a.args) + 1)):
         rc, env0 = rename_apart(clause, frag.env)
         stripped = Atom(rc.head.pred, rc.head.args[:-1])
         u = unify_atoms(stripped, a, env0, occurs_check=False)
@@ -387,13 +388,10 @@ def _down_ok(p_trans, frag, a, k, memo) -> bool:
         for envf in _ground_leftovers(orig_args, u, frag):
             ok = True
             for b in rc.body:
-                b_orig = Atom(b.pred, b.args[:-1])
-                b_key = frag.atom_key(b_orig, envf)
-                if b_key not in frag.atoms:
-                    ok = False
-                    break
-                if not _down_ok(p_trans, frag, frag.atoms[b_key], k - 1,
-                                memo):
+                b_key = frag.atom_key(b, envf, ignore_last=True)
+                b_atom = frag.atoms.get(b_key)
+                if b_atom is None or not _down_ok(p_trans, frag, b_atom,
+                                                  b_key, k - 1, memo):
                     ok = False
                     break
             if ok:
@@ -401,7 +399,7 @@ def _down_ok(p_trans, frag, a, k, memo) -> bool:
                 break
         if result:
             break
-    memo[key] = result
+    memo[(key, k)] = result
     return result
 
 
@@ -433,11 +431,10 @@ def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
     up_orig = tp_up(p, n, frag)
     up_trans = tp_up(tp.program, n, frag, ignore_last=True)
     for k in range(n + 1):
-        plain = set(up_orig.sets[k].keys())
-        # Stripping the proof argument from a transformed atom's key gives a
-        # key in the plain fragment's format, so set comparison is direct.
-        stripped = {frag.atom_key(a, frag.env, ignore_last=True)
-                    for a in up_trans.sets[k].values()}
+        plain = set(up_orig.sets[k])
+        # tp_step with ignore_last keys a transformed atom without its proof
+        # argument, in the plain fragment's format, so comparison is direct.
+        stripped = set(up_trans.sets[k])
         for key in plain - stripped:
             counterexamples.append(
                 f"up k={k}: {_atom_repr(up_orig.sets[k][key])} has no "

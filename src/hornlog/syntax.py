@@ -380,11 +380,16 @@ _TRACE_RE = re.compile(
 
 
 def trace_line(n: int, kind: str, clause_id: int, atom_index: int, bindings) -> str:
+    """One ``--trace`` line.  On a ``hyp`` line ``clause_id`` is the ancestor
+    distance, not a clause index: the ancestor was selected that many steps
+    earlier on the branch (1 is the previous step)."""
     subst = ", ".join(f"{name}={term_text(t)}" for name, t in bindings)
     return f"#{n} {kind} clause {clause_id} atom {atom_index} σ={{{subst}}}"
 
 
 def parse_trace_line(line: str) -> dict:
+    """Fields of a ``trace_line``; for a ``hyp`` line the ``clause`` entry
+    holds the ancestor distance."""
     m = _TRACE_RE.match(line)
     if m is None:
         raise ParseError(f"bad trace line: {line!r}")

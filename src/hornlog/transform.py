@@ -17,7 +17,7 @@ program that already uses them is refused rather than silently shadowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from hornlog.terms import (
     Atom,
@@ -134,6 +134,12 @@ def strip_answer(answer, t: TransformedProgram):
             else "total"
     return type(answer)(bindings=env, goal_vars=keep, kind=kind,
                         steps_used=answer.steps_used, trace=answer.trace)
+
+
+def strip_verdict(verdict, t: TransformedProgram):
+    """Copy of ``verdict`` with ``strip_answer`` applied to every answer."""
+    return replace(verdict, answers=[strip_answer(a, t)
+                                     for a in verdict.answers])
 
 
 def proof_measure(atoms, env: BindingEnv = EMPTY_ENV) -> int:

@@ -527,3 +527,16 @@ def test_bad_usage_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert err
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("hornlog.cli.sld_solve", crash)
+    code, out, err = run(capsys, "solve", ZEROS, "?- zeros(X).")
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "error: internal error: RecursionError: "
+        "maximum recursion depth exceeded"]

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from genprog import random_lemma_program
 from hornlog.engine import Budget, colp_solve, sld_solve
 from hornlog.fixpoint import (
     FragmentError,
@@ -15,7 +17,16 @@ from hornlog.fixpoint import (
     up_member,
 )
 from hornlog.syntax import parse_goal, parse_program, parse_term
-from hornlog.terms import Atom, Clause, Compound, EMPTY_ENV, Program, Var
+from hornlog.terms import (
+    Atom,
+    Clause,
+    Compound,
+    EMPTY_ENV,
+    Program,
+    Var,
+    rename_apart,
+    term_vars,
+)
 from hornlog.transform import transform_program
 
 ZEROS = parse_program("zeros(cons(0, X)) :- zeros(X).")
@@ -159,6 +170,40 @@ def test_tp_step_monotone_on_random_inputs():
         out1 = tp_step(p, s1, frag)
         out2 = tp_step(p, s2, frag)
         assert set(out1) <= set(out2)
+
+
+def _step_by_product(p, s, frag):
+    """The fragment keys of T_P(s), by grounding every clause over the term
+    universe with a plain product: a ground head counts when it is a
+    fragment atom and every ground body atom is in ``s``."""
+    out = set()
+    for clause in p.clauses:
+        rc, env0 = rename_apart(clause, frag.env)
+        names = sorted({v.name for atom in (rc.head,) + rc.body
+                        for t in atom.args for v in term_vars(t)})
+        for combo in itertools.product(frag.universe, repeat=len(names)):
+            env = env0
+            for name, t in zip(names, combo):
+                env = env.bind(name, t)
+            head = frag.atom_key(rc.head, env)
+            if head in frag.atoms and all(frag.atom_key(b, env) in s
+                                          for b in rc.body):
+                out.add(head)
+    return out
+
+
+def test_tp_step_matches_grounding_by_product():
+    rng = random.Random(0x7E57)
+    stages = 0
+    for _ in range(40):
+        p = random_lemma_program(rng)
+        frag = build_fragment(p, 1, 1)
+        for trace in (tp_up(p, 4, frag), tp_down(p, 4, frag)):
+            for s in trace.sets:
+                assert set(tp_step(p, s, frag)) == _step_by_product(p, s,
+                                                                    frag)
+                stages += 1
+    assert stages == 400
 
 
 # ---------------------------------------------------------------------------
