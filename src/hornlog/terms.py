@@ -8,12 +8,30 @@ pair of nodes, which is what makes unification on rational trees terminate.
 
 A :class:`MuTerm` is the exportable face of a rational term: a finite root
 plus a set of contractive equations, suitable for printing and comparison.
+
+Every :class:`Compound` carries a ground fingerprint ``fp``, computed once
+when the node is built from its functor and its arguments' fingerprints.
+It is ``None`` exactly when a :class:`Var` occurs in the term, and two
+structurally equal ground terms always have the same ``fp``.  So two ground
+compounds with different fingerprints are different terms under every
+environment: ``unify`` and ``match`` fail on them at once, and the occurs
+check never descends into a ground compound.  Equal fingerprints prove
+nothing and are always walked, so a hash collision cannot change an answer.
+Fingerprints come from ``hash``, which is salted per process, so they are
+never printed, stored or used to order anything.
+
+A :class:`BindingEnv` may share its binding dict with the environment it was
+derived from: the private ``_wrap`` constructor takes a dict without copying
+it, and no dict is mutated after it has been wrapped.  ``unify`` and
+``match`` copy on their first write, and return ``env`` itself when they
+bind nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -30,19 +48,40 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
+    #: A variable is never ground (see ``Compound.fp``).
+    fp = None
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Compound:
-    """A functor applied to zero or more terms; constants are 0-ary."""
+    """A functor applied to zero or more terms; constants are 0-ary.
+
+    ``fp`` is the ground fingerprint: a hash of the whole term, or ``None``
+    when a variable occurs in it."""
 
     functor: str
     args: tuple = ()
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+    fp: Optional[int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        fp = hash(self.functor)
+        for a in self.args:
+            if a.fp is None:
+                fp = None
+                break
+            fp = hash((fp, a.fp))
+        _set_fp(self, fp)
+
+
+# Compound is frozen, so __post_init__ writes ``fp`` through the slot's own
+# descriptor, which is cheaper than ``object.__setattr__`` on every node.
+_set_fp = Compound.fp.__set__
 
 
 Term = Union[Var, Compound]
@@ -92,8 +131,21 @@ class Clause:
 class Program:
     clauses: tuple = ()
 
-    def clauses_for(self, key: tuple) -> list:
-        return [c for c in self.clauses if c.head.key == key]
+    def clauses_for(self, key: tuple) -> tuple:
+        return self._index.get(key, ())
+
+    @cached_property
+    def _index(self) -> dict:
+        """Clauses by head ``(pred, arity)``, each in program order."""
+        index: dict = {}
+        for c in self.clauses:
+            index.setdefault(c.head.key, []).append(c)
+        return {k: tuple(cs) for k, cs in index.items()}
+
+    @cached_property
+    def var_ceiling(self) -> int:
+        """One past the largest literal ``V<n>`` variable in the program."""
+        return _var_ceiling(a for c in self.clauses for a in (c.head, *c.body))
 
 
 @dataclass(frozen=True)
@@ -123,6 +175,15 @@ class BindingEnv:
         self._b = dict(bindings) if bindings else {}
         self.counter = counter
 
+    @classmethod
+    def _wrap(cls, bindings: dict, counter: int) -> "BindingEnv":
+        """An environment over ``bindings`` itself, not a copy; nothing may
+        mutate that dict afterwards."""
+        env = cls.__new__(cls)
+        env._b = bindings
+        env.counter = counter
+        return env
+
     @property
     def bindings(self) -> Mapping[str, Term]:
         return self._b
@@ -144,15 +205,15 @@ class BindingEnv:
             raise UnificationError(f"variable {name} is already bound")
         new = dict(self._b)
         new[name] = value
-        return BindingEnv(new, self.counter)
+        return BindingEnv._wrap(new, self.counter)
 
     def fresh(self, n: int = 1) -> tuple:
         """Return ``n`` fresh variables and the advanced environment."""
         vs = tuple(Var(f"V{self.counter + i}") for i in range(n))
-        return vs, BindingEnv(self._b, self.counter + n)
+        return vs, BindingEnv._wrap(self._b, self.counter + n)
 
     def with_counter(self, counter: int) -> "BindingEnv":
-        return BindingEnv(self._b, max(self.counter, counter))
+        return BindingEnv._wrap(self._b, max(self.counter, counter))
 
     def restrict(self, names) -> "BindingEnv":
         """Keep only bindings reachable from ``names`` (cycles preserved)."""
@@ -171,7 +232,7 @@ class BindingEnv:
                     work.append(bound)
             else:
                 work.extend(t.args)
-        return BindingEnv(keep, self.counter)
+        return BindingEnv._wrap(keep, self.counter)
 
     def __repr__(self) -> str:
         return f"BindingEnv({self._b!r}, counter={self.counter})"
@@ -235,9 +296,7 @@ def _occurs(bindings: Mapping[str, Term], name: str, t: Term) -> bool:
         if isinstance(x, Var):
             if x.name == name:
                 return True
-        else:
-            if id(x) in seen:
-                continue
+        elif x.fp is None and id(x) not in seen:
             seen.add(id(x))
             stack.extend(x.args)
     return False
@@ -255,9 +314,11 @@ def unify(t1: Term, t2: Term, env: BindingEnv = EMPTY_ENV,
     visited-pair memo lets cyclic structure unify in finite time, and the
     result environment may contain cycles (``unify(X, f(X))`` binds
     ``X -> f(X)``).  With the check on, any binding that would create a cycle
-    fails instead.  Returns ``None`` on failure; never mutates ``env``.
+    fails instead.  Returns ``None`` on failure, and ``env`` itself when
+    nothing needs binding; never mutates ``env``.
     """
-    work = dict(env._b)
+    work = env._b  # copied on the first write
+    shared = True
     seen: set = set()
     stack = [(t1, t2)]
     while stack:
@@ -267,25 +328,29 @@ def unify(t1: Term, t2: Term, env: BindingEnv = EMPTY_ENV,
         if isinstance(a, Var):
             if isinstance(b, Var) and a.name == b.name:
                 continue
-            if occurs_check and isinstance(b, Compound) and _occurs(work, a.name, b):
+            name, value = a.name, b
+        elif isinstance(b, Var):
+            name, value = b.name, a
+        else:
+            if a is b:
+                continue
+            if a.functor != b.functor or len(a.args) != len(b.args):
                 return None
-            work[a.name] = b
+            if a.fp != b.fp and a.fp is not None and b.fp is not None:
+                return None  # distinct ground terms
+            key = (id(a), id(b))
+            if key in seen:
+                continue  # already demanded equal further up: rational-tree closure
+            seen.add(key)
+            stack.extend(zip(reversed(a.args), reversed(b.args)))
             continue
-        if isinstance(b, Var):
-            if occurs_check and _occurs(work, b.name, a):
-                return None
-            work[b.name] = a
-            continue
-        if a.functor != b.functor or len(a.args) != len(b.args):
+        if occurs_check and isinstance(value, Compound) and _occurs(work, name, value):
             return None
-        if a is b:
-            continue
-        key = (id(a), id(b))
-        if key in seen:
-            continue  # already demanded equal further up: rational-tree closure
-        seen.add(key)
-        stack.extend(zip(reversed(a.args), reversed(b.args)))
-    return BindingEnv(work, env.counter)
+        if shared:
+            work = dict(work)
+            shared = False
+        work[name] = value
+    return env if shared else BindingEnv._wrap(work, env.counter)
 
 
 def unify_atoms(a1: Atom, a2: Atom, env: BindingEnv = EMPTY_ENV,
@@ -306,7 +371,8 @@ def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[
     is a finite tree, so descent terminates on its depth.
     """
     pat_vars = {v.name for v in term_vars(pattern)}
-    work = dict(env._b)
+    work = env._b  # copied on the first write
+    shared = True
     seen: set = set()
     stack = [(pattern, target)]
     while stack:
@@ -316,6 +382,9 @@ def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[
         if isinstance(p, Var) and p.name in pat_vars and p.name not in work:
             # unbound pattern variable: fix its image
             if not (isinstance(t, Var) and t.name == p.name):
+                if shared:
+                    work = dict(work)
+                    shared = False
                 work[p.name] = t
             continue
         if isinstance(p, Var) or isinstance(t, Var):
@@ -325,10 +394,12 @@ def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[
             if not (isinstance(p, Var) and isinstance(t, Var) and p.name == t.name):
                 return None
             continue
-        if p.functor != t.functor or len(p.args) != len(t.args):
-            return None
         if p is t:
             continue
+        if p.functor != t.functor or len(p.args) != len(t.args):
+            return None
+        if p.fp != t.fp and p.fp is not None and t.fp is not None:
+            return None  # distinct ground terms
         # Once a pattern variable is bound to a cyclic target, the pattern side
         # can itself become cyclic; memoize pairs so the comparison terminates.
         key = (id(p), id(t))
@@ -336,7 +407,7 @@ def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[
             continue
         seen.add(key)
         stack.extend(zip(reversed(p.args), reversed(t.args)))
-    return BindingEnv(work, env.counter)
+    return env if shared else BindingEnv._wrap(work, env.counter)
 
 
 def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Optional[BindingEnv]:
@@ -544,7 +615,7 @@ def from_mu(m: MuTerm, env: BindingEnv) -> tuple:
     bindings = dict(env._b)
     for n in names:
         bindings[ren[n].name] = sub(m.equations[n])
-    return sub(m.root), BindingEnv(bindings, env.counter)
+    return sub(m.root), BindingEnv._wrap(bindings, env.counter)
 
 
 # ---------------------------------------------------------------------------
@@ -691,35 +762,31 @@ def rename_apart(c: Clause, env: BindingEnv) -> tuple:
 
     head = ren_atom(c.head)
     body = tuple(ren_atom(a) for a in c.body)
-    return Clause(head, body, c.idx, c.span), BindingEnv(env._b, counter)
+    return Clause(head, body, c.idx, c.span), BindingEnv._wrap(env._b, counter)
+
+
+def _var_ceiling(atoms) -> int:
+    """One past the largest literal ``V<n>`` variable in ``atoms``, or 0."""
+    top = 0
+    for a in atoms:
+        for arg in a.args:
+            for v in term_vars(arg):
+                if v.name.startswith("V") and v.name[1:].isdigit():
+                    top = max(top, int(v.name[1:]) + 1)
+    return top
 
 
 def bump_counter_past(env: BindingEnv, *items) -> BindingEnv:
     """Advance the fresh counter beyond any literal ``V<n>`` variable in the
     given programs/goals/atoms, so generated names cannot collide."""
     top = env.counter
-
-    def see(t: Term):
-        nonlocal top
-        for v in term_vars(t):
-            if v.name.startswith("V") and v.name[1:].isdigit():
-                top = max(top, int(v.name[1:]) + 1)
-
-    def atoms_of(item):
-        if isinstance(item, Program):
-            for c in item.clauses:
-                yield c.head
-                yield from c.body
-        elif isinstance(item, Goal):
-            yield from item.atoms
-        elif isinstance(item, Clause):
-            yield item.head
-            yield from item.body
-        elif isinstance(item, Atom):
-            yield item
-
     for item in items:
-        for a in atoms_of(item):
-            for arg in a.args:
-                see(arg)
+        if isinstance(item, Program):
+            top = max(top, item.var_ceiling)
+        elif isinstance(item, Goal):
+            top = max(top, _var_ceiling(item.atoms))
+        elif isinstance(item, Clause):
+            top = max(top, _var_ceiling((item.head, *item.body)))
+        elif isinstance(item, Atom):
+            top = max(top, _var_ceiling((item,)))
     return env.with_counter(top)

@@ -26,6 +26,7 @@ from hornlog.engine import (
     subst_step,
 )
 from hornlog.syntax import parse_goal, parse_program, parse_term, print_answer, parse_trace_line
+from hornlog import terms
 from hornlog.terms import (
     Compound,
     EMPTY_ENV,
@@ -34,7 +35,9 @@ from hornlog.terms import (
     canon_key,
     has_cycle,
     rational_equal,
+    rename_apart,
     resolve,
+    unify_atoms,
 )
 
 ZEROS = parse_program("zeros(cons(0, X)) :- zeros(X).")
@@ -432,3 +435,56 @@ def test_trace_changes_nothing_but_the_trace(solve):
                 assert len(answer.selected) == len(answer.trace)
         with_answers += bool(plain.answers)
     assert with_answers >= 20
+
+
+# ---------------------------------------------------------------------------
+# Unification on generated programs, and the cost of colp's ancestor checks
+
+
+def test_successful_unify_gives_rational_equal_sides():
+    successes = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        p = random_program(rng)
+        goal = random_atom(rng)
+        env = EMPTY_ENV
+        # unify each renamed head and body atom with the goal in one growing
+        # environment, so later calls meet cyclic and ground bindings
+        for clause in p.clauses:
+            rc, env = rename_apart(clause, env)
+            for atom in (rc.head,) + rc.body:
+                u = unify_atoms(atom, goal, env)
+                if u is None:
+                    continue
+                successes += 1
+                assert rational_equal(Compound(atom.pred, atom.args),
+                                      Compound(goal.pred, goal.args), u, u)
+                env = u
+    assert successes >= 100
+
+
+def _colp_len_walks(monkeypatch, n):
+    calls = 0
+    real = terms._walk
+
+    def counting(bindings, t):
+        nonlocal calls
+        calls += 1
+        return real(bindings, t)
+
+    monkeypatch.setattr(terms, "_walk", counting)
+    p = parse_program("len([], z). len([_|T], s(N)) :- len(T, N).")
+    g = parse_goal("len([" + ", ".join(["a"] * n) + "], N)")
+    verdict = colp_solve(g, p, Budget(max_steps=10 * n, max_depth=10 * n,
+                                      max_answers=1))
+    assert verdict.kind == "answers"
+    monkeypatch.setattr(terms, "_walk", real)
+    return calls
+
+
+def test_colp_len_ancestor_checks_are_not_cubic(monkeypatch):
+    # Each failing hypothesis attempt must cost O(1), not a walk of the
+    # shared list suffix: doubling n then at most quadruples the walks
+    # (cubic growth would multiply them by 8).
+    ratio = _colp_len_walks(monkeypatch, 200) / _colp_len_walks(monkeypatch, 100)
+    assert ratio < 5

@@ -10,6 +10,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hornlog.terms as term_module
+
 from hornlog.terms import (
     EMPTY_ENV,
     Atom,
@@ -29,6 +31,8 @@ from hornlog.terms import (
     rational_equal,
     rename_apart,
     resolve,
+    subterms,
+    term_vars,
     to_mu,
     unify,
     unify_atoms,
@@ -143,6 +147,74 @@ def test_unify_is_deterministic():
     e1 = unify(t1, t2)
     e2 = unify(t1, t2)
     assert e1.bindings == e2.bindings
+
+
+# ---------------------------------------------------------------------------
+# Ground fingerprints and shared binding dicts
+
+ground_terms = st.recursive(
+    st.sampled_from([const("a"), const("b")]),
+    lambda sub: st.builds(lambda x: Compound("f", (x,)), sub)
+    | st.builds(lambda x, y: Compound("g", (x, y)), sub, sub),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms)
+def test_fp_is_none_exactly_when_a_variable_occurs(t):
+    for x in subterms((t,), EMPTY_ENV):
+        if isinstance(x, Compound):
+            assert (x.fp is None) == any(True for _ in term_vars(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ground_terms)
+def test_separately_built_ground_terms_share_fp_and_unify(t):
+    copy = ref_apply({}, t)
+    assert copy is not t
+    assert copy.fp == t.fp is not None
+    env = BindingEnv({"Z": const("a")})
+    assert unify(t, copy, env) is env  # nothing to bind: env itself
+    assert unify(t, copy, env, occurs_check=True) is env
+    assert match(t, copy, env) is env
+
+
+def test_long_ground_lists_fail_and_pass_occurs_check_at_once(monkeypatch):
+    a = const("a")
+    short, long_ = mklist([a] * 300), mklist([a] * 301)
+    assert short.fp != long_.fp
+    walks = []
+    real = term_module._walk
+    monkeypatch.setattr(term_module, "_walk",
+                        lambda b, t: walks.append(t) or real(b, t))
+    assert unify(short, long_) is None
+    assert match(short, long_) is None
+    assert len(walks) == 4  # the two roots, once per call
+    walks.clear()
+    env = unify(Var("X"), long_, occurs_check=True)
+    assert env.lookup("X") is long_
+    assert len(walks) == 3  # both sides, then the occurs check stops at once
+    # equal fingerprints are walked: the same list built twice unifies
+    assert unify(short, mklist([a] * 300)) is EMPTY_ENV
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms, terms, terms)
+def test_unify_and_match_never_change_the_input_env(t1, t2, t3):
+    # env shares its dict with whatever unify wrapped; later calls that
+    # succeed or fail must leave it exactly as it was
+    env = unify(Var("Y"), t3) or EMPTY_ENV
+    before = dict(env.bindings)
+    pat = ref_apply({"X": Var("PX"), "Z": Var("PZ")}, t1)
+    for occurs_check in (False, True):
+        unify(t1, t2, env, occurs_check)
+    match(pat, t2, env)
+    rename_apart(Clause(Atom("p", (t1,)), (Atom("q", (t2,)),)), env)
+    env.fresh(2)
+    env.with_counter(env.counter + 5)
+    assert env.bindings == before
+    assert all(env.bindings[k] is v for k, v in before.items())
 
 
 # ---------------------------------------------------------------------------
