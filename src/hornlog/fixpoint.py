@@ -450,7 +450,7 @@ def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
         plain = down_orig.sets[k]
         for key, atom in frag.atoms.items():
             lhs = key in plain
-            rhs = down_member_with_proof(tp.program, atom, k, frag, memo)
+            rhs = _down_ok(tp.program, frag, atom, key, k, memo)
             if lhs != rhs:
                 counterexamples.append(
                     f"down k={k}: {_atom_repr(atom)} "

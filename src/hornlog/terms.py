@@ -20,6 +20,24 @@ nothing and are always walked, so a hash collision cannot change an answer.
 Fingerprints come from ``hash``, which is salted per process, so they are
 never printed, stored or used to order anything.
 
+The walks that read a term under an environment are few and iterative,
+each for its own question (the builders of new terms, such as ``resolve``
+and the ``emit`` helpers, still recurse):
+
+* :func:`subterms` lists what is reachable: every compound once, in
+  depth-first, left-to-right order.  ``resolve`` asks it whether a node
+  lies on a cycle, and ``canon_key`` takes its node list from it.
+* ``_cycle_scan`` finds where cycles close: a path-marking walk that
+  records the variable through which each compound is first entered and
+  each back edge's target.  ``has_cycle`` and ``to_mu`` both read it.
+* ``_occurs``, the occurs check, stays apart from ``subterms``: it runs on
+  every binding when the check is on, and it never enters a ground
+  compound.
+* ``unify``, ``match`` and ``rational_equal`` walk pairs of terms, with a
+  visited-pair memo so that cyclic terms terminate.
+* :meth:`BindingEnv.restrict` walks binding chains without dereferencing
+  them, because it keeps every raw binding it passes.
+
 A :class:`BindingEnv` may share its binding dict with the environment it was
 derived from: the private ``_wrap`` constructor takes a dict without copying
 it, and no dict is mutated after it has been wrapped.  ``unify`` and
@@ -276,10 +294,11 @@ def subterms(terms, env: BindingEnv) -> Iterator[Term]:
     right, without recursion.  Yields every unbound variable occurrence it
     reaches and every compound object once, so a cyclic binding is entered
     only once."""
+    bindings = env._b
     seen = set()
     stack = list(reversed(terms))
     while stack:
-        x = env.walk(stack.pop())
+        x = _walk(bindings, stack.pop())
         if isinstance(x, Var):
             yield x
         elif id(x) not in seen:
@@ -317,10 +336,25 @@ def unify(t1: Term, t2: Term, env: BindingEnv = EMPTY_ENV,
     fails instead.  Returns ``None`` on failure, and ``env`` itself when
     nothing needs binding; never mutates ``env``.
     """
+    return _unify([(t1, t2)], env, occurs_check)
+
+
+def unify_atoms(a1: Atom, a2: Atom, env: BindingEnv = EMPTY_ENV,
+                occurs_check: bool = False) -> Optional[BindingEnv]:
+    """``unify`` on the argument tuples of two atoms of one predicate."""
+    if a1.pred != a2.pred or len(a1.args) != len(a2.args):
+        return None
+    return _unify(list(zip(reversed(a1.args), reversed(a2.args))), env,
+                  occurs_check)
+
+
+def _unify(stack: list, env: BindingEnv,
+           occurs_check: bool) -> Optional[BindingEnv]:
+    """Unify every pair on ``stack`` under ``env``; the last pair is taken
+    first."""
     work = env._b  # copied on the first write
     shared = True
     seen: set = set()
-    stack = [(t1, t2)]
     while stack:
         a, b = stack.pop()
         a = _walk(work, a)
@@ -353,14 +387,6 @@ def unify(t1: Term, t2: Term, env: BindingEnv = EMPTY_ENV,
     return env if shared else BindingEnv._wrap(work, env.counter)
 
 
-def unify_atoms(a1: Atom, a2: Atom, env: BindingEnv = EMPTY_ENV,
-                occurs_check: bool = False) -> Optional[BindingEnv]:
-    if a1.key != a2.key:
-        return None
-    return unify(Compound(a1.pred, a1.args), Compound(a2.pred, a2.args),
-                 env, occurs_check)
-
-
 def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[BindingEnv]:
     """Most general matcher: extend ``env`` with pattern-variable bindings so
     that the instantiated pattern equals ``target``.
@@ -370,11 +396,26 @@ def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[
     The target is interpreted through ``env`` and may be cyclic; the pattern
     is a finite tree, so descent terminates on its depth.
     """
-    pat_vars = {v.name for v in term_vars(pattern)}
+    return _match([(pattern, target)], {v.name for v in term_vars(pattern)},
+                  env)
+
+
+def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Optional[BindingEnv]:
+    """``match`` on the argument tuples of two atoms of one predicate."""
+    if pattern.pred != target.pred or len(pattern.args) != len(target.args):
+        return None
+    pat_vars = {v.name for a in pattern.args for v in term_vars(a)}
+    return _match(list(zip(reversed(pattern.args), reversed(target.args))),
+                  pat_vars, env)
+
+
+def _match(stack: list, pat_vars: set,
+           env: BindingEnv) -> Optional[BindingEnv]:
+    """Match every (pattern, target) pair on ``stack`` under ``env``, binding
+    only the names in ``pat_vars``; the last pair is taken first."""
     work = env._b  # copied on the first write
     shared = True
     seen: set = set()
-    stack = [(pattern, target)]
     while stack:
         p, t = stack.pop()
         p = _walk(work, p)
@@ -410,13 +451,6 @@ def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[
     return env if shared else BindingEnv._wrap(work, env.counter)
 
 
-def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Optional[BindingEnv]:
-    if pattern.key != target.key:
-        return None
-    return match(Compound(pattern.pred, pattern.args),
-                 Compound(target.pred, target.args), env)
-
-
 # ---------------------------------------------------------------------------
 # Resolving, cycle detection, finite unfolding
 
@@ -434,24 +468,12 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8) -> Term:
     cyc_cache: dict = {}
 
     def cyclic(node: Compound) -> bool:
-        nid = id(node)
-        if nid in cyc_cache:
-            return cyc_cache[nid]
-        seen = set()
-        stack = list(node.args)
-        hit = False
-        while stack:
-            x = env.walk(stack.pop())
-            if isinstance(x, Var):
-                continue
-            if x is node:
-                hit = True
-                break
-            if id(x) in seen:
-                continue
-            seen.add(id(x))
-            stack.extend(x.args)
-        cyc_cache[nid] = hit
+        """Does ``node`` lie on a cycle?  Every node on one counts, not
+        only the one where a walk from the root re-enters it."""
+        hit = cyc_cache.get(id(node))
+        if hit is None:
+            hit = cyc_cache[id(node)] = any(
+                x is node for x in subterms(node.args, env))
         return hit
 
     def go(x: Term) -> Term:
@@ -472,27 +494,42 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8) -> Term:
     return go(t)
 
 
+def _cycle_scan(env: BindingEnv, t: Term) -> tuple:
+    """Depth-first walk of ``t`` under ``env``, left to right, marking the
+    compounds on the current path.  Returns ``(first_via, back_via)``: for
+    every compound reached, the variable through which it was first entered
+    (``None`` when reached as a literal argument), and for every compound
+    reached again while still on the path (a back edge, so a cycle entry),
+    the variable of its first such re-entry."""
+    bindings = env._b
+    on_path: dict = {}  # id -> True while on the path, False once left
+    first_via: dict = {}
+    back_via: dict = {}
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is tuple:  # (node,): every argument of node is done
+            on_path[id(x[0])] = False
+            continue
+        via = x.name if isinstance(x, Var) else None
+        x = _walk(bindings, x)
+        if isinstance(x, Var):
+            continue
+        nid = id(x)
+        mark = on_path.get(nid)
+        if mark:
+            back_via.setdefault(nid, via)
+        elif mark is None:
+            first_via[nid] = via
+            on_path[nid] = True
+            stack.append((x,))
+            stack.extend(reversed(x.args))
+    return first_via, back_via
+
+
 def has_cycle(env: BindingEnv, t: Term) -> bool:
     """True if ``t`` under ``env`` denotes an infinite (rational) tree."""
-    state: dict = {}  # id -> 1 on path, 2 done
-    stack: list = [("enter", env.walk(t))]
-    while stack:
-        op, node = stack.pop()
-        if isinstance(node, Var):
-            continue
-        if op == "exit":
-            state[id(node)] = 2
-            continue
-        mark = state.get(id(node))
-        if mark == 1:
-            return True
-        if mark == 2:
-            continue
-        state[id(node)] = 1
-        stack.append(("exit", node))
-        for a in node.args:
-            stack.append(("enter", env.walk(a)))
-    return False
+    return bool(_cycle_scan(env, t)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -532,38 +569,9 @@ def to_mu(env: BindingEnv, t: Term) -> MuTerm:
     bindings are inlined.  Equation variables reuse the name of the first
     variable through which the cycle is reached.
     """
-    # Pass 1: find nodes with a back edge and remember the variables by which
-    # each node is reached (cycles always re-enter through a variable binding).
-    state: dict = {}
-    first_via: dict = {}
-    back_via: dict = {}
-
-    def scan(node: Term, via: Optional[str]):
-        while isinstance(node, Var):
-            if via is None:
-                via = node.name
-            bound = env.lookup(node.name)
-            if bound is None:
-                return
-            if isinstance(bound, Var):
-                w = _walk(env._b, node)
-                if isinstance(w, Var):
-                    return  # pure variable loop: unbound
-            node = bound
-        nid = id(node)
-        mark = state.get(nid)
-        if mark == 1:
-            back_via.setdefault(nid, via)
-            return
-        if mark == 2:
-            return
-        first_via.setdefault(nid, via)
-        state[nid] = 1
-        for a in node.args:
-            scan(a, None)
-        state[nid] = 2
-
-    scan(t, None)
+    # Nodes with a back edge are the cycle entries; cycles always re-enter
+    # through a variable binding, whose name the equation takes.
+    first_via, back_via = _cycle_scan(env, t)
 
     synth = itertools.count()
     names: dict = {}
@@ -679,17 +687,8 @@ def canon_key(t, env: Optional[BindingEnv] = None):
     if isinstance(root, Var):
         return ("v", root.name)
 
-    nodes: list = []
-    index: dict = {}
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        n = env.walk(n)
-        if isinstance(n, Var) or id(n) in index:
-            continue
-        index[id(n)] = len(nodes)
-        nodes.append(n)
-        stack.extend(reversed(n.args))
+    nodes = [n for n in subterms((root,), env) if isinstance(n, Compound)]
+    index = {id(n): i for i, n in enumerate(nodes)}
 
     # Partition refinement: split classes by functor, then by child classes,
     # until stable (bisimulation minimization).

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from hornlog.engine import _classify
 from hornlog.terms import (
     Atom,
     BindingEnv,
@@ -130,8 +131,7 @@ def strip_answer(answer, t: TransformedProgram):
     env = answer.bindings.restrict(keep)
     kind = answer.kind
     if kind != "partial":
-        kind = "rational" if any(has_cycle(env, Var(n)) for n in keep) \
-            else "total"
+        kind = _classify(env, keep)
     return type(answer)(bindings=env, goal_vars=keep, kind=kind,
                         steps_used=answer.steps_used, trace=answer.trace)
 

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from genprog import random_lemma_program
+from hornlog import fixpoint
 from hornlog.engine import Budget, colp_solve, sld_solve
 from hornlog.fixpoint import (
     FragmentError,
+    GroundFragment,
     build_fragment,
     certificate_fragment,
     check_transform_lemmas,
@@ -274,6 +276,31 @@ def test_lemmas_vacuous_on_empty_program():
     report = check_transform_lemmas(parse_program(""), n=2, d=1, c=0)
     assert report.holds
     assert report.fragment_atoms == 0
+
+
+def test_lemma_check_keys_no_fragment_atom_again(monkeypatch):
+    # Keys once: the checker holds each fragment atom's key from
+    # ``frag.atoms`` and never asks for it again.
+    frags = []
+    keyed = []
+    build = fixpoint.build_fragment
+    atom_key = GroundFragment.atom_key
+
+    def recording_build(*args, **kwargs):
+        frags.append(build(*args, **kwargs))
+        return frags[-1]
+
+    def recording_key(self, a, *args, **kwargs):
+        keyed.append(a)
+        return atom_key(self, a, *args, **kwargs)
+
+    monkeypatch.setattr(fixpoint, "build_fragment", recording_build)
+    monkeypatch.setattr(GroundFragment, "atom_key", recording_key)
+    report = check_transform_lemmas(ZEROS, n=3, d=2, c=1)
+    assert report.holds and report.fragment_atoms
+    (frag,) = frags
+    members = {id(a) for a in frag.atoms.values()}
+    assert keyed and not [a for a in keyed if id(a) in members]
 
 
 # ---------------------------------------------------------------------------

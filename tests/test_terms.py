@@ -7,10 +7,13 @@ independent oracle for the production unifier on acyclic inputs.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornlog.terms as term_module
+from genprog import random_atom
 
 from hornlog.terms import (
     EMPTY_ENV,
@@ -27,6 +30,7 @@ from hornlog.terms import (
     from_mu,
     has_cycle,
     match,
+    match_atoms,
     mklist,
     rational_equal,
     rename_apart,
@@ -306,6 +310,33 @@ def test_has_cycle():
     assert has_cycle(env, Compound("g", (Var("X"),)))
 
 
+def test_resolve_depth_zero_cuts_every_node_on_a_cycle():
+    # Both nodes lie on the cycle, but a walk from the root re-enters only
+    # U's: cutting cycle entries alone would give pair(U, g(U)).
+    env = BindingEnv({"U": Compound("f", (Var("W"),)),
+                      "W": Compound("g", (Var("U"),))})
+    t = Compound("pair", (Var("U"), Var("W")))
+    assert resolve(env, t, 0) == t
+
+
+def ref_has_cycle(env, t, path=()):
+    """Does some branch of ``t`` under ``env`` meet a node twice?"""
+    t = env.walk(t)
+    if isinstance(t, Var):
+        return False
+    if any(t is p for p in path):
+        return True
+    return any(ref_has_cycle(env, a, path + (t,)) for a in t.args)
+
+
+def test_has_cycle_on_deep_terms_does_not_recurse():
+    n = 10 ** 4
+    assert not has_cycle(EMPTY_ENV, mklist([const("a")] * n))
+    ring = BindingEnv({f"X{i}": Compound("f", (Var(f"X{(i + 1) % n}"),))
+                       for i in range(n)})
+    assert has_cycle(ring, Var("X0"))
+
+
 # ---------------------------------------------------------------------------
 # MuTerm round trips
 
@@ -402,6 +433,21 @@ def test_canon_key_matches_bisimulation(rhs):
         assert rational_equal(Var("L"), unfolded, env, env)
 
 
+# Rational terms: random bindings of X, Y and Z, or a one-equation mu-term.
+rational_terms = st.one_of(
+    st.tuples(st.dictionaries(st.sampled_from(["X", "Y", "Z"]), terms), terms),
+    mu_rhs.map(lambda rhs: ({"L": rhs}, Var("L"))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_terms)
+def test_has_cycle_agrees_with_to_mu_and_reference(bt):
+    bindings, t = bt
+    env = BindingEnv(bindings)
+    assert has_cycle(env, t) == bool(to_mu(env, t).equations)
+    assert has_cycle(env, t) == ref_has_cycle(env, t)
+
+
 # ---------------------------------------------------------------------------
 # rename_apart
 
@@ -435,6 +481,54 @@ def test_bump_counter_past_literal_names():
 def test_unify_atoms_arity_mismatch():
     assert unify_atoms(Atom("p", (const("a"),)), Atom("p", ())) is None
     assert unify_atoms(Atom("p", ()), Atom("q", ())) is None
+
+
+def _atom_pairs(count):
+    """Seeded atom pairs; the first atom is renamed apart from the second,
+    so it can serve as a matching pattern."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        a1, a2 = random_atom(rng), random_atom(rng)
+        renamed, env = rename_apart(Clause(a1), EMPTY_ENV.with_counter(50))
+        yield renamed.head, a2, env
+
+
+def _wrapped(a):
+    return Compound(a.pred, a.args)
+
+
+def test_atom_unify_and_match_build_no_compound(monkeypatch):
+    pairs = list(_atom_pairs(50))
+    built = []
+    original = Compound.__post_init__
+
+    def counting(self):
+        built.append(self.functor)
+        original(self)
+
+    monkeypatch.setattr(Compound, "__post_init__", counting)
+    for a1, a2, env in pairs:
+        unify_atoms(a1, a2, env)
+        unify_atoms(a1, a2, env, occurs_check=True)
+        match_atoms(a1, a2, env)
+    assert built == []
+
+
+def test_atom_unify_and_match_agree_with_wrapped_atoms():
+    successes = 0
+    for a1, a2, env in _atom_pairs(400):
+        pairs = [(unify_atoms(a1, a2, env, oc),
+                  unify(_wrapped(a1), _wrapped(a2), env, oc))
+                 for oc in (False, True)]
+        pairs.append((match_atoms(a1, a2, env),
+                      match(_wrapped(a1), _wrapped(a2), env)))
+        for got, want in pairs:
+            assert (got is None) == (want is None)
+            if got is not None:
+                successes += 1
+                assert list(got.bindings.items()) == \
+                    list(want.bindings.items())
+    assert successes > 100
 
 
 def test_mklist():
