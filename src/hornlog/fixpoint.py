@@ -441,7 +441,8 @@ def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
                 "proof-carrying counterpart")
         for key in stripped - plain:
             counterexamples.append(
-                f"up k={k}: a proof-carrying atom strips to {key} "
+                f"up k={k}: the proof-carrying atom "
+                f"{_atom_repr(up_trans.sets[k][key])} strips to an atom "
                 "outside the plain iteration")
 
     down_orig = tp_down(p, n, frag)

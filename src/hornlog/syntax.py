@@ -272,42 +272,59 @@ _FIELD_PRIO = 200
 
 def term_text(t: Term, max_prio: int = 1200, nested_lists: bool = False,
               marked: Optional[set] = None) -> str:
-    """Render a finite term.
+    """Render a finite term, of any depth: an explicit stack holds the text
+    still to come.
 
     ``nested_lists`` prints cons cells one pair at a time (``[a|[b|T]]``),
     which is how incremental answers are displayed; otherwise lists print
     compactly (``[a, b|T]``).  Variables whose names are in ``marked`` get a
     trailing ``?``.
     """
-    if isinstance(t, Var):
-        return t.name + ("?" if marked and t.name in marked else "")
-    if t.functor == LIST_FUNCTOR and len(t.args) == 2:
-        if nested_lists:
-            head = term_text(t.args[0], 999, nested_lists, marked)
-            tail = term_text(t.args[1], 999, nested_lists, marked)
-            return f"[{head}|{tail}]"
-        items = []
-        cur: Term = t
-        while isinstance(cur, Compound) and cur.functor == LIST_FUNCTOR and len(cur.args) == 2:
-            items.append(term_text(cur.args[0], 999, nested_lists, marked))
-            cur = cur.args[1]
-        if isinstance(cur, Compound) and cur.functor == "[]" and not cur.args:
-            return "[" + ", ".join(items) + "]"
-        return "[" + ", ".join(items) + "|" + term_text(cur, 999, nested_lists, marked) + "]"
-    if t.functor == UNION_FUNCTOR and len(t.args) == 2:
-        left = term_text(t.args[0], _UNION_PRIO - 1, nested_lists, marked)
-        right = term_text(t.args[1], _UNION_PRIO, nested_lists, marked)
-        s = f"{left} \\/ {right}"
-        return f"({s})" if _UNION_PRIO > max_prio else s
-    if t.functor == FIELD_FUNCTOR and len(t.args) == 2:
-        left = term_text(t.args[0], _FIELD_PRIO - 1, nested_lists, marked)
-        right = term_text(t.args[1], _FIELD_PRIO - 1, nested_lists, marked)
-        s = f"{left}:{right}"
-        return f"({s})" if _FIELD_PRIO > max_prio else s
-    if not t.args:
-        return t.functor
-    inner = ", ".join(term_text(a, 999, nested_lists, marked) for a in t.args)
-    return f"{t.functor}({inner})"
+    pieces: list = []
+    stack: list = [(t, max_prio)]  # text pieces and (term, priority) items
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            pieces.append(x)
+            continue
+        t, prio = x
+        if isinstance(t, Var):
+            pieces.append(t.name + ("?" if marked and t.name in marked else ""))
+            continue
+        if not t.args:
+            pieces.append(t.functor)
+            continue
+        if t.functor == LIST_FUNCTOR and len(t.args) == 2:
+            if nested_lists:
+                todo = ["[", (t.args[0], 999), "|", (t.args[1], 999), "]"]
+            else:
+                todo = []
+                cur: Term = t
+                while (isinstance(cur, Compound) and cur.functor == LIST_FUNCTOR
+                       and len(cur.args) == 2):
+                    todo += [", ", (cur.args[0], 999)]
+                    cur = cur.args[1]
+                todo[0] = "["
+                if isinstance(cur, Compound) and cur.functor == "[]" and not cur.args:
+                    todo.append("]")
+                else:
+                    todo += ["|", (cur, 999), "]"]
+        elif t.functor == UNION_FUNCTOR and len(t.args) == 2:
+            todo = [(t.args[0], _UNION_PRIO - 1), " \\/ ", (t.args[1], _UNION_PRIO)]
+            if _UNION_PRIO > prio:
+                todo = ["(", *todo, ")"]
+        elif t.functor == FIELD_FUNCTOR and len(t.args) == 2:
+            todo = [(t.args[0], _FIELD_PRIO - 1), ":", (t.args[1], _FIELD_PRIO - 1)]
+            if _FIELD_PRIO > prio:
+                todo = ["(", *todo, ")"]
+        else:
+            todo = []
+            for a in t.args:
+                todo += [", ", (a, 999)]
+            todo[0] = t.functor + "("
+            todo.append(")")
+        stack.extend(reversed(todo))
+    return "".join(pieces)
 
 
 def atom_text(a: Atom) -> str:

@@ -21,8 +21,7 @@ Fingerprints come from ``hash``, which is salted per process, so they are
 never printed, stored or used to order anything.
 
 The walks that read a term under an environment are few and iterative,
-each for its own question (the builders of new terms, such as ``resolve``
-and the ``emit`` helpers, still recurse):
+each for its own question:
 
 * :func:`subterms` lists what is reachable: every compound once, in
   depth-first, left-to-right order.  ``resolve`` asks it whether a node
@@ -37,6 +36,14 @@ and the ``emit`` helpers, still recurse):
   visited-pair memo so that cyclic terms terminate.
 * :meth:`BindingEnv.restrict` walks binding chains without dereferencing
   them, because it keeps every raw binding it passes.
+
+The builders whose input can be as deep as a derivation is long keep an
+explicit stack too: ``resolve`` and ``to_mu`` build post-order, pushing an
+exit marker for each compound, and ``canon_key`` lists the minimal graph
+flat.  Two builders still recurse on term depth, on input that is rarely
+deep: the ``ren_term`` of :func:`rename_apart` copies one clause as the
+program writes it, and the ``sub`` of :func:`from_mu` copies the equations
+of a cyclic term, each as deep as its cycle is long.
 
 A :class:`BindingEnv` may share its binding dict with the environment it was
 derived from: the private ``_wrap`` constructor takes a dict without copying
@@ -463,6 +470,7 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8) -> Term:
     is per cyclic node along the current path, so sibling branches each get
     the full budget.
     """
+    bindings = env._b
     counts: dict = {}
     varname: dict = {}
     cyc_cache: dict = {}
@@ -476,22 +484,36 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8) -> Term:
                 x is node for x in subterms(node.args, env))
         return hit
 
-    def go(x: Term) -> Term:
+    out: list = []  # finished subterms, left to right
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is tuple:  # (node, nid): node's arguments are built
+            node, nid = x
+            k = len(out) - len(node.args)
+            built = Compound(node.functor, tuple(out[k:]), node.span)
+            del out[k:]
+            out.append(built)
+            if nid is not None:
+                counts[nid] -= 1
+            continue
         if isinstance(x, Compound):
-            return Compound(x.functor, tuple(go(a) for a in x.args), x.span)
-        w = env.walk(x)
+            stack.append((x, None))
+            stack.extend(reversed(x.args))
+            continue
+        w = _walk(bindings, x)
         if isinstance(w, Var):
-            return w
+            out.append(w)
+            continue
         nid = id(w)
         varname.setdefault(nid, x.name)
         if counts.get(nid, 0) >= depth and cyclic(w):
-            return Var(varname[nid])
+            out.append(Var(varname[nid]))
+            continue
         counts[nid] = counts.get(nid, 0) + 1
-        out = Compound(w.functor, tuple(go(a) for a in w.args), w.span)
-        counts[nid] -= 1
-        return out
-
-    return go(t)
+        stack.append((w, nid))
+        stack.extend(reversed(w.args))
+    return out[0]
 
 
 def _cycle_scan(env: BindingEnv, t: Term) -> tuple:
@@ -579,31 +601,37 @@ def to_mu(env: BindingEnv, t: Term) -> MuTerm:
         name = first_via.get(nid) or via or f"Mu{next(synth)}"
         names[nid] = name
 
+    bindings = env._b
+    # Post-order, so an equation is added when its compound is finished.
     equations: dict = {}
-
-    def emit(node: Term, opened: frozenset) -> Term:
-        node = env.walk(node)
-        if isinstance(node, Var):
-            return node
-        nid = id(node)
-        if nid in names:
-            name = names[nid]
-            if name not in equations and nid not in opened:
-                sub = opened | {nid}
-                equations[name] = Compound(
-                    node.functor, tuple(emit(a, sub) for a in node.args))
-            return Var(name)
-        return Compound(node.functor, tuple(emit(a, opened) for a in node.args))
-
-    walked = env.walk(t)
-    if isinstance(walked, Var):
-        return MuTerm(walked, {})
-    if id(walked) in names:
-        # root itself is a cycle entry: the root term is just its variable
-        name = names[id(walked)]
-        emit(walked, frozenset())
-        return MuTerm(Var(name), equations)
-    return MuTerm(emit(walked, frozenset()), equations)
+    started: set = set()  # cycle entries whose equation is begun
+    out: list = []  # finished subterms, left to right
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is tuple:  # (node, name): node's arguments are built
+            node, name = x
+            k = len(out) - len(node.args)
+            built = Compound(node.functor, tuple(out[k:]))
+            del out[k:]
+            if name is None:
+                out.append(built)
+            else:
+                equations[name] = built
+            continue
+        x = _walk(bindings, x)
+        if isinstance(x, Var):
+            out.append(x)
+            continue
+        name = names.get(id(x))
+        if name is not None:
+            out.append(Var(name))
+            if id(x) in started:
+                continue
+            started.add(id(x))
+        stack.append((x, name))
+        stack.extend(reversed(x.args))
+    return MuTerm(out[0], equations)
 
 
 def from_mu(m: MuTerm, env: BindingEnv) -> tuple:
@@ -680,58 +708,57 @@ def canon_key(t, env: Optional[BindingEnv] = None):
     """Canonical hashable form of a rational term (bisimulation-minimal).
 
     Two terms get the same key iff they are bisimilar with identical free
-    variable names.  Cycles are encoded as de Bruijn-style back references.
-    """
+    variable names.  A free variable keys as ``("v", name)``, any other term
+    as its minimal graph, flat: ``("f", entry, ...)`` with one ``(functor,
+    child, ...)`` entry per class, depth first from the root's class.  A
+    child is ``("c", position of its class's entry)`` or ``("v", name)``."""
     t, env = _as_pair(t, env)
-    root = env.walk(t)
+    root = _walk(env._b, t)
     if isinstance(root, Var):
         return ("v", root.name)
 
     nodes = [n for n in subterms((root,), env) if isinstance(n, Compound)]
     index = {id(n): i for i, n in enumerate(nodes)}
-
-    # Partition refinement: split classes by functor, then by child classes,
-    # until stable (bisimulation minimization).
-    cls = {}
-    seed: dict = {}
-    for i, n in enumerate(nodes):
-        cls[i] = seed.setdefault((n.functor, len(n.args)), len(seed))
-    while True:
-        sig = {}
-        for i, n in enumerate(nodes):
-            parts = []
-            for a in n.args:
-                a = env.walk(a)
-                parts.append(("v", a.name) if isinstance(a, Var)
-                             else ("c", cls[index[id(a)]]))
-            sig[i] = ((n.functor, len(n.args)), tuple(parts))
-        remap: dict = {}
-        new_cls = {}
-        for i in range(len(nodes)):
-            new_cls[i] = remap.setdefault(sig[i], len(remap))
-        if len(remap) == len(set(cls.values())):
-            cls = new_cls
-            break
-        cls = new_cls
-
-    rep: dict = {}
-    for i, n in enumerate(nodes):
-        rep.setdefault(cls[i], n)
-
-    def emit(c: int, path: tuple):
-        if c in path:
-            return ("up", len(path) - 1 - path.index(c))
-        n = rep[c]
-        parts = []
+    # Each node as [functor, child, ...]; a child is an index or ("v", name).
+    shapes = []
+    for n in nodes:
+        shape = [n.functor]
         for a in n.args:
-            a = env.walk(a)
-            if isinstance(a, Var):
-                parts.append(("v", a.name))
-            else:
-                parts.append(emit(cls[index[id(a)]], path + (c,)))
-        return ("f", n.functor, tuple(parts))
+            a = _walk(env._b, a)
+            shape.append(("v", a.name) if isinstance(a, Var) else index[id(a)])
+        shapes.append(shape)
 
-    return emit(cls[index[id(root)]], ())
+    # Partition refinement from one class: split classes by functor and
+    # child classes until stable (bisimulation minimization).
+    cls, count = [0] * len(shapes), 1
+    while count < len(shapes):
+        remap: dict = {}
+        new = []
+        for shape in shapes:
+            sig = []
+            for r in shape:
+                sig.append(cls[r] if r.__class__ is int else r)
+            new.append(remap.setdefault(tuple(sig), len(remap)))
+        cls = new
+        if len(remap) == count:
+            break
+        count = len(remap)
+
+    # Number the classes depth first from the root's, one node for each.
+    pos, firsts, stack = {}, [], [0]
+    while stack:
+        i = stack.pop()
+        if i.__class__ is int and cls[i] not in pos:
+            pos[cls[i]] = len(firsts)
+            firsts.append(i)
+            stack.extend(reversed(shapes[i]))
+    key = ["f"]
+    for i in firsts:
+        entry = []
+        for r in shapes[i]:
+            entry.append(("c", pos[cls[r]]) if r.__class__ is int else r)
+        key.append(tuple(entry))
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +811,6 @@ def bump_counter_past(env: BindingEnv, *items) -> BindingEnv:
             top = max(top, item.var_ceiling)
         elif isinstance(item, Goal):
             top = max(top, _var_ceiling(item.atoms))
-        elif isinstance(item, Clause):
-            top = max(top, _var_ceiling((item.head, *item.body)))
         elif isinstance(item, Atom):
             top = max(top, _var_ceiling((item,)))
     return env.with_counter(top)

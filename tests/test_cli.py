@@ -124,6 +124,17 @@ def test_solve_occurs_check_note_for_colp(capsys):
     assert "fixed off" in err
 
 
+def test_solve_prints_a_deep_answer(capsys, tmp_path):
+    program = tmp_path / "len.lp"
+    program.write_text("len([], z).\nlen([_|T], s(N)) :- len(T, N).\n")
+    n = 1000
+    goal = f"?- len([{', '.join('a' * n)}], N)."
+    code, out, err = run(capsys, "solve", str(program), goal,
+                         "--max-depth", "2000", "--max-answers", "1")
+    assert code == 0, err
+    assert out == "N = " + "s(" * n + "z" + ")" * n + "\n"
+
+
 # Exact text of ``solve --trace`` and of a divergence witness.  Scripts parse
 # these lines, so they are interface, not incidental formatting.  colp on
 # ``from`` gets a small depth cap: the goal never closes, and the full

@@ -303,6 +303,21 @@ def test_lemma_check_keys_no_fragment_atom_again(monkeypatch):
     assert keyed and not [a for a in keyed if id(a) in members]
 
 
+def test_lemma_counterexamples_print_atoms_not_keys(monkeypatch):
+    # The proof side keeps a clause that the plain program lacks, so its
+    # atoms strip to atoms outside the plain iteration.
+    plain = Program(tuple(c for c in SUBCLASS_AB.clauses
+                          if c.idx != 5))  # class(a).
+    monkeypatch.setattr(fixpoint, "transform_program",
+                        lambda p: transform_program(SUBCLASS_AB))
+    report = check_transform_lemmas(plain, n=2, d=1, c=1)
+    strips = [line for line in report.counterexamples if "strips to" in line]
+    assert "up k=1: the proof-carrying atom class(a, k$5) strips to an atom " \
+           "outside the plain iteration" in strips
+    assert not [line for line in report.counterexamples
+                if "('f'" in line or "('v'" in line]
+
+
 # ---------------------------------------------------------------------------
 # Certificates
 

@@ -41,6 +41,7 @@ from hornlog.terms import (
     unify,
     unify_atoms,
 )
+from hornlog.syntax import term_text
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +447,75 @@ def test_has_cycle_agrees_with_to_mu_and_reference(bt):
     env = BindingEnv(bindings)
     assert has_cycle(env, t) == bool(to_mu(env, t).equations)
     assert has_cycle(env, t) == ref_has_cycle(env, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_terms, rational_terms)
+def test_canon_key_equates_exactly_the_bisimilar_terms(bt1, bt2):
+    pairs = []
+    for bindings, t in (bt1, bt2):
+        env = BindingEnv(bindings)
+        pairs += [(t, env), from_mu(to_mu(env, t), EMPTY_ENV)]
+    for t1, e1 in pairs:
+        for t2, e2 in pairs:
+            assert ((canon_key(t1, e1) == canon_key(t2, e2))
+                    == rational_equal(t1, t2, e1, e2))
+
+
+def test_canon_key_on_deep_terms_does_not_recurse():
+    n = 10 ** 4
+    distinct = mklist([const(f"c{i}") for i in range(n)])
+    ring = BindingEnv({f"X{i}": Compound("n", (const(f"c{i}"),
+                                               Var(f"X{(i + 1) % n}")))
+                       for i in range(n)})
+    # Every node is its own class: n cells and n constants, plus "[]".
+    for t, env, classes in ((distinct, EMPTY_ENV, 2 * n + 1),
+                            (Var("X0"), ring, 2 * n)):
+        key = canon_key(t, env)
+        hash(key)
+        assert len(key) == 1 + classes
+
+
+def test_canon_key_lists_a_shared_dag_once():
+    # D_i = f(D_{i+1}, D_{i+1}): 19 distinct nodes, 2^18 leaves unfolded.
+    dag = const("a")
+    for _ in range(18):
+        dag = Compound("f", (dag, dag))
+    assert len(repr(canon_key(dag))) < 10_000
+
+
+def _spine(t):
+    """The functors down the last argument of ``t``, without recursion."""
+    out = []
+    while isinstance(t, Compound):
+        out.append(t.functor)
+        t = t.args[-1] if t.args else None
+    return out, t
+
+
+def test_builders_and_printer_on_deep_terms_do_not_recurse():
+    n = 10 ** 4
+    deep = const("0")
+    for _ in range(n):
+        deep = Compound("s", (deep,))
+    assert _spine(resolve(EMPTY_ENV, deep, 1))[0] == ["s"] * n + ["0"]
+    m = to_mu(EMPTY_ENV, deep)
+    assert not m.equations and _spine(m.root)[0] == ["s"] * n + ["0"]
+    assert term_text(deep) == "s(" * n + "0" + ")" * n
+
+    # A cycle through n nodes: X0 = s(X1), ..., X<n-1> = s(X0).
+    ring = BindingEnv({f"X{i}": Compound("s", (Var(f"X{(i + 1) % n}"),))
+                       for i in range(n)})
+    spine, cut = _spine(resolve(ring, Var("X0"), 1))
+    assert spine == ["s"] * n and cut == Var("X0")
+    m = to_mu(ring, Var("X0"))
+    assert m.root == Var("X0") and list(m.equations) == ["X0"]
+    assert _spine(m.equations["X0"]) == (["s"] * n, Var("X0"))
+    text = term_text(m.equations["X0"])
+    assert text == "s(" * n + "X0" + ")" * n
+    lazy = resolve(ring, mklist([const("a")] * n, Var("X0")), 1)
+    assert term_text(lazy, nested_lists=True, marked={"X0"}).endswith(
+        "X0?" + ")" * n + "]" * n)
 
 
 # ---------------------------------------------------------------------------
