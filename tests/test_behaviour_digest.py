@@ -20,6 +20,19 @@ Cases:
   answer is printed in all three styles; and ``productivity_report``.
 * ``oracle/<sample>/<mode>/<flags>``: ``hornlog oracle`` up, down and
   lemmas on every ``.lp`` sample, exit code and both streams.
+* ``pair/<i>``: ``unify`` with the occurs check off and on, and ``match``,
+  on seeded pairs of random rational terms whose pattern side is renamed
+  apart (its variables are ``P<i>``; odd cases also bind some of them).
+  Each records every binding of the result in order, or the failure.
+* ``rename/<name>``: ``rename_apart`` of every clause of every sample and
+  of every ``genprog`` program above, the counter threaded through: the
+  clause text, the counter after it, and each renamed variable's span.
+* ``parse/<i>``: ``program_text`` of every ``.lp`` sample, every node and
+  span of a few well-formed terms, and the ``ParseError`` text of a fixed
+  list of malformed programs, goals and terms.
+* ``cli/<i>``: ``solve``, ``infer``, ``check``, ``transform`` and
+  ``compile`` on the samples and ``lists.moo``, exit code and both
+  streams, with the checkout path cut from them.
 
 No case reads ``Compound.fp`` or anything else that depends on ``hash``
 salting.  A change that means to alter behaviour regenerates the file with
@@ -47,6 +60,7 @@ from genprog import (
 )
 
 from hornlog.cli import main
+from hornlog.compiler import compile_class_table
 from hornlog.engine import (
     Budget,
     colp_solve,
@@ -54,7 +68,19 @@ from hornlog.engine import (
     sld_solve,
     sres_solve,
 )
-from hornlog.syntax import PrintError, atom_text, print_answer, term_text
+from hornlog.minioo import parse_classes
+from hornlog.syntax import (
+    ParseError,
+    PrintError,
+    atom_text,
+    clause_text,
+    parse_goal,
+    parse_program,
+    parse_term,
+    print_answer,
+    program_text,
+    term_text,
+)
 from hornlog.terms import (
     EMPTY_ENV,
     BindingEnv,
@@ -65,17 +91,22 @@ from hornlog.terms import (
     const,
     from_mu,
     has_cycle,
+    match,
     mklist,
+    rename_apart,
     resolve,
     term_vars,
     to_mu,
+    unify,
 )
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "behaviour.json"
-SAMPLES = HERE.parent / "samples"
+ROOT = HERE.parent
+SAMPLES = ROOT / "samples"
 
 RANDOM_TERMS = 1500
+RANDOM_PAIRS = 600
 RANDOM_PROGRAMS = 150
 TERMINATING_PROGRAMS = 50
 BUDGET = Budget(max_steps=150, max_depth=25, max_rewrite_steps=60,
@@ -213,15 +244,19 @@ def _program_text(program, goal) -> str:
     return "\n".join(lines)
 
 
-def program_cases() -> dict:
+def _programs() -> list:
     rng = random.Random(20172)
     pairs = [(random_program(rng), Goal((random_atom(rng),)))
              for _ in range(RANDOM_PROGRAMS)]
     for _ in range(TERMINATING_PROGRAMS):
         p = random_terminating_program(rng)
         pairs.append((p, random_terminating_query(rng, p)))
+    return pairs
+
+
+def program_cases() -> dict:
     return {f"program/{i}": _program_text(p, g)
-            for i, (p, g) in enumerate(pairs)}
+            for i, (p, g) in enumerate(_programs())}
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +268,17 @@ _ORACLE_FLAGS = [(), ("-n", "3", "-d", "1", "-c", "1"),
                  ("-n", "3", "-d", "2", "-c", "0")]
 
 
+def _cli_text(argv: list) -> str:
+    """Exit code and both streams of ``hornlog argv``, with the checkout
+    path cut, so that the text is the same in every checkout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = (f"exit {code}\n-- stdout\n{out.getvalue()}"
+            f"-- stderr\n{err.getvalue()}")
+    return text.replace(f"{ROOT}/", "")
+
+
 def oracle_cases() -> dict:
     cases = {}
     for sample in sorted(SAMPLES.glob("*.lp")):
@@ -240,13 +286,241 @@ def oracle_cases() -> dict:
             if not flags and sample.stem == "from":
                 continue
             for mode in ("up", "down", "lemmas"):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(err):
-                    code = main(["oracle", str(sample), mode, *flags])
                 name = f"oracle/{sample.stem}/{mode}/{' '.join(flags)}"
-                cases[name] = (f"exit {code}\n-- stdout\n{out.getvalue()}"
-                               f"-- stderr\n{err.getvalue()}")
+                cases[name] = _cli_text(["oracle", str(sample), mode, *flags])
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# Unification and matching
+
+
+def _pattern_side(t):
+    """``t`` with every variable ``X<i>`` renamed to ``P<i>``."""
+    if isinstance(t, Var):
+        return Var("P" + t.name[1:])
+    return Compound(t.functor, tuple(_pattern_side(a) for a in t.args))
+
+
+def _result_text(env) -> str:
+    if env is None:
+        return "fail"
+    return "; ".join(f"{n} = {term_text(t)}" for n, t in env.bindings.items())
+
+
+def pair_cases() -> dict:
+    rng = random.Random(20173)
+    cases = {}
+    for i in range(RANDOM_PAIRS):
+        env, target = _random_rational(rng)
+        pattern_env, pattern = _random_rational(rng)
+        pattern = _pattern_side(pattern)
+        if i % 2:
+            env = BindingEnv({**env.bindings, **{
+                "P" + n[1:]: _pattern_side(t)
+                for n, t in pattern_env.bindings.items()}})
+        lines = [f"pattern {term_text(pattern)} target {term_text(target)} "
+                 f"under {{{_result_text(env)}}}"]
+        for occurs_check in (False, True):
+            out = unify(pattern, target, env, occurs_check)
+            lines.append(f"unify {occurs_check} {_result_text(out)}"
+                         f"{' (same env)' if out is env else ''}")
+        out = match(pattern, target, env)
+        lines.append(f"match {_result_text(out)}"
+                     f"{' (same env)' if out is env else ''}")
+        cases[f"pair/{i}"] = "\n".join(lines)
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# Clause renaming
+
+
+def _renamed_text(clauses, counter: int) -> str:
+    env = BindingEnv(counter=counter)
+    lines = []
+    for c in clauses:
+        before = env.counter
+        renamed, env = rename_apart(c, env)
+        lines.append(f"{clause_text(renamed)} counter {env.counter}")
+        seen = set()
+        for a in (renamed.head, *renamed.body):
+            for arg in a.args:
+                for v in term_vars(arg):
+                    if v.name not in seen:
+                        seen.add(v.name)
+                        span = v.span and (v.span.file, v.span.line,
+                                           v.span.column, v.span.length)
+                        lines.append(f"  {v.name} {span}")
+        assert len(seen) == env.counter - before
+    return "\n".join(lines)
+
+
+def rename_cases() -> dict:
+    cases = {}
+    for sample in sorted(SAMPLES.glob("*.lp")):
+        program = parse_program(sample.read_text(), sample.name)
+        cases[f"rename/{sample.stem}"] = _renamed_text(program.clauses, 0)
+    lists = SAMPLES / "lists.moo"
+    unit = compile_class_table(parse_classes(lists.read_text(), lists.name))
+    cases["rename/lists"] = _renamed_text(unit.program.clauses, 3)
+    for i, (program, _) in enumerate(_programs()):
+        cases[f"rename/program/{i}"] = _renamed_text(program.clauses, i)
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+
+_WELL_FORMED = [
+    "f(X, _, g(_, Y), _)",
+    "a \\/ b \\/ c",
+    "(a \\/ b) \\/ c",
+    "x:int \\/ y:(a \\/ b)",
+    "obj(nelist, [head:int, tail:T]) \\/ obj(elist, [])",
+    "[a, b|T]",
+    "[[], [_|_], [x:y]]",
+    "((f((a))))",
+    "s(s(s(0)))",
+    "[1, 2, 3]",
+]
+
+_MALFORMED = [
+    ("program", "p(X) :- q(X)"),
+    ("program", "p(X) :- ."),
+    ("program", "p(X :- q."),
+    ("program", "p(X))."),
+    ("program", "p([a, b)."),
+    ("program", "p([a|b|c])."),
+    ("program", "X :- p."),
+    ("program", "p :- X."),
+    ("program", "p(a) :- q(b), ."),
+    ("program", "p(#)."),
+    ("program", "p(a)\nq(b)."),
+    ("program", "p(a : ). "),
+    ("program", "p(a \\/ )."),
+    ("program", "p(f(a, ))."),
+    ("program", "p(())."),
+    ("program", "p([)."),
+    ("program", ":- p."),
+    ("goal", ""),
+    ("goal", "?-"),
+    ("goal", "?- p(X) q"),
+    ("goal", "p(X)."),
+    ("goal", "p(X), Y"),
+    ("goal", "p(X). q"),
+    ("goal", "p(X,"),
+    ("goal", "p(X)) "),
+    ("term", ""),
+    ("term", "f(a) g"),
+    ("term", "a:b:c"),
+    ("term", "(a"),
+    ("term", "[a"),
+    ("term", "[a|]"),
+    ("term", "f(a"),
+    ("term", "f(a,"),
+    ("term", "a \\/"),
+    ("term", ":"),
+    ("term", "|"),
+    ("term", "f(a) :- b"),
+]
+
+
+def _nodes_text(t) -> str:
+    """Every node of ``t`` in preorder, with its span."""
+    lines, stack = [], [(t, 0)]
+    while stack:
+        x, depth = stack.pop()
+        span = x.span and (x.span.line, x.span.column, x.span.length)
+        label = x.name if isinstance(x, Var) else x.functor
+        lines.append(f"{'  ' * depth}{label} {span}")
+        if isinstance(x, Compound):
+            stack.extend((a, depth + 1) for a in reversed(x.args))
+    return "\n".join(lines)
+
+
+def parse_cases() -> dict:
+    cases = {}
+    for sample in sorted(SAMPLES.glob("*.lp")):
+        program = parse_program(sample.read_text(), sample.name)
+        cases[f"parse/{sample.stem}"] = program_text(program)
+    parsers = {"program": parse_program, "goal": parse_goal,
+               "term": parse_term}
+    inputs = [("term", text) for text in _WELL_FORMED] + _MALFORMED
+    for i, (kind, text) in enumerate(inputs):
+        try:
+            parsed = parsers[kind](text)
+        except ParseError as exc:
+            out = f"ParseError {exc} span {exc.span!r}"
+        else:
+            out = _nodes_text(parsed) if kind == "term" else repr(parsed)
+        cases[f"parse/{i}"] = f"{kind} {text!r}\n{out}"
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# The other commands
+
+_CLI = [
+    ("solve", "zeros.lp", "zeros(X)", "--engine", "sld", "--max-steps", "40"),
+    ("solve", "zeros.lp", "zeros(X)", "--engine", "colp", "--trace"),
+    ("solve", "zeros.lp", "zeros(X)", "--engine", "colp", "--style", "lazy"),
+    ("solve", "zeros.lp", "zeros(X)", "--engine", "sres", "--trace",
+     "--lazy-k", "2", "--max-answers", "3"),
+    ("solve", "zeros.lp", "zeros(X)", "--engine", "sres", "--style", "mu"),
+    ("solve", "zeros.lp", "zeros(X)", "--engine", "sres", "--style", "flat"),
+    ("solve", "from.lp", "from(0, X)", "--engine", "colp", "--trace",
+     "--max-depth", "60"),
+    ("solve", "from.lp", "from(0, X)", "--engine", "sres", "--trace",
+     "--transform", "--lazy-k", "4"),
+    ("solve", "from.lp", "from(0, [A, B, C|T])", "--engine", "sld",
+     "--max-depth", "30"),
+    ("solve", "subclass.lp", "subclass(X, Y)", "--engine", "sld", "--trace",
+     "--max-answers", "6", "--max-depth", "12"),
+    ("solve", "subclass.lp", "subclass(a, X)", "--engine", "colp",
+     "--transform", "--max-answers", "4"),
+    ("solve", "subclass.lp", "subclass(X, object)", "--engine", "sres",
+     "--trace", "--transform"),
+    ("solve", "subclass.lp", "subclass(b, a)", "--engine", "sres"),
+    ("solve", "ex3.lp", "p(X)", "--engine", "sres", "--trace",
+     "--transform", "--max-answers", "2"),
+    ("solve", "ex3.lp", "q(X)", "--engine", "sres", "--trace"),
+    ("solve", "ex3.lp", "p(f(f(X))), q(a)", "--engine", "colp", "--trace"),
+    ("solve", "ex3.lp", "p(X)", "--engine", "sld", "--occurs-check", "off",
+     "--max-steps", "20"),
+    ("solve", "ex3.lp", "p(X", "--engine", "sld"),
+    ("infer", "lists.moo", "new EList().addLast(i)", "--engine", "sld",
+     "--assume", "i=int", "--max-answers", "1"),
+    ("infer", "lists.moo", "new EList().addLast(42).addLast(false).head",
+     "--engine", "sld", "--max-answers", "1"),
+    ("infer", "lists.moo", "new ListFact().replicate(n, x)", "--engine",
+     "colp", "--assume", "n=int", "--assume", "x=int", "--max-answers", "2"),
+    ("infer", "lists.moo", "new ListFact().buildList(n, new EList())",
+     "--engine", "colp", "--max-steps", "200"),
+    ("infer", "lists.moo", "new ListFact().buildList(n, new EList())",
+     "--engine", "sres", "--lazy-k", "4", "--max-answers", "2"),
+    ("infer", "lists.moo", "new EList().addLast(i)", "--assume", "i=int",
+     "--lazy-k", "64", "--max-answers", "1", "--style", "lazy"),
+    ("infer", "lists.moo", "new EList().nothere()", "--engine", "sld"),
+    ("check", "zeros.lp", "zeros(X)", "--max-subst-steps", "30"),
+    ("check", "from.lp", "from(0, X)", "--max-subst-steps", "30"),
+    ("check", "ex3.lp", "q(X)", "--max-rewrite-steps", "12"),
+    ("check", "ex3.lp", "p(X)", "--max-subst-steps", "30"),
+    ("check", "subclass.lp", "subclass(a, X)", "--max-rewrite-steps", "12"),
+    ("transform", "zeros.lp"),
+    ("transform", "from.lp"),
+    ("transform", "ex3.lp"),
+    ("transform", "subclass.lp"),
+    ("compile", "lists.moo"),
+]
+
+
+def cli_cases() -> dict:
+    cases = {}
+    for i, (command, sample, *rest) in enumerate(_CLI):
+        argv = [command, str(SAMPLES / sample), *rest]
+        cases[f"cli/{i}"] = (" ".join([command, sample, *rest]) + "\n"
+                             + _cli_text(argv))
     return cases
 
 
@@ -254,7 +528,8 @@ def oracle_cases() -> dict:
 
 
 def all_cases() -> dict:
-    return {**term_cases(), **program_cases(), **oracle_cases()}
+    return {**term_cases(), **program_cases(), **oracle_cases(),
+            **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases()}
 
 
 def _digest(text: str) -> str:
