@@ -130,76 +130,87 @@ class _Parser:
     # -- terms --------------------------------------------------------------
 
     def term(self) -> Term:
-        return self.union_term()
+        """One term, of any depth: ``stack`` holds the open constructs,
+        innermost last, each waiting for its next finished piece.
 
-    def union_term(self) -> Term:
-        left = self.field_term()
-        if self.peek().kind == "union":
-            op = self.next()
-            right = self.union_term()  # right-associative
-            return Compound(UNION_FUNCTOR, (left, right), op.span)
-        return left
-
-    def field_term(self) -> Term:
-        left = self.primary()
-        if self.peek().text == ":":
-            op = self.next()
-            right = self.primary()
-            return Compound(FIELD_FUNCTOR, (left, right), op.span)
-        return left
-
-    def primary(self) -> Term:
-        t = self.peek()
-        if t.kind == "var":
-            self.next()
-            if t.text == "_":
-                return Var(next(self._anon), t.span)
-            return Var(t.text, t.span)
-        if t.kind == "int":
-            self.next()
-            return Compound(t.text, (), t.span)
-        if t.kind == "name":
-            self.next()
-            if self.peek().text == "(":
+        * ``("(", name, args)``: the arguments of ``name(``;
+        * ``("[", opener, items)``: the items of a bracket list;
+        * ``("|", opener, items)``: the tail of a bracket list;
+        * ``(")",)``: a parenthesised term;
+        * ``(":", left, op)``: the right operand of ``:``, a primary;
+        * ``("\\/", left, op)``: the right operand of ``\\/``, a term, so
+          that union is right-associative and binds looser than ``:``.
+        """
+        stack: list = []
+        while True:
+            # A primary: a leaf, or the opening of a construct.
+            t = self.next()
+            if t.kind == "var":
+                name = next(self._anon) if t.text == "_" else t.text
+                done = Var(name, t.span)
+            elif t.kind == "int" or (t.kind == "name"
+                                     and self.peek().text != "("):
+                done = Compound(t.text, (), t.span)
+            elif t.kind == "name":
                 self.next()
-                args = self.term_list(")")
-                return Compound(t.text, tuple(args), t.span)
-            return Compound(t.text, (), t.span)
-        if t.text == "[":
-            return self.list_term()
-        if t.text == "(":
-            self.next()
-            inner = self.term()
-            self.expect(")")
-            return inner
-        raise ParseError(f"expected a term, found {t.text or 'end of input'!r}", t.span)
-
-    def term_list(self, closer: str) -> list:
-        args = [self.term()]
-        while self.peek().text == ",":
-            self.next()
-            args.append(self.term())
-        self.expect(closer)
-        return args
-
-    def list_term(self) -> Term:
-        opener = self.expect("[")
-        if self.peek().text == "]":
-            self.next()
-            return Compound("[]", (), opener.span)
-        items = [self.term()]
-        while self.peek().text == ",":
-            self.next()
-            items.append(self.term())
-        tail: Term = NIL
-        if self.peek().text == "|":
-            self.next()
-            tail = self.term()
-        self.expect("]")
-        out = tail
-        for item in reversed(items):
-            out = Compound(LIST_FUNCTOR, (item, out), opener.span)
-        return out
+                stack.append(("(", t, []))
+                continue
+            elif t.text == "[" and self.peek().text == "]":
+                self.next()
+                done = Compound("[]", (), t.span)
+            elif t.text == "[":
+                stack.append(("[", t, []))
+                continue
+            elif t.text == "(":
+                stack.append((")",))
+                continue
+            else:
+                raise ParseError(
+                    f"expected a term, found {t.text or 'end of input'!r}",
+                    t.span)
+            while True:
+                # ``done`` is a finished primary.
+                if stack and stack[-1][0] == ":":
+                    _, left, op = stack.pop()
+                    done = Compound(FIELD_FUNCTOR, (left, done), op.span)
+                elif self.peek().text == ":":
+                    stack.append((":", done, self.next()))
+                    break
+                # ``done`` is a finished field term.
+                if self.peek().kind == "union":
+                    stack.append(("\\/", done, self.next()))
+                    break
+                while stack and stack[-1][0] == "\\/":
+                    _, left, op = stack.pop()
+                    done = Compound(UNION_FUNCTOR, (left, done), op.span)
+                # ``done`` is a finished term.
+                if not stack:
+                    return done
+                kind = stack[-1][0]
+                if kind == ")":
+                    stack.pop()
+                    self.expect(")")
+                    continue
+                if kind == "|":
+                    _, opener, items = stack.pop()
+                    self.expect("]")
+                    done = _bracket_list(items, done, opener.span)
+                    continue
+                stack[-1][2].append(done)
+                if self.peek().text == ",":
+                    self.next()
+                    break
+                _, opener, items = stack.pop()
+                if kind == "(":
+                    self.expect(")")
+                    done = Compound(opener.text, tuple(items), opener.span)
+                elif self.peek().text == "|":
+                    self.next()
+                    stack.append(("|", opener, items))
+                    break
+                else:
+                    self.expect("]")
+                    done = _bracket_list(items, NIL, opener.span)
 
     # -- clauses ------------------------------------------------------------
 
@@ -245,6 +256,13 @@ class _Parser:
         if t.kind != "eof":
             raise ParseError(f"unexpected {t.text!r} after goal", t.span)
         return Goal(tuple(atoms))
+
+
+def _bracket_list(items: list, tail: Term, span: SourceSpan) -> Term:
+    out = tail
+    for item in reversed(items):
+        out = Compound(LIST_FUNCTOR, (item, out), span)
+    return out
 
 
 def parse_program(text: str, filename: str = "<string>") -> Program:

@@ -32,24 +32,23 @@ each for its own question:
 * ``_occurs``, the occurs check, stays apart from ``subterms``: it runs on
   every binding when the check is on, and it never enters a ground
   compound.
-* ``unify``, ``match`` and ``rational_equal`` walk pairs of terms, with a
-  visited-pair memo so that cyclic terms terminate.
+* ``_unify`` is the one pair walker that binds, with a visited-pair memo
+  so that cyclic terms terminate.  ``match`` is ``_unify`` restricted to
+  the pattern's variables.  ``rational_equal`` binds nothing; ``==`` on
+  compounds is ``rational_equal`` under no environment.
 * :meth:`BindingEnv.restrict` walks binding chains without dereferencing
   them, because it keeps every raw binding it passes.
 
-The builders whose input can be as deep as a derivation is long keep an
-explicit stack too: ``resolve`` and ``to_mu`` build post-order, pushing an
-exit marker for each compound, and ``canon_key`` lists the minimal graph
-flat.  Two builders still recurse on term depth, on input that is rarely
-deep: the ``ren_term`` of :func:`rename_apart` copies one clause as the
-program writes it, and the ``sub`` of :func:`from_mu` copies the equations
-of a cyclic term, each as deep as its cycle is long.
+No builder in this module recurses on term depth.  ``resolve`` and
+``to_mu`` build post-order, pushing an exit marker for each compound, and
+``_rename`` copies that way for :func:`rename_apart` and :func:`from_mu`;
+the first two keep their own loops, since they do more on entering and
+leaving a node than a copy does.  ``canon_key`` lists the minimal graph flat.
 
 A :class:`BindingEnv` may share its binding dict with the environment it was
 derived from: the private ``_wrap`` constructor takes a dict without copying
-it, and no dict is mutated after it has been wrapped.  ``unify`` and
-``match`` copy on their first write, and return ``env`` itself when they
-bind nothing.
+it, and no dict is mutated after it has been wrapped.  ``_unify`` copies
+on its first write, and returns ``env`` itself when it binds nothing.
 """
 
 from __future__ import annotations
@@ -82,17 +81,18 @@ class Var:
     fp = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Compound:
     """A functor applied to zero or more terms; constants are 0-ary.
 
     ``fp`` is the ground fingerprint: a hash of the whole term, or ``None``
-    when a variable occurs in it."""
+    when a variable occurs in it.  ``==`` compares functors, arities and
+    variable names, never spans; neither it nor ``hash`` recurses."""
 
     functor: str
     args: tuple = ()
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
-    fp: Optional[int] = field(init=False, compare=False, repr=False)
+    span: Optional[SourceSpan] = field(default=None, repr=False)
+    fp: Optional[int] = field(init=False, repr=False)
 
     def __post_init__(self):
         fp = hash(self.functor)
@@ -102,6 +102,20 @@ class Compound:
                 break
             fp = hash((fp, a.fp))
         _set_fp(self, fp)
+
+    def __eq__(self, other):
+        if other.__class__ is not Compound:
+            return NotImplemented
+        # equal terms have equal fingerprints
+        return self.fp == other.fp and rational_equal(self, other)
+
+    def __hash__(self):
+        # ``fp`` if ground; else the functor and each argument's label
+        if self.fp is not None:
+            return self.fp
+        return hash((self.functor, *[
+            a.name if a.__class__ is Var else (a.fp, a.functor)
+            for a in self.args]))
 
 
 # Compound is frozen, so __post_init__ writes ``fp`` through the slot's own
@@ -150,6 +164,16 @@ class Clause:
     body: tuple = ()
     idx: int = 0
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def _vars(self) -> tuple:
+        """Each variable once, at its first occurrence, head first."""
+        first: dict = {}
+        for a in (self.head, *self.body):
+            for arg in a.args:
+                for v in term_vars(arg):
+                    first.setdefault(v.name, v)
+        return tuple(first.values())
 
 
 @dataclass(frozen=True)
@@ -355,10 +379,11 @@ def unify_atoms(a1: Atom, a2: Atom, env: BindingEnv = EMPTY_ENV,
                   occurs_check)
 
 
-def _unify(stack: list, env: BindingEnv,
-           occurs_check: bool) -> Optional[BindingEnv]:
+def _unify(stack: list, env: BindingEnv, occurs_check: bool,
+           only: Optional[set] = None) -> Optional[BindingEnv]:
     """Unify every pair on ``stack`` under ``env``; the last pair is taken
-    first."""
+    first.  With ``only`` this matches (pattern, target) pairs: it fails
+    where it would bind a name outside ``only`` or on the target side."""
     work = env._b  # copied on the first write
     shared = True
     seen: set = set()
@@ -370,7 +395,12 @@ def _unify(stack: list, env: BindingEnv,
             if isinstance(b, Var) and a.name == b.name:
                 continue
             name, value = a.name, b
+            # (a walked variable in ``work`` is a collapsed variable loop)
+            if only is not None and (name not in only or name in work):
+                return None
         elif isinstance(b, Var):
+            if only is not None:
+                return None
             name, value = b.name, a
         else:
             if a is b:
@@ -399,12 +429,13 @@ def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[
     that the instantiated pattern equals ``target``.
 
     Target variables are treated as constants and never bound, so matching is
-    strictly one-sided.  The pattern must be renamed apart from the target.
-    The target is interpreted through ``env`` and may be cyclic; the pattern
-    is a finite tree, so descent terminates on its depth.
+    strictly one-sided: it is ``unify`` restricted to the pattern's
+    variables.  The pattern must be renamed apart from the target.  The
+    target is interpreted through ``env`` and may be cyclic; the visited-pair
+    memo makes the walk terminate on it.
     """
-    return _match([(pattern, target)], {v.name for v in term_vars(pattern)},
-                  env)
+    return _unify([(pattern, target)], env, False,
+                  {v.name for v in term_vars(pattern)})
 
 
 def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Optional[BindingEnv]:
@@ -412,50 +443,8 @@ def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Opt
     if pattern.pred != target.pred or len(pattern.args) != len(target.args):
         return None
     pat_vars = {v.name for a in pattern.args for v in term_vars(a)}
-    return _match(list(zip(reversed(pattern.args), reversed(target.args))),
-                  pat_vars, env)
-
-
-def _match(stack: list, pat_vars: set,
-           env: BindingEnv) -> Optional[BindingEnv]:
-    """Match every (pattern, target) pair on ``stack`` under ``env``, binding
-    only the names in ``pat_vars``; the last pair is taken first."""
-    work = env._b  # copied on the first write
-    shared = True
-    seen: set = set()
-    while stack:
-        p, t = stack.pop()
-        p = _walk(work, p)
-        t = _walk(work, t)
-        if isinstance(p, Var) and p.name in pat_vars and p.name not in work:
-            # unbound pattern variable: fix its image
-            if not (isinstance(t, Var) and t.name == p.name):
-                if shared:
-                    work = dict(work)
-                    shared = False
-                work[p.name] = t
-            continue
-        if isinstance(p, Var) or isinstance(t, Var):
-            # either a target variable on the pattern side (image of an
-            # already-bound pattern var) or a bare target variable: must be
-            # literally the same variable, since targets are never bound
-            if not (isinstance(p, Var) and isinstance(t, Var) and p.name == t.name):
-                return None
-            continue
-        if p is t:
-            continue
-        if p.functor != t.functor or len(p.args) != len(t.args):
-            return None
-        if p.fp != t.fp and p.fp is not None and t.fp is not None:
-            return None  # distinct ground terms
-        # Once a pattern variable is bound to a cyclic target, the pattern side
-        # can itself become cyclic; memoize pairs so the comparison terminates.
-        key = (id(p), id(t))
-        if key in seen:
-            continue
-        seen.add(key)
-        stack.extend(zip(reversed(p.args), reversed(t.args)))
-    return env if shared else BindingEnv._wrap(work, env.counter)
+    return _unify(list(zip(reversed(pattern.args), reversed(target.args))),
+                  env, False, pat_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +585,8 @@ def to_mu(env: BindingEnv, t: Term) -> MuTerm:
     first_via, back_via = _cycle_scan(env, t)
 
     synth = itertools.count()
-    names: dict = {}
-    for nid, via in back_via.items():
-        name = first_via.get(nid) or via or f"Mu{next(synth)}"
-        names[nid] = name
+    names = {nid: first_via.get(nid) or via or f"Mu{next(synth)}"
+             for nid, via in back_via.items()}
 
     bindings = env._b
     # Post-order, so an equation is added when its compound is finished.
@@ -641,17 +628,12 @@ def from_mu(m: MuTerm, env: BindingEnv) -> tuple:
         return m.root, env
     names = sorted(m.equations)
     fresh, env = env.fresh(len(names))
-    ren = {n: v for n, v in zip(names, fresh)}
-
-    def sub(t: Term) -> Term:
-        if isinstance(t, Var):
-            return ren.get(t.name, t)
-        return Compound(t.functor, tuple(sub(a) for a in t.args), t.span)
-
+    root, *rhs = _rename([m.root, *(m.equations[n] for n in names)],
+                         dict(zip(names, fresh)))
     bindings = dict(env._b)
-    for n in names:
-        bindings[ren[n].name] = sub(m.equations[n])
-    return sub(m.root), BindingEnv._wrap(bindings, env.counter)
+    bindings.update(zip([v.name for v in fresh], rhs))
+    return root, BindingEnv._wrap(bindings, env.counter)
+
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +669,8 @@ def rational_equal(a, b, env_a: Optional[BindingEnv] = None,
             if not (isinstance(x, Var) and isinstance(y, Var)):
                 return False
             if alpha:
-                if fwd.setdefault(x.name, y.name) != y.name:
-                    return False
-                if bwd.setdefault(y.name, x.name) != x.name:
+                if (fwd.setdefault(x.name, y.name) != y.name
+                        or bwd.setdefault(y.name, x.name) != x.name):
                     return False
             elif x.name != y.name:
                 return False
@@ -769,26 +750,38 @@ def rename_apart(c: Clause, env: BindingEnv) -> tuple:
     """Rename clause variables to fresh ``V<counter>`` names.
 
     Returns ``(clause, env)`` with the counter advanced, so renaming the same
-    clause twice yields disjoint variable sets.
+    clause twice yields disjoint variable sets.  Variables are numbered in
+    the order they first occur, and each keeps its first occurrence's span.
     """
-    mapping: dict = {}
     counter = env.counter
+    ren = {v.name: Var(f"V{counter + i}", v.span)
+           for i, v in enumerate(c._vars)}
+    head, *body = [Atom(a.pred, tuple(_rename(a.args, ren)), a.span)
+                   for a in (c.head, *c.body)]
+    return (Clause(head, tuple(body), c.idx, c.span),
+            BindingEnv._wrap(env._b, counter + len(ren)))
 
-    def ren_term(t: Term) -> Term:
-        nonlocal counter
-        if isinstance(t, Var):
-            if t.name not in mapping:
-                mapping[t.name] = Var(f"V{counter}", t.span)
-                counter += 1
-            return mapping[t.name]
-        return Compound(t.functor, tuple(ren_term(a) for a in t.args), t.span)
 
-    def ren_atom(a: Atom) -> Atom:
-        return Atom(a.pred, tuple(ren_term(x) for x in a.args), a.span)
-
-    head = ren_atom(c.head)
-    body = tuple(ren_atom(a) for a in c.body)
-    return Clause(head, body, c.idx, c.span), BindingEnv._wrap(env._b, counter)
+def _rename(terms, ren: Mapping[str, Var]) -> list:
+    """Copies of ``terms`` with each variable named in ``ren`` replaced by
+    its image.  Every compound is copied with its span, and no subterm is
+    shared, ground ones included.  Post-order, as in ``resolve``."""
+    out: list = []  # finished subterms, left to right
+    stack = list(reversed(terms))
+    while stack:
+        x = stack.pop()
+        if x.__class__ is tuple:  # (node,): node's arguments are built
+            node = x[0]
+            k = len(out) - len(node.args)
+            out[k:] = [Compound(node.functor, tuple(out[k:]), node.span)]
+        elif isinstance(x, Var):
+            out.append(ren.get(x.name, x))
+        elif x.args:
+            stack.append((x,))
+            stack.extend(reversed(x.args))
+        else:
+            out.append(Compound(x.functor, (), x.span))
+    return out
 
 
 def _var_ceiling(atoms) -> int:

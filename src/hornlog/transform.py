@@ -174,25 +174,27 @@ def render_proof(pi, t: TransformedProgram, env: BindingEnv = EMPTY_ENV) -> str:
     a back reference instead of unfolding forever.
     """
     lines = []
-    _render(pi, t, env, 0, set(), lines)
+    on_path = set()
+    stack = [(pi, 0)]  # (term, indent), or (node id, None) after its args
+    while stack:
+        x, indent = stack.pop()
+        if indent is None:
+            on_path.discard(x)
+            continue
+        pad = "  " * indent
+        x = env.walk(x)
+        if isinstance(x, Var):
+            lines.append(pad + UNFINISHED)
+            continue
+        if id(x) in on_path:
+            lines.append(pad + f"↻ {x.functor}")
+            continue
+        src = t.back_map.get(x.functor)
+        if src is None:
+            lines.append(pad + syntax.term_text(x))
+            continue
+        lines.append(pad + f"clause {src.idx}: {syntax.atom_text(src.head)}")
+        on_path.add(id(x))
+        stack.append((id(x), None))
+        stack.extend((a, indent + 1) for a in reversed(x.args))
     return "\n".join(lines)
-
-
-def _render(pi, t, env, indent, on_path, lines) -> None:
-    pad = "  " * indent
-    x = env.walk(pi)
-    if isinstance(x, Var):
-        lines.append(pad + UNFINISHED)
-        return
-    if id(x) in on_path:
-        lines.append(pad + f"↻ {x.functor}")
-        return
-    src = t.back_map.get(x.functor)
-    if src is None:
-        lines.append(pad + syntax.term_text(x))
-        return
-    lines.append(pad + f"clause {src.idx}: {syntax.atom_text(src.head)}")
-    on_path.add(id(x))
-    for arg in x.args:
-        _render(arg, t, env, indent + 1, on_path, lines)
-    on_path.discard(id(x))

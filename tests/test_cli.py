@@ -551,3 +551,14 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert err.splitlines() == [
         "error: internal error: RecursionError: "
         "maximum recursion depth exceeded"]
+
+
+def test_solve_reads_a_deep_goal(capsys, tmp_path):
+    program = tmp_path / "len.lp"
+    program.write_text("len([], z).\nlen([_|T], s(N)) :- len(T, N).\n")
+    n = 1000
+    goal = "?- len(L, " + "s(" * n + "z" + ")" * n + ")."
+    code, out, err = run(capsys, "solve", str(program), goal,
+                         "--max-depth", "2000", "--max-answers", "1")
+    assert code == 0, err
+    assert out.startswith("L = [") and out.count(",") == n - 1

@@ -254,3 +254,40 @@ def test_clause_and_goal_text():
     g = parse_goal("p(X), r")
     assert goal_text(g) == "?- p(X), r."
     assert atom_text(Atom("r")) == "r"
+
+
+def _nest(n, leaf, wrap):
+    t = leaf
+    for _ in range(n):
+        t = wrap(t)
+    return t
+
+
+def test_parse_term_reads_any_depth():
+    n = 10 ** 4
+    a = const("a")
+    cases = [
+        ("s(" * n + "0" + ")" * n,
+         _nest(n, const("0"), lambda t: Compound("s", (t,)))),
+        ("[" * n + "a" + "]" * n, _nest(n, a, lambda t: mklist([t]))),
+        ("(" * n + "a" + ")" * n, a),
+        (" \\/ ".join(["a"] * (n + 1)),
+         _nest(n, a, lambda t: Compound("\\/", (a, t)))),
+        ("f(x:" * n + "y" + ")" * n,
+         _nest(n, const("y"),
+               lambda t: Compound("f", (Compound("fld", (const("x"), t)),)))),
+    ]
+    for text, want in cases:
+        assert parse_term(text) == want
+    deepest = parse_term("s(" * n + "X" + ")" * n)
+    for _ in range(n):
+        deepest = deepest.args[0]
+    assert (deepest.span.column, deepest.span.length) == (2 * n + 1, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(safe_terms, st.integers(0, 3000), names)
+def test_parse_inverts_print_at_any_depth(t, depth, name):
+    deep = _nest(depth, t, lambda x: Compound(name, (x, const("a"))))
+    assert parse_term(term_text(deep)) == deep
+    assert parse_term(term_text(deep, nested_lists=True)) == deep

@@ -22,6 +22,7 @@ from hornlog.terms import (
     Clause,
     Compound,
     MuTerm,
+    SourceSpan,
     UnificationError,
     Var,
     bump_counter_past,
@@ -41,7 +42,7 @@ from hornlog.terms import (
     unify,
     unify_atoms,
 )
-from hornlog.syntax import term_text
+from hornlog.syntax import parse_program, term_text
 
 
 # ---------------------------------------------------------------------------
@@ -604,3 +605,119 @@ def test_atom_unify_and_match_agree_with_wrapped_atoms():
 def test_mklist():
     t = mklist([const("a"), const("b")], Var("T"))
     assert t == Compound(".", (const("a"), Compound(".", (const("b"), Var("T")))))
+
+
+# ---------------------------------------------------------------------------
+# Matching is unification restricted to the pattern's variables
+
+
+def _binds_only(out, env, names) -> bool:
+    """Did ``out`` extend ``env`` with bindings of ``names`` alone?"""
+    old = env.bindings
+    return (all(out.bindings.get(k) is v for k, v in old.items())
+            and all(k in old or k in names for k in out.bindings))
+
+
+def _same_bindings(a, b) -> bool:
+    return list(a.bindings.items()) == list(b.bindings.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms, terms, st.dictionaries(st.sampled_from(["X", "Y", "Z"]), terms))
+def test_match_is_unify_binding_only_pattern_variables(t1, t2, bindings):
+    pat = ref_apply({"X": Var("PX"), "Y": Var("PY"), "Z": Var("PZ")}, t1)
+    env = BindingEnv(bindings)
+    matched = match(pat, t2, env)
+    unified = unify(pat, t2, env)
+    names = {v.name for v in term_vars(pat)}
+    assert (matched is not None) == (
+        unified is not None and _binds_only(unified, env, names))
+    if matched is not None:
+        assert _same_bindings(matched, unified)
+
+
+def test_match_atoms_is_unify_atoms_binding_only_pattern_variables():
+    successes = 0
+    for a1, a2, env in _atom_pairs(400):
+        matched = match_atoms(a1, a2, env)
+        unified = unify_atoms(a1, a2, env)
+        names = {v.name for a in a1.args for v in term_vars(a)}
+        assert (matched is not None) == (
+            unified is not None and _binds_only(unified, env, names))
+        if matched is not None:
+            successes += 1
+            assert _same_bindings(matched, unified)
+    assert successes > 20
+
+
+# ---------------------------------------------------------------------------
+# Copies, equality and hashing at any depth
+
+
+def _s_chain(n, leaf):
+    t = leaf
+    for _ in range(n):
+        t = Compound("s", (t,))
+    return t
+
+
+def test_rename_apart_and_from_mu_on_deep_terms_do_not_recurse():
+    n = 10 ** 4
+    c = Clause(Atom("p", (_s_chain(n, Var("X")), Var("Y"))),
+               (Atom("q", (Var("Y"), _s_chain(n, const("0")))),))
+    rc, env = rename_apart(c, EMPTY_ENV.with_counter(3))
+    assert env.counter == 5
+    assert rational_equal(rc.head.args[0], _s_chain(n, Var("V3")))
+    assert rc.head.args[1] == rc.body[0].args[0] == Var("V4")
+    assert rational_equal(rc.body[0].args[1], c.body[0].args[1])
+
+    ring = BindingEnv({f"X{i}": Compound("s", (Var(f"X{(i + 1) % n}"),))
+                       for i in range(n)})
+    t, env2 = from_mu(to_mu(ring, Var("X0")), EMPTY_ENV)
+    assert rational_equal(t, Var("X0"), env2, ring)
+
+
+def test_rename_apart_numbers_by_first_occurrence_with_its_span():
+    c = parse_program("p(X, f(Y, X)) :- q(Z, Y), r(X).").clauses[0]
+    rc, env = rename_apart(c, EMPTY_ENV.with_counter(5))
+    assert term_text(Compound("c", rc.head.args + rc.body[0].args
+                              + rc.body[1].args)) == \
+        "c(V5, f(V6, V5), V7, V6, V5)"
+    assert env.counter == 8
+    x, (y, x2) = rc.head.args[0], rc.head.args[1].args
+    z = rc.body[0].args[0]
+    assert [(v.span.line, v.span.column) for v in (x, x2, y, z)] == \
+        [(1, 3), (1, 3), (1, 8), (1, 20)]
+    # compounds keep their spans, and none is shared with the input
+    assert rc.head.args[1].span == c.head.args[1].span
+    assert rc.head.args[1] is not c.head.args[1]
+
+
+def test_rename_apart_copies_shared_ground_subterms():
+    a = const("a")
+    c = Clause(Atom("p", (a, Compound("f", (a, a)))))
+    rc, _ = rename_apart(c, EMPTY_ENV)
+    copies = [rc.head.args[0], *rc.head.args[1].args]
+    assert all(x == a and x is not a for x in copies)
+    assert len({id(x) for x in copies}) == 3
+
+
+def test_eq_and_hash_on_deep_terms_do_not_recurse():
+    n = 20_000
+    cells = [const(f"c{i % 7}") for i in range(n)]
+    for tail in (const("[]"), Var("T")):
+        a, b = mklist(cells, tail), mklist(list(cells), tail)
+        assert a is not b and a == b and hash(a) == hash(b)
+        other = mklist(cells[:-1] + [const("z")], tail)
+        assert a != other
+    assert mklist(cells) != mklist(cells, Var("T"))
+
+
+def test_eq_ignores_spans_and_compares_variable_names():
+    span = SourceSpan("f", 1, 1, 1)
+    assert Compound("f", (Var("X", span),), span) == Compound("f", (Var("X"),))
+    assert Compound("f", (Var("X"),)) != Compound("f", (Var("Y"),))
+    assert Compound("f", (Var("X"),)) != Compound("f", (const("X"),))
+    assert Compound("f") != Var("f") and Var("f") != Compound("f")
+    assert len({Compound("g", (Var("X"), const("a"))),
+                Compound("g", (Var("X"), const("a")))}) == 1

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from genprog import random_program, random_proof_goal
-from hornlog.engine import Budget, colp_solve, rewrite_normalize, sres_solve
+from hornlog.engine import (
+    Budget,
+    colp_solve,
+    rewrite_normalize,
+    sld_solve,
+    sres_solve,
+)
 from hornlog.syntax import parse_goal, parse_program, parse_term, print_answer
 from hornlog.terms import EMPTY_ENV, Goal, Var, rational_equal, resolve
 from hornlog.transform import (
@@ -193,3 +199,18 @@ def test_rewriting_always_terminates_on_random_transformed_programs():
         assert res.status == "normal_form"
         assert all(a > b for a, b in zip(measures, measures[1:]))
         assert res.steps <= measures[0]
+
+
+def test_render_proof_of_a_deep_proof():
+    n = 1200
+    tp = transform_program(parse_program(
+        "len([], z).\nlen([_|T], s(N)) :- len(T, N).\n"))
+    goal = transform_goal(parse_goal(f"len([{', '.join('a' * n)}], N)"))
+    verdict = sld_solve(goal, tp.program, Budget(max_depth=2 * n),
+                        occurs_check=True)
+    text = render_proof(Var("K$1"), tp, verdict.answers[0].bindings)
+    lines = text.splitlines()
+    assert lines[:2] == ["clause 2: len([_A0|T], s(N))",
+                         "  clause 2: len([_A0|T], s(N))"]
+    assert lines[n] == "  " * n + "clause 1: len([], z)"
+    assert len(lines) == n + 1
