@@ -33,6 +33,13 @@ Cases:
 * ``cli/<i>``: ``solve``, ``infer``, ``check``, ``transform`` and
   ``compile`` on the samples and ``lists.moo``, exit code and both
   streams, with the checkout path cut from them.
+* ``moo/<name>``: the ``.moo`` front end.  ``parse_classes`` of
+  ``lists.moo`` and of a source with inheritance (``class_table_text``,
+  each declaration's ``repr`` and every expression node with its span);
+  nodes and spans of fixed expressions; the ``MooError`` text and span of
+  malformed sources and expressions; and seeded random expressions,
+  printed with ``expr_text``, parsed back and compiled with
+  ``compile_expr`` (the goal, the result and the type environment).
 
 No case reads ``Compound.fp`` or anything else that depends on ``hash``
 salting.  A change that means to alter behaviour regenerates the file with
@@ -60,7 +67,8 @@ from genprog import (
 )
 
 from hornlog.cli import main
-from hornlog.compiler import compile_class_table
+from hornlog import minioo as moo
+from hornlog.compiler import compile_class_table, compile_expr
 from hornlog.engine import (
     Budget,
     colp_solve,
@@ -68,12 +76,13 @@ from hornlog.engine import (
     sld_solve,
     sres_solve,
 )
-from hornlog.minioo import parse_classes
+from hornlog.minioo import MooError, parse_classes, parse_expr
 from hornlog.syntax import (
     ParseError,
     PrintError,
     atom_text,
     clause_text,
+    goal_text,
     parse_goal,
     parse_program,
     parse_term,
@@ -108,6 +117,7 @@ SAMPLES = ROOT / "samples"
 RANDOM_TERMS = 1500
 RANDOM_PAIRS = 600
 RANDOM_PROGRAMS = 150
+RANDOM_EXPRS = 300
 TERMINATING_PROGRAMS = 50
 BUDGET = Budget(max_steps=150, max_depth=25, max_rewrite_steps=60,
                 max_subst_steps=40, max_answers=4)
@@ -525,11 +535,230 @@ def cli_cases() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The .moo front end
+
+_MOO_SOURCE = """
+// inheritance, super arguments and case folding
+class Cons extends NEList {
+    Extra;
+    CONS(h, t, e) {
+        super(h, t.tail);
+        this.extra = if (e <= 0) null else e - 1;
+    }
+    get() { this.EXTRA }
+}
+class Base {
+    m(x, y) { x.f(y, new Cons(1, this, true)).g - 2 }
+}
+"""
+
+_MOO_EXPRS = [
+    "new EList().addLast(42)",
+    "x.addLast(y)",
+    "this",
+    "null",
+    "true",
+    "false",
+    "0",
+    "123",
+    "n - 1 - 2",
+    "a - b.c - d.e(f)",
+    "n <= 0",
+    "a - b <= c - d",
+    "if (n <= 0) new EList() else new NEList(x, this.replicate(n - 1, x))",
+    "if (a) if (b) c else d else e",
+    "if (a) b else if (c) d else e",
+    "if (a) b else c <= d",
+    "(if (a) b else c).m()",
+    "(if (a) b else c) <= d",
+    "x.f.g.h",
+    "x.f(y).g",
+    "new A(new B(), new C(1, 2), x.y)",
+    "((x))",
+    "(x - y) - z",
+    "x - (y - z)",
+    "x <= (y <= z)",
+    "(x <= y) <= z",
+    "x.m()",
+    "new A()",
+    "this.head.tail",
+    "if (true) 1 else 2",
+    "X.Y",
+    "x // comment\n  .f",
+    "new\n  A(\n x,\n\ty)",
+    "x.m(if (a) b else c, d)",
+    "new A(if (a) b else c)",
+    "(if (a) b else c)",
+    "x.m(a - b, c <= d)",
+    "(new A()).f",
+    "1.f",
+    "this.m(this).n(null, false)",
+]
+
+_MOO_MALFORMED = [
+    ("expr", ""),
+    ("expr", "x y"),
+    ("expr", "x <= y <= z"),
+    ("expr", "1 - if (a) b else c"),
+    ("expr", "x <= if (a) b else c"),
+    ("expr", "(x"),
+    ("expr", "new 1()"),
+    ("expr", "new A"),
+    ("expr", "new A(x"),
+    ("expr", "new A(x,)"),
+    ("expr", "x."),
+    ("expr", "x.if"),
+    ("expr", "x.m(a b)"),
+    ("expr", "if x"),
+    ("expr", "if (x) y"),
+    ("expr", "if (x) y else"),
+    ("expr", "x < y"),
+    ("expr", "x + y"),
+    ("expr", "super"),
+    ("expr", "x - "),
+    ("expr", "x <= "),
+    ("expr", "x.f = y"),
+    ("expr", "f(x)"),
+    ("expr", "x.m(a)(b)"),
+    ("expr", ")"),
+    ("source", "class"),
+    ("source", "x"),
+    ("source", "class A extends {"),
+    ("source", "class A"),
+    ("source", "class A { 1; }"),
+    ("source", "class A { m(1) { x } }"),
+    ("source", "class A { A() { x; } }"),
+    ("source", "class A { f; A(x) { super(); this.1 = x; } }"),
+    ("source", "class A { f; A(x) { super(); this.f = x } }"),
+    ("source", "class A { A() { super() } }"),
+    ("source", "class A { A(x) { super(; } }"),
+    ("source", "class A { m() { x; } }"),
+    ("source", "class A { m() { x }"),
+    ("source", "class A {\n  m() { 1 +++ 2 }\n}"),
+    ("source", "class A extends A { A() { super(); } }"),
+    ("source", "class A extends B {} class B extends A {}"),
+    ("source", "class A {} class A {}"),
+    ("source", "class Object {}"),
+    ("source", "class A { f; A() { super(); } }"),
+    ("source", "class A { f; g; A(x) { super(); this.g = x; this.f = x; } }"),
+    ("source", "class A { f; A(x) { super(); this.f = x; this.f = x; } }"),
+    ("source", "class A { A(x) { super(); this.f = x; } }"),
+    ("source", "class A { m(x, x) { x } }"),
+    ("source", "class A { m(x) { x } m(y) { y } }"),
+    ("source", "class A { f; f; A() { super(); } }"),
+    ("source", "class A { A() { super(); } A() { super(); } }"),
+]
+
+_MOO_LABELS = ("name", "value", "cls", "fld", "method", "op")
+
+
+def _moo_nodes_text(e) -> str:
+    """Every node of the expression ``e`` in preorder, with its span."""
+    lines, stack = [], [(e, 0)]
+    while stack:
+        x, depth = stack.pop()
+        span = x.span and (x.span.file, x.span.line, x.span.column,
+                           x.span.length)
+        label = " ".join([type(x).__name__] + [
+            repr(getattr(x, a)) for a in _MOO_LABELS if hasattr(x, a)])
+        lines.append(f"{'  ' * depth}{label} {span}")
+        kids = [getattr(x, a) for a in ("target", "cond", "then", "orelse",
+                                        "lhs", "rhs") if hasattr(x, a)]
+        kids += getattr(x, "args", ())
+        stack.extend((k, depth + 1) for k in reversed(kids))
+    return "\n".join(lines)
+
+
+def _class_table_cases(name: str, text: str) -> str:
+    ct = parse_classes(text, name)
+    lines = [moo.class_table_text(ct)]
+    for decl in ct.classes.values():
+        lines.append(repr(decl))
+        for e in decl.ctor.super_args:
+            lines.append(_moo_nodes_text(e))
+        for f, e in decl.ctor.assigns:
+            lines.append(f"this.{f} =\n{_moo_nodes_text(e)}")
+        for m in decl.methods.values():
+            lines.append(f"{m.name}\n{_moo_nodes_text(m.body)}")
+    return "\n".join(lines)
+
+
+_MOO_CLASSES = ["elist", "nelist", "a"]
+_MOO_NAMES = ["x", "n", "acc"]
+_MOO_MEMBERS = ["addlast", "head", "m"]
+
+
+def _random_expr(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            lambda: moo.Var(rng.choice(_MOO_NAMES)),
+            lambda: moo.IntLit(rng.randrange(3)),
+            lambda: moo.BoolLit(rng.random() < 0.5),
+            moo.Null,
+            moo.This,
+        ])()
+    sub = depth - 1
+    kind = rng.randrange(6)
+    if kind == 0:
+        return moo.New(rng.choice(_MOO_CLASSES), tuple(
+            _random_expr(rng, sub) for _ in range(rng.randrange(3))))
+    if kind == 1:
+        return moo.FieldAcc(_random_expr(rng, sub), rng.choice(_MOO_MEMBERS))
+    if kind == 2:
+        return moo.Invoke(_random_expr(rng, sub), rng.choice(_MOO_MEMBERS),
+                          tuple(_random_expr(rng, sub)
+                                for _ in range(rng.randrange(3))))
+    if kind == 3:
+        return moo.If(*(_random_expr(rng, sub) for _ in range(3)))
+    return moo.BinOp(rng.choice(["<=", "-"]), _random_expr(rng, sub),
+                     _random_expr(rng, sub))
+
+
+def _moo_expr_text(text: str, env=None) -> str:
+    try:
+        e = parse_expr(text)
+    except MooError as exc:
+        return f"MooError {exc} span {exc.span!r}"
+    lines = [_moo_nodes_text(e)]
+    env = dict(env or {})
+    goal, result = compile_expr(e, env)
+    lines += [f"goal {goal_text(goal)}", f"result {term_text(result)}",
+              "env " + ", ".join(f"{n}: {term_text(t)}"
+                                 for n, t in env.items())]
+    return "\n".join(lines)
+
+
+def moo_cases() -> dict:
+    lists = SAMPLES / "lists.moo"
+    cases = {"moo/lists": _class_table_cases(lists.name, lists.read_text()),
+             "moo/source": _class_table_cases("<moo>", _MOO_SOURCE)}
+    for i, text in enumerate(_MOO_EXPRS):
+        cases[f"moo/expr/{i}"] = f"{text!r}\n{_moo_expr_text(text)}"
+    for i, (kind, text) in enumerate(_MOO_MALFORMED):
+        try:
+            if kind == "expr":
+                parse_expr(text)
+            else:
+                parse_classes(text)
+            out = "parsed"
+        except MooError as exc:
+            out = f"MooError {exc} span {exc.span!r}"
+        cases[f"moo/error/{i}"] = f"{kind} {text!r}\n{out}"
+    rng = random.Random(20174)
+    for i in range(RANDOM_EXPRS):
+        text = moo.expr_text(_random_expr(rng, 6))
+        env = {"n": const("int")} if i % 2 else None
+        cases[f"moo/random/{i}"] = f"{text}\n{_moo_expr_text(text, env)}"
+    return cases
+
+
+# ---------------------------------------------------------------------------
 
 
 def all_cases() -> dict:
     return {**term_cases(), **program_cases(), **oracle_cases(),
-            **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases()}
+            **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases(),
+            **moo_cases()}
 
 
 def _digest(text: str) -> str:
