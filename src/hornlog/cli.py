@@ -33,7 +33,7 @@ from hornlog.fixpoint import (
     tp_down,
     tp_up,
 )
-from hornlog.minioo import MooError, parse_classes, parse_expr
+from hornlog.minioo import parse_classes, parse_expr
 from hornlog.syntax import (
     ParseError,
     PrintError,
@@ -277,6 +277,12 @@ def _emit(text: str, output) -> None:
 # Argument wiring
 
 
+def _cap_flags(parser) -> None:
+    for flag in ("--max-steps", "--max-depth", "--max-rewrite-steps",
+                 "--max-subst-steps"):
+        parser.add_argument(flag, type=_positive)
+
+
 def _solver_flags(parser) -> None:
     parser.add_argument("--style", choices=("flat", "mu", "lazy"),
                         help="answer rendering (default: picked per answer)")
@@ -284,10 +290,7 @@ def _solver_flags(parser) -> None:
                         help="cycle unfoldings in the lazy style")
     parser.add_argument("--lazy-k", type=_positive, default=3,
                         help="substitution steps before a partial answer")
-    parser.add_argument("--max-steps", type=_positive)
-    parser.add_argument("--max-depth", type=_positive)
-    parser.add_argument("--max-rewrite-steps", type=_positive)
-    parser.add_argument("--max-subst-steps", type=_positive)
+    _cap_flags(parser)
     parser.add_argument("--max-answers", type=_positive, default=10,
                         help="stop the search after this many answers "
                              "(default 10; backtracking through a cycle "
@@ -343,10 +346,7 @@ def _build_parser() -> _Parser:
                            help="report productivity evidence for a goal")
     check.add_argument("program", help=".lp file")
     check.add_argument("goal")
-    check.add_argument("--max-steps", type=_positive)
-    check.add_argument("--max-depth", type=_positive)
-    check.add_argument("--max-rewrite-steps", type=_positive)
-    check.add_argument("--max-subst-steps", type=_positive)
+    _cap_flags(check)
     check.set_defaults(fn=_cmd_check)
 
     oracle = sub.add_parser("oracle",
@@ -372,8 +372,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, MooError, TransformError, PrintError,
-            ValueError) as exc:
+    except (ParseError, TransformError, PrintError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FragmentError as exc:

@@ -103,13 +103,16 @@ class _Names:
 
     def __init__(self, reserved=()):
         self.used = set(reserved)
+        self.tried: dict = {}  # prefix -> its last suffix; all below are used
 
     def claim(self, want: str) -> str:
-        name, i = want, 1
+        i = self.tried.get(want, 1)
+        name = f"{want}{i}" if i > 1 else want
         while name in self.used:
             i += 1
             name = f"{want}{i}"
         self.used.add(name)
+        self.tried[want] = i
         return name
 
 
@@ -121,54 +124,68 @@ def _record(pairs) -> Term:
     return mklist(Compound(FIELD_FUNCTOR, (const(n), t)) for n, t in pairs)
 
 
-_RESULT_PREFIX = {moo.New: "R", moo.Invoke: "T", moo.FieldAcc: "F"}
+_LEAF_TYPES = {moo.IntLit: "int", moo.BoolLit: "bool", moo.Null: "null"}
 
 
 def _compile_into(e: moo.Expr, env: TypeEnv, names: _Names, atoms: list) -> Term:
-    if isinstance(e, moo.IntLit):
-        return const("int")
-    if isinstance(e, moo.BoolLit):
-        return const("bool")
-    if isinstance(e, moo.Null):
-        return const("null")
-    if isinstance(e, moo.This):
-        e = moo.Var("this", e.span)
-    if isinstance(e, moo.Var):
-        known = env.get(e.name)
-        if known is None:
-            known = Var(names.claim(_cap(e.name)))
-            env[e.name] = known
-        return known
-    if isinstance(e, moo.New):
-        args = [_compile_into(a, env, names, atoms) for a in e.args]
-        out = Var(names.claim("R"))
-        atoms.append(Atom("new", (const(e.cls), mklist(args), out)))
-        return out
-    if isinstance(e, moo.FieldAcc):
-        target = _compile_into(e.target, env, names, atoms)
-        out = Var(names.claim("F"))
-        atoms.append(Atom("fieldacc", (target, const(e.fld), out)))
-        return out
-    if isinstance(e, moo.Invoke):
-        target = _compile_into(e.target, env, names, atoms)
-        args = [_compile_into(a, env, names, atoms) for a in e.args]
-        out = Var(names.claim("T"))
-        atoms.append(Atom("invoke", (target, const(e.method), mklist(args), out)))
-        return out
-    if isinstance(e, moo.BinOp):
-        lhs = _compile_into(e.lhs, env, names, atoms)
-        rhs = _compile_into(e.rhs, env, names, atoms)
-        pred, prefix = ("leq", "B") if e.op == "<=" else ("sub", "S")
-        out = Var(names.claim(prefix))
-        atoms.append(Atom(pred, (lhs, rhs, out)))
-        return out
-    if isinstance(e, moo.If):
-        cond = _compile_into(e.cond, env, names, atoms)
-        atoms.append(Atom("eq", (cond, const("bool"))))
-        then = _compile_into(e.then, env, names, atoms)
-        orelse = _compile_into(e.orelse, env, names, atoms)
-        return Compound(UNION_FUNCTOR, (then, orelse))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Append the atoms of ``e`` to ``atoms`` and return its result term.
+
+    Post-order on an explicit stack, as in ``terms._rename``: a node goes
+    back on the stack as ``(node, number of children)`` under its children,
+    and claims its result name and appends its atom when that marker comes
+    back, so atoms and names come in source order.  ``None`` marks the end
+    of an ``if``'s condition, which is constrained to ``bool`` there.
+    """
+    out: list = []  # result terms of the finished nodes, left to right
+    stack: list = [e]
+    while stack:
+        x = stack.pop()
+        if x is None:
+            atoms.append(Atom("eq", (out[-1], const("bool"))))
+        elif x.__class__ is tuple:
+            node, n = x
+            k = len(out) - n
+            vals = out[k:]
+            del out[k:]
+            if isinstance(node, moo.If):
+                out.append(Compound(UNION_FUNCTOR, (vals[1], vals[2])))
+                continue
+            if isinstance(node, moo.New):
+                prefix, pred, args = "R", "new", (const(node.cls), mklist(vals))
+            elif isinstance(node, moo.FieldAcc):
+                prefix, pred, args = "F", "fieldacc", (vals[0], const(node.fld))
+            elif isinstance(node, moo.Invoke):
+                prefix, pred = "T", "invoke"
+                args = (vals[0], const(node.method), mklist(vals[1:]))
+            else:
+                prefix, pred = ("B", "leq") if node.op == "<=" else ("S", "sub")
+                args = tuple(vals)
+            result = Var(names.claim(prefix))
+            atoms.append(Atom(pred, args + (result,)))
+            out.append(result)
+        elif x.__class__ in _LEAF_TYPES:
+            out.append(const(_LEAF_TYPES[x.__class__]))
+        elif isinstance(x, (moo.Var, moo.This)):
+            name = "this" if isinstance(x, moo.This) else x.name
+            if name not in env:
+                env[name] = Var(names.claim(_cap(name)))
+            out.append(env[name])
+        elif isinstance(x, moo.If):
+            stack += [(x, 3), x.orelse, x.then, None, x.cond]
+        else:
+            if isinstance(x, moo.New):
+                kids = x.args
+            elif isinstance(x, moo.FieldAcc):
+                kids = (x.target,)
+            elif isinstance(x, moo.Invoke):
+                kids = (x.target, *x.args)
+            elif isinstance(x, moo.BinOp):
+                kids = (x.lhs, x.rhs)
+            else:
+                raise TypeError(f"not an expression node: {x!r}")
+            stack.append((x, len(kids)))
+            stack.extend(reversed(kids))
+    return out[0]
 
 
 def compile_expr(e: moo.Expr, env: Optional[TypeEnv] = None) -> tuple:

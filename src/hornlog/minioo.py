@@ -31,17 +31,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
+from hornlog.syntax import ParseError, _Cursor, _Token, _tokenize
 from hornlog.terms import SourceSpan
 
 
-class MooError(Exception):
+class MooError(ParseError):
     """Syntax or well-formedness error in mini-language source."""
-
-    def __init__(self, message: str, span: Optional[SourceSpan] = None):
-        self.span = span
-        super().__init__(f"{span}: {message}" if span else message)
 
 
 # ---------------------------------------------------------------------------
@@ -185,75 +183,31 @@ _KEYWORDS = frozenset(
 _MOO_TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>//[^\n]*)
-      | (?P<le><=)
       | (?P<int>\d+)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-      | (?P<punct>[{}();,.=\-])
+      | (?P<punct><=|[{}();,.=\-])
     """,
     re.VERBOSE,
 )
 
 
-@dataclass
-class _Tok:
-    kind: str  # keyword | ident | int | punct | eof
-    text: str
-    span: SourceSpan
-
-
-def _tokenize(text: str, filename: str) -> list:
-    out = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _MOO_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise MooError(f"unexpected character {text[pos]!r}",
-                           SourceSpan(filename, line, col, 1))
-        kind, tok = m.lastgroup, m.group()
-        if kind not in ("ws", "comment"):
-            span = SourceSpan(filename, line, col, len(tok))
-            if kind == "ident":
-                tok = tok.lower()
-                kind = "keyword" if tok in _KEYWORDS else "ident"
-            elif kind == "le":
-                kind = "punct"
-            out.append(_Tok(kind, tok, span))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    out.append(_Tok("eof", "", SourceSpan(filename, line, col, 0)))
-    return out
+def _parser(text: str, filename: str) -> "_MooParser":
+    """A parser over ``text``, identifiers lowercased and keywords marked."""
+    toks = _tokenize(text, filename, _MOO_TOKEN_RE, MooError)
+    for t in toks:
+        if t.kind == "ident":
+            t.text = t.text.lower()
+            t.kind = "keyword" if t.text in _KEYWORDS else "ident"
+    return _MooParser(toks)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-class _MooParser:
-    def __init__(self, text: str, filename: str):
-        self.toks = _tokenize(text, filename)
-        self.i = 0
+class _MooParser(_Cursor):
+    error = MooError
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> _Tok:
-        t = self.next()
-        if t.text != text:
-            raise MooError(
-                f"expected {text!r}, found {t.text or 'end of input'!r}",
-                t.span)
-        return t
-
-    def ident(self, what: str) -> _Tok:
+    def ident(self, what: str) -> _Token:
         t = self.next()
         if t.kind != "ident":
             raise MooError(
@@ -263,100 +217,118 @@ class _MooParser:
     # -- expressions --------------------------------------------------------
 
     def expr(self) -> Expr:
-        t = self.peek()
-        if t.text == "if":
-            self.next()
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
-            then = self.expr()
-            self.expect("else")
-            orelse = self.expr()
-            return If(cond, then, orelse, t.span)
-        return self.cmp()
+        """One expression, of any depth: ``stack`` holds the open constructs,
+        innermost last, each waiting for its next finished piece.
 
-    def cmp(self) -> Expr:
-        left = self.additive()
-        if self.peek().text == "<=":
-            op = self.next()
-            right = self.additive()
-            return BinOp("<=", left, right, op.span)
-        return left
+        * ``("if", token, parts)``: the condition and branches of an ``if``;
+        * ``("(",)``: a parenthesised expression;
+        * ``(",", make, args)``: the arguments of ``new C(`` or ``.m(``,
+          from which ``make`` builds the node;
+        * ``("-", left, op)``: the right operand of ``-``, a postfix
+          expression, so that ``-`` is left-associative;
+        * ``("<=", left, op)``: the right operand of ``<=``, an additive one.
 
-    def additive(self) -> Expr:
-        left = self.postfix()
-        while self.peek().text == "-":
-            op = self.next()
-            right = self.postfix()
-            left = BinOp("-", left, right, op.span)
-        return left
-
-    def postfix(self) -> Expr:
-        e = self.primary()
-        while self.peek().text == ".":
-            self.next()
-            name = self.ident("field or method name")
-            if self.peek().text == "(":
-                self.next()
-                args = self.call_args()
-                e = Invoke(e, name.text, tuple(args), name.span)
+        ``if`` starts an expression only where a full one is expected.
+        """
+        stack: list = []
+        while True:
+            # A primary: a leaf, or the opening of a construct.
+            t = self.next()
+            if t.text == "if" and not (stack and stack[-1][0] in ("-", "<=")):
+                self.expect("(")
+                stack.append(("if", t, []))
+                continue
+            if t.kind == "int":
+                done = IntLit(int(t.text), t.span)
+            elif t.text == "true" or t.text == "false":
+                done = BoolLit(t.text == "true", t.span)
+            elif t.text == "null":
+                done = Null(t.span)
+            elif t.text == "this":
+                done = This(t.span)
+            elif t.text == "new":
+                cls = self.ident("class name")
+                self.expect("(")
+                stack.append((",", partial(New, cls.text, span=t.span), []))
+                continue
+            elif t.kind == "ident":
+                done = Var(t.text, t.span)
+            elif t.text == "(":
+                stack.append(("(",))
+                continue
+            elif (t.text == ")" and stack and stack[-1][0] == ","
+                  and not stack[-1][2]):  # ``new C()`` or ``.m()``
+                done = stack.pop()[1](())
             else:
-                e = FieldAcc(e, name.text, name.span)
-        return e
+                raise MooError(
+                    f"expected an expression, found {t.text or 'end of input'!r}",
+                    t.span)
+            while True:
+                # ``done`` is a primary, or a postfix expression so far.
+                if self.peek().text == ".":
+                    self.next()
+                    name = self.ident("field or method name")
+                    if self.peek().text != "(":
+                        done = FieldAcc(done, name.text, name.span)
+                        continue
+                    self.next()
+                    stack.append((",", partial(Invoke, done, name.text,
+                                               span=name.span), []))
+                    break
+                # ``done`` is a finished postfix expression.
+                if stack and stack[-1][0] == "-":
+                    _, left, op = stack.pop()
+                    done = BinOp("-", left, done, op.span)
+                if self.peek().text == "-":
+                    stack.append(("-", done, self.next()))
+                    break
+                # ``done`` is a finished additive expression.
+                if stack and stack[-1][0] == "<=":
+                    _, left, op = stack.pop()
+                    done = BinOp("<=", left, done, op.span)
+                elif self.peek().text == "<=":
+                    stack.append(("<=", done, self.next()))
+                    break
+                # ``done`` is a finished expression.
+                while stack and stack[-1][0] == "if" and len(stack[-1][2]) == 2:
+                    _, tok, parts = stack.pop()
+                    done = If(*parts, done, tok.span)
+                if not stack:
+                    return done
+                kind = stack[-1][0]
+                if kind == "if":
+                    parts = stack[-1][2]
+                    parts.append(done)
+                    self.expect(")" if len(parts) == 1 else "else")
+                    break
+                if kind == "(":
+                    stack.pop()
+                    self.expect(")")
+                    continue
+                args = stack[-1][2]
+                args.append(done)
+                if self.peek().text == ",":
+                    self.next()
+                    break
+                self.expect(")")
+                done = stack.pop()[1](tuple(args))
 
-    def primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return IntLit(int(t.text), t.span)
-        if t.text == "true" or t.text == "false":
-            self.next()
-            return BoolLit(t.text == "true", t.span)
-        if t.text == "null":
-            self.next()
-            return Null(t.span)
-        if t.text == "this":
-            self.next()
-            return This(t.span)
-        if t.text == "new":
-            self.next()
-            cls = self.ident("class name")
-            self.expect("(")
-            args = self.call_args()
-            return New(cls.text, tuple(args), t.span)
-        if t.kind == "ident":
-            self.next()
-            return Var(t.text, t.span)
-        if t.text == "(":
-            self.next()
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise MooError(
-            f"expected an expression, found {t.text or 'end of input'!r}",
-            t.span)
-
-    def call_args(self) -> list:
+    def comma_list(self, item) -> list:
+        """``item()`` for each entry of a comma-separated list that ends in
+        ``)``, which is consumed."""
         if self.peek().text == ")":
             self.next()
             return []
-        args = [self.expr()]
+        out = [item()]
         while self.peek().text == ",":
             self.next()
-            args.append(self.expr())
+            out.append(item())
         self.expect(")")
-        return args
+        return out
 
     def param_list(self) -> tuple:
         self.expect("(")
-        if self.peek().text == ")":
-            self.next()
-            return ()
-        names = [self.ident("parameter name")]
-        while self.peek().text == ",":
-            self.next()
-            names.append(self.ident("parameter name"))
-        self.expect(")")
+        names = self.comma_list(lambda: self.ident("parameter name"))
         seen = set()
         for tok in names:
             if tok.text in seen:
@@ -406,12 +378,12 @@ class _MooParser:
         return ClassDecl(name.text, parent, tuple(fields), ctor, methods,
                          start.span)
 
-    def constructor(self, name_tok: _Tok) -> Constructor:
+    def constructor(self, name_tok: _Token) -> Constructor:
         params = self.param_list()
         self.expect("{")
         self.expect("super")
         self.expect("(")
-        super_args = tuple(self.call_args())
+        super_args = tuple(self.comma_list(self.expr))
         self.expect(";")
         assigns = []
         while self.peek().text == "this":
@@ -439,7 +411,7 @@ class _MooParser:
         return table
 
 
-def _check_assignments(fields: tuple, ctor: Constructor, name_tok: _Tok):
+def _check_assignments(fields: tuple, ctor: Constructor, name_tok: _Token):
     """The constructor must assign each declared field exactly once, in
     declaration order."""
     assigned = [f for f, _ in ctor.assigns]
@@ -473,11 +445,11 @@ def _check_cycles(table: ClassTable):
 
 
 def parse_classes(text: str, filename: str = "<moo>") -> ClassTable:
-    return _MooParser(text, filename).class_table()
+    return _parser(text, filename).class_table()
 
 
 def parse_expr(text: str, filename: str = "<expr>") -> Expr:
-    p = _MooParser(text, filename)
+    p = _parser(text, filename)
     e = p.expr()
     t = p.peek()
     if t.kind != "eof":

@@ -72,17 +72,18 @@ class _Token:
     span: SourceSpan
 
 
-def _tokenize(text: str, filename: str) -> list:
+def _tokenize(text: str, filename: str, token_re=_TOKEN_RE,
+              error=ParseError) -> list:
+    """The tokens of ``text`` under ``token_re``, then ``eof``; ``error`` on an
+    unknown character.  ``minioo`` passes its own regex and error class."""
     out = []
-    line, col = 1, 1
-    pos = 0
+    line, col, pos = 1, 1, 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             SourceSpan(filename, line, col, 1))
-        kind = m.lastgroup
-        tok = m.group()
+            raise error(f"unexpected character {text[pos]!r}",
+                        SourceSpan(filename, line, col, 1))
+        kind, tok = m.lastgroup, m.group()
         if kind not in ("ws", "comment"):
             out.append(_Token(kind, tok, SourceSpan(filename, line, col, len(tok))))
         newlines = tok.count("\n")
@@ -96,21 +97,15 @@ def _tokenize(text: str, filename: str) -> list:
     return out
 
 
-class _Parser:
-    def __init__(self, text: str, filename: str):
-        self.toks = _tokenize(text, filename)
-        self.i = 0
-        used = {t.text for t in self.toks if t.kind == "var"}
-        self._anon = self._anon_names(used)
+class _Cursor:
+    """A position in a token list, for both front ends; ``error`` is the
+    class of the errors it raises."""
 
-    @staticmethod
-    def _anon_names(used):
-        i = 0
-        while True:
-            name = f"_A{i}"
-            if name not in used:
-                yield name
-            i += 1
+    error = ParseError
+
+    def __init__(self, toks: list):
+        self.toks = toks
+        self.i = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -123,9 +118,25 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         t = self.next()
         if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.span)
+            raise self.error(
+                f"expected {text!r}, found {t.text or 'end of input'!r}", t.span)
         return t
+
+
+class _Parser(_Cursor):
+    def __init__(self, text: str, filename: str):
+        super().__init__(_tokenize(text, filename))
+        used = {t.text for t in self.toks if t.kind == "var"}
+        self._anon = self._anon_names(used)
+
+    @staticmethod
+    def _anon_names(used):
+        i = 0
+        while True:
+            name = f"_A{i}"
+            if name not in used:
+                yield name
+            i += 1
 
     # -- terms --------------------------------------------------------------
 

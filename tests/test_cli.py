@@ -414,6 +414,22 @@ def test_infer_bad_assumption_is_usage_error(capsys):
     assert "NAME=TYPE" in err
 
 
+def test_infer_reads_a_deep_expression(capsys):
+    n = 300
+    code, out, err = run(capsys, "infer", LISTS,
+                         "(" * n + "new EList()" + ")" * n)
+    assert code == 0, err
+    assert out == "R = obj(elist, [])\n"
+
+
+def test_infer_compiles_a_long_call_chain(capsys):
+    code, out, err = run(capsys, "infer", LISTS,
+                         "new EList()" + ".addLast(1)" * 1200,
+                         "--engine", "sld")
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in out + err and "internal error" not in err
+
+
 def test_infer_moo_parse_error_has_span(capsys, tmp_path):
     bad = tmp_path / "bad.moo"
     bad.write_text("class C extends Object { 42 }")

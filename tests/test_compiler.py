@@ -203,6 +203,38 @@ def test_repeated_variable_shares_one_logic_var():
     assert invoke.args[2] == parse_term("[X]")
 
 
+def test_result_names_skip_every_claimed_name():
+    goal, result = compile_expr(parse_expr("t2.m(t, new A(), new A()).n()"))
+    assert goal == parse_goal("new(a, [], R), new(a, [], R2), "
+                              "invoke(T2, m, [T, R, R2], T3), "
+                              "invoke(T3, n, [], T4)")
+    assert result == Var("T4")
+
+
+def test_compile_expr_of_a_deep_call_chain():
+    n = 10_000
+    goal, result = compile_expr(parse_expr("new EList()" + ".addLast(1)" * n))
+    names = ["R", "T"] + [f"T{k}" for k in range(2, n + 1)]
+    assert goal.atoms[0] == parse_goal("new(elist, [], R)").atoms[0]
+    assert len(goal.atoms) == n + 1
+    for k, atom in enumerate(goal.atoms[1:]):
+        assert atom.pred == "invoke"
+        assert atom.args[0] == Var(names[k])
+        assert atom.args[3] == Var(names[k + 1])
+    assert result == Var(f"T{n}")
+
+
+def test_compile_expr_of_a_deep_if_chain():
+    n = 10_000
+    goal, result = compile_expr(parse_expr("if (c) 1 else " * n + "0"))
+    assert goal.atoms == (parse_goal("eq(C, bool)").atoms[0],) * n
+    for _ in range(n):
+        assert result.functor == UNION_FUNCTOR
+        assert result.args[0] == Compound("int")
+        result = result.args[1]
+    assert result == Compound("int")
+
+
 # ---------------------------------------------------------------------------
 # End-to-end inference
 

@@ -17,6 +17,7 @@ from hornlog.minioo import (
     parse_classes,
     parse_expr,
 )
+from hornlog.syntax import ParseError
 
 LISTS_SRC = """
 class EList extends Object {
@@ -185,3 +186,97 @@ class Box {  // no explicit parent: object is implied
 """)
     assert ct.decl("box").fields == ("item",)
     assert ct.decl("box").parent == "object"
+
+
+# ---------------------------------------------------------------------------
+# Depth: the parser keeps its open constructs on a stack.  The results are
+# checked by walking them in a loop, since dataclass ``==`` on the AST
+# recurses.
+
+DEEP = 10_000
+
+
+def _spine(e, step) -> list:
+    """``e`` and the nodes reached from it by ``step`` until it gives None."""
+    out = [e]
+    while (e := step(e)) is not None:
+        out.append(e)
+    return out
+
+
+def test_parse_expr_nested_parentheses_at_any_depth():
+    e = parse_expr("(" * DEEP + "new EList()" + ")" * DEEP)
+    assert e == New("elist", ())
+    assert (e.span.line, e.span.column) == (1, DEEP + 1)
+
+
+def test_parse_expr_nested_new_arguments_at_any_depth():
+    e = parse_expr("new NEList(1, " * DEEP + "new EList()" + ")" * DEEP)
+    spine = _spine(e, lambda x: x.args[1] if x.args else None)
+    assert len(spine) == DEEP + 1
+    assert all(x.cls == "nelist" and x.args[0] == IntLit(1)
+               for x in spine[:-1])
+    assert spine[-1] == New("elist", ())
+    assert spine[-1].span.column == len("new NEList(1, ") * DEEP + 1
+
+
+def test_parse_expr_if_nested_in_else_at_any_depth():
+    e = parse_expr("if (c) 1 else " * DEEP + "0")
+    spine = _spine(e, lambda x: x.orelse if isinstance(x, If) else None)
+    assert len(spine) == DEEP + 1
+    assert all(x.cond == Var("c") and x.then == IntLit(1)
+               for x in spine[:-1])
+    assert spine[-1] == IntLit(0)
+    assert spine[1].span.column == len("if (c) 1 else ") + 1
+
+
+def test_parse_expr_minus_chain_at_any_depth():
+    e = parse_expr("n" + " - x.f" * DEEP)
+    spine = _spine(e, lambda x: x.lhs if isinstance(x, BinOp) else None)
+    assert len(spine) == DEEP + 1
+    assert all(x.op == "-" and x.rhs == FieldAcc(Var("x"), "f")
+               for x in spine[:-1])
+    assert spine[-1] == Var("n")
+    assert spine[0].span.column == len("n") + len(" - x.f") * (DEEP - 1) + 2
+
+
+def test_parse_expr_method_call_chain_at_any_depth():
+    e = parse_expr("new EList()" + ".addLast(1)" * DEEP)
+    spine = _spine(e, lambda x: x.target if isinstance(x, Invoke) else None)
+    assert len(spine) == DEEP + 1
+    assert all(x.method == "addlast" and x.args == (IntLit(1),)
+               for x in spine[:-1])
+    assert spine[-1] == New("elist", ())
+
+
+def test_parse_expr_nested_call_arguments_at_any_depth():
+    e = parse_expr("x.m(" * DEEP + "y" + ")" * DEEP)
+    spine = _spine(e, lambda x: x.args[0] if isinstance(x, Invoke) else None)
+    assert len(spine) == DEEP + 1
+    assert all(x.target == Var("x") and x.method == "m" and len(x.args) == 1
+               for x in spine[:-1])
+    assert spine[-1] == Var("y")
+
+
+def test_parse_classes_reads_a_deep_method_body():
+    body = "(" * DEEP + "this.m()" + ")" * DEEP
+    ct = parse_classes(f"class A {{ m() {{ {body} }} }}")
+    assert ct.decl("a").methods["m"].body == Invoke(This(), "m", ())
+
+
+def test_if_is_only_a_full_expression():
+    for text in ("1 - if (a) b else c", "x <= if (a) b else c"):
+        with pytest.raises(MooError, match="expected an expression, "
+                                           "found 'if'"):
+            parse_expr(text)
+    assert parse_expr("1 - (if (a) b else c)") == BinOp(
+        "-", IntLit(1), If(Var("a"), Var("b"), Var("c")))
+    assert parse_expr("x.m(if (a) b else c)") == Invoke(
+        Var("x"), "m", (If(Var("a"), Var("b"), Var("c")),))
+
+
+def test_moo_error_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_expr("x <= y <= z")
+    assert type(exc.value) is MooError
+    assert str(exc.value) == "<expr>:1:8: unexpected '<=' after expression"

@@ -19,14 +19,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hornlog"
 
 # (module, qualified function name): why its recursion is bounded.
 ALLOWED = {
-    ("compiler", "_compile_into"): "recurses on the depth of .moo source",
     ("engine", "_capped"): "at most 12 levels",
     ("fixpoint", "_prove_all"): "recurses on the stage count",
     ("fixpoint", "_down_ok"): "recurses on the stage count",
-    ("minioo", "expr_text"): "recurses on the depth of .moo source",
+    ("minioo", "expr_text"): "recurses on the depth of .moo source; only "
+                             "class_table_text calls it, and only tests",
 }
-# Every method of minioo's parser: they recurse on the depth of .moo source.
-ALLOWED_CLASSES = {("minioo", "_MooParser")}
 
 
 def _functions(tree: ast.Module) -> list:
@@ -99,11 +97,6 @@ def _recursive(tree: ast.Module) -> set:
     return on_cycle
 
 
-def _allowed(module: str, qual: str) -> bool:
-    return ((module, qual) in ALLOWED
-            or (module, qual.split(".")[0]) in ALLOWED_CLASSES)
-
-
 def _all_recursive() -> dict:
     return {path.stem: _recursive(ast.parse(path.read_text()))
             for path in sorted(SRC.glob("*.py"))}
@@ -112,7 +105,7 @@ def _all_recursive() -> dict:
 def test_no_function_recurses_unless_allow_listed():
     found = _all_recursive()
     bad = sorted(f"{module}.{qual}" for module, quals in found.items()
-                 for qual in quals if not _allowed(module, qual))
+                 for qual in quals if (module, qual) not in ALLOWED)
     assert bad == [], f"recursive functions not allow-listed: {bad}"
 
 
@@ -120,8 +113,6 @@ def test_the_allow_list_names_only_recursive_functions():
     found = _all_recursive()
     stale = sorted(f"{m}.{q}" for m, q in ALLOWED if q not in found[m])
     assert stale == []
-    for module, cls in ALLOWED_CLASSES:
-        assert any(q.startswith(cls + ".") for q in found[module])
 
 
 def test_the_guard_sees_direct_mutual_and_method_recursion():
