@@ -40,6 +40,14 @@ Cases:
   malformed sources and expressions; and seeded random expressions,
   printed with ``expr_text``, parsed back and compiled with
   ``compile_expr`` (the goal, the result and the type environment).
+* ``referee/<name>``: the fixpoint referee on the ``.lp`` samples with
+  finite fixpoints and on seeded ``random_lemma_program``s: ``up_member``
+  and ``down_member_with_proof`` of every atom of the ``d = 1, c = 1``
+  fragment at stages 0-3, and the ``check_transform_lemmas`` report.
+  ``referee/query/<i>``: ``up_member`` on seeded terminating queries at
+  stages 0-7.
+* ``proof/<sample>/<goal>/<engine>``: ``render_proof`` of every proof
+  variable of every answer each engine gives to a transformed goal.
 
 No case reads ``Compound.fp`` or anything else that depends on ``hash``
 salting.  A change that means to alter behaviour regenerates the file with
@@ -61,6 +69,7 @@ from pathlib import Path
 
 from genprog import (
     random_atom,
+    random_lemma_program,
     random_program,
     random_terminating_program,
     random_terminating_query,
@@ -75,6 +84,13 @@ from hornlog.engine import (
     productivity_report,
     sld_solve,
     sres_solve,
+)
+from hornlog.fixpoint import (
+    FragmentError,
+    build_fragment,
+    check_transform_lemmas,
+    down_member_with_proof,
+    up_member,
 )
 from hornlog.minioo import MooError, parse_classes, parse_expr
 from hornlog.syntax import (
@@ -92,6 +108,7 @@ from hornlog.syntax import (
 )
 from hornlog.terms import (
     EMPTY_ENV,
+    Atom,
     BindingEnv,
     Compound,
     Goal,
@@ -108,6 +125,12 @@ from hornlog.terms import (
     to_mu,
     unify,
 )
+from hornlog.transform import (
+    proof_vars,
+    render_proof,
+    transform_goal,
+    transform_program,
+)
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "behaviour.json"
@@ -118,6 +141,8 @@ RANDOM_TERMS = 1500
 RANDOM_PAIRS = 600
 RANDOM_PROGRAMS = 150
 RANDOM_EXPRS = 300
+REFEREE_PROGRAMS = 6
+REFEREE_QUERIES = 40
 TERMINATING_PROGRAMS = 50
 BUDGET = Budget(max_steps=150, max_depth=25, max_rewrite_steps=60,
                 max_subst_steps=40, max_answers=4)
@@ -753,12 +778,110 @@ def moo_cases() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The fixpoint referee
+
+_REFEREE_STAGES = range(4)
+_QUERY_STAGES = range(8)
+
+
+def _referee_programs() -> list:
+    pairs = [(name, parse_program((SAMPLES / f"{name}.lp").read_text()))
+             for name in ("zeros", "ex3", "subclass")]
+    rng = random.Random(20175)
+    pairs += [(f"random/{i}", random_lemma_program(rng))
+              for i in range(REFEREE_PROGRAMS)]
+    return pairs
+
+
+def _guarded(fn, *args) -> str:
+    """``fn(*args)`` as text, or the ``FragmentError`` it raises."""
+    try:
+        return str(fn(*args))
+    except FragmentError as exc:
+        return f"FragmentError {exc}"
+
+
+def _referee_text(p) -> str:
+    """``up_member`` and ``down_member_with_proof`` of every fragment atom
+    at stages 0-3, and the lemma report."""
+    lines = [f"program {clause_text(c)}" for c in p.clauses]
+    frag = build_fragment(p, 1, 1)
+    proof_side = transform_program(p).program
+    for a in frag.atoms.values():
+        shown = Atom(a.pred, tuple(resolve(frag.env, t, 1) for t in a.args))
+        ups = [_guarded(up_member, p, a, k, frag.env)
+               for k in _REFEREE_STAGES]
+        downs = [_guarded(down_member_with_proof, proof_side, a, k, frag)
+                 for k in _REFEREE_STAGES]
+        lines.append(f"{atom_text(shown)} up {' '.join(ups)} "
+                     f"down {' '.join(downs)}")
+    try:
+        report = check_transform_lemmas(p, n=3, d=1, c=1)
+    except FragmentError as exc:
+        lines.append(f"lemmas FragmentError {exc}")
+    else:
+        lines.append(f"lemmas {report.holds} {report.stages} "
+                     f"{report.fragment_atoms}")
+        lines += [f"  {line}" for line in report.counterexamples]
+    return "\n".join(lines)
+
+
+def referee_cases() -> dict:
+    cases = {f"referee/{name}": _referee_text(p)
+             for name, p in _referee_programs()}
+    rng = random.Random(20176)
+    for i in range(REFEREE_QUERIES):
+        p = random_terminating_program(rng)
+        goal = random_terminating_query(rng, p)
+        lines = [f"program {clause_text(c)}" for c in p.clauses]
+        lines.append(f"goal {goal_text(goal)} up " + " ".join(
+            _guarded(up_member, p, goal.atoms[0], k) for k in _QUERY_STAGES))
+        cases[f"referee/query/{i}"] = "\n".join(lines)
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# Proofs of transformed answers
+
+_PROOF_GOALS = [
+    ("zeros", "zeros(X)"),
+    ("ex3", "p(X)"),
+    ("ex3", "q(X)"),
+    ("ex3", "p(f(f(X))), q(a)"),
+    ("subclass", "subclass(X, Y)"),
+    ("subclass", "subclass(a, object)"),
+    ("from", "from(0, X)"),
+]
+
+
+def proof_cases() -> dict:
+    """``render_proof`` of every proof variable of every answer each engine
+    gives to the transformed goal."""
+    cases = {}
+    for name, text in _PROOF_GOALS:
+        tp = transform_program(parse_program(
+            (SAMPLES / f"{name}.lp").read_text()))
+        goal = transform_goal(parse_goal(text))
+        for engine, verdict in (
+                ("sld", sld_solve(goal, tp.program, BUDGET)),
+                ("colp", colp_solve(goal, tp.program, BUDGET)),
+                ("sres", sres_solve(goal, tp.program, BUDGET, lazy_k=2))):
+            lines = [f"{engine} {verdict.kind}"]
+            for answer in verdict.answers:
+                for v in proof_vars(goal):
+                    lines.append(f"{v} {answer.kind}")
+                    lines.append(render_proof(Var(v), tp, answer.bindings))
+            cases[f"proof/{name}/{text}/{engine}"] = "\n".join(lines)
+    return cases
+
+
+# ---------------------------------------------------------------------------
 
 
 def all_cases() -> dict:
     return {**term_cases(), **program_cases(), **oracle_cases(),
             **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases(),
-            **moo_cases()}
+            **moo_cases(), **referee_cases(), **proof_cases()}
 
 
 def _digest(text: str) -> str:
