@@ -57,8 +57,6 @@ class GroundFragment:
     universe: list = field(default_factory=list)
     atoms: dict = field(default_factory=dict)  # canon atom key -> Atom
     env: BindingEnv = EMPTY_ENV
-    depth: int = 0
-    cycles: int = 0
     cap: int = DEFAULT_CAP
     _interned: dict = field(default_factory=dict, repr=False)
 
@@ -138,7 +136,7 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
         funcs.add((INJECTED_CONSTANT, 0))
     constructors = sorted((n, a) for n, a in funcs if a > 0)
 
-    frag = GroundFragment(depth=d, cycles=c, cap=cap)
+    frag = GroundFragment(cap=cap)
 
     # Finite terms, by depth layers.
     for name in consts:
@@ -287,7 +285,6 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
 
 @dataclass
 class FixpointTrace:
-    direction: str  # up | down
     sets: list      # n+1 dicts of canon key -> Atom
     fixed_point: bool
     frag: GroundFragment
@@ -299,32 +296,62 @@ class FixpointTrace:
 def tp_up(p: Program, n: int, frag: GroundFragment,
           ignore_last: bool = False) -> FixpointTrace:
     """Iterate upward from the empty set: n+1 increasing sets."""
-    return _iterate("up", p, n, frag, ignore_last)
+    return _iterate({}, n, frag, lambda s: tp_step(p, s, frag, ignore_last))
 
 
 def tp_down(p: Program, n: int, frag: GroundFragment) -> FixpointTrace:
     """Iterate downward from the whole fragment: n+1 decreasing sets."""
-    return _iterate("down", p, n, frag, False)
+    return _iterate(dict(frag.atoms), n, frag, lambda s: {
+        k: a for k, a in tp_step(p, s, frag).items() if k in s})
 
 
-def _iterate(direction: str, p: Program, n: int, frag: GroundFragment,
-             ignore_last: bool) -> FixpointTrace:
-    sets = [{} if direction == "up" else dict(frag.atoms)]
+def _iterate(first: dict, n: int, frag: GroundFragment,
+             step) -> FixpointTrace:
+    """``first`` and n applications of ``step``; once a set repeats, the
+    rest repeat it without calling ``step``."""
+    sets = [first]
     fixed = False
     for _ in range(n):
         if fixed:
             sets.append(sets[-1])
             continue
-        nxt = tp_step(p, sets[-1], frag, ignore_last)
-        if direction == "down":
-            nxt = {k: a for k, a in nxt.items() if k in sets[-1]}
+        nxt = step(sets[-1])
         fixed = nxt.keys() == sets[-1].keys()
         sets.append(nxt)
-    return FixpointTrace(direction, sets, fixed, frag)
+    return FixpointTrace(sets, fixed, frag)
+
+
+def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
+                stage: dict) -> dict:
+    """The members of ``atoms`` (atoms by key, over the original signature)
+    that a clause of ``p_trans`` derives from ``stage``, each body atom keyed
+    without its proof argument.  In the downward chain of ``p_trans``, stage
+    0 is every fragment atom, and since stages only shrink, stage k is the
+    step of stage k-1 over the members of stage k-1.
+
+    Proof positions stay unconstrained variables: the downward iteration
+    only ever inspects k constructor layers of a proof, so any completion
+    works.
+    """
+    out = {}
+    for key, a in atoms.items():
+        for clause in p_trans.clauses_for((a.pred, len(a.args) + 1)):
+            rc, env0 = rename_apart(clause, frag.env)
+            stripped = Atom(rc.head.pred, rc.head.args[:-1])
+            u = unify_atoms(stripped, a, env0, occurs_check=False)
+            if u is None:
+                continue
+            orig_args = [t for b in rc.body for t in b.args[:-1]]
+            if any(all(frag.atom_key(b, envf, ignore_last=True) in stage
+                       for b in rc.body)
+                   for envf in _ground_leftovers(orig_args, u, frag)):
+                out[key] = a
+                break
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Goal-directed membership (no materialized fragment needed)
+# Membership of one atom
 
 
 def up_member(p: Program, a: Atom, k: int, env: BindingEnv = EMPTY_ENV) -> bool:
@@ -332,75 +359,41 @@ def up_member(p: Program, a: Atom, k: int, env: BindingEnv = EMPTY_ENV) -> bool:
     complete ground base?  Runs a stage-bounded proof search: an atom holds
     at stage k if some clause instance derives it with every body atom
     holding at stage k-1.  Exact — stages shrink, so the search terminates.
+    Each stack entry holds goals as a linked list ``((atom, stage), rest)``.
     """
-    env = bump_counter_past(env, p, a)
-    return next(_prove_all(p, (a,), env, k), None) is not None
-
-
-def _prove_all(p: Program, atoms, env: BindingEnv, stage: int):
-    if not atoms:
-        yield env
-        return
-    if stage <= 0:
-        return
-    first, rest = atoms[0], atoms[1:]
-    for clause in p.clauses_for(first.key):
-        rc, env0 = rename_apart(clause, env)
-        u = unify_atoms(rc.head, first, env0, occurs_check=False)
-        if u is None:
+    stack = [(((a, k), None), bump_counter_past(env, p, a))]
+    while stack:
+        goals, env = stack.pop()
+        if goals is None:
+            return True
+        (atom, stage), rest = goals
+        if stage <= 0:
             continue
-        for env1 in _prove_all(p, rc.body, u, stage - 1):
-            yield from _prove_all(p, rest, env1, stage)
+        for clause in reversed(p.clauses_for(atom.key)):
+            rc, env0 = rename_apart(clause, env)
+            u = unify_atoms(rc.head, atom, env0, occurs_check=False)
+            if u is not None:
+                sub = rest
+                for b in reversed(rc.body):
+                    sub = ((b, stage - 1), sub)
+                stack.append((sub, u))
+    return False
 
 
 def down_member_with_proof(p_trans: Program, a: Atom, k: int,
-                           frag: GroundFragment,
-                           memo: Optional[dict] = None) -> bool:
+                           frag: GroundFragment) -> bool:
     """Does some proof term accompany ``a`` into the k-th downward iteration
     of the proof-carrying program?
 
     ``a`` is an atom over the *original* signature, valid under the fragment
-    arena.  Proof positions stay unconstrained variables — the downward
-    iteration only ever inspects k constructor layers of a proof, so any
-    completion works once the recursion bottoms out.
+    arena.  Builds the chain up to stage k-1 and steps ``a`` alone from it,
+    which for a fragment atom reads stage k.
     """
-    if memo is None:
-        memo = {}
-    return _down_ok(p_trans, frag, a, frag.atom_key(a), k, memo)
-
-
-def _down_ok(p_trans, frag, a, key, k, memo) -> bool:
-    """``down_member_with_proof`` for the fragment atom ``a`` with key
-    ``key``; body atoms recurse with the keys they are stored under."""
     if k <= 0:
         return True
-    hit = memo.get((key, k))
-    if hit is not None:
-        return hit
-    result = False
-    for clause in p_trans.clauses_for((a.pred, len(a.args) + 1)):
-        rc, env0 = rename_apart(clause, frag.env)
-        stripped = Atom(rc.head.pred, rc.head.args[:-1])
-        u = unify_atoms(stripped, a, env0, occurs_check=False)
-        if u is None:
-            continue
-        orig_args = [t for b in rc.body for t in b.args[:-1]]
-        for envf in _ground_leftovers(orig_args, u, frag):
-            ok = True
-            for b in rc.body:
-                b_key = frag.atom_key(b, envf, ignore_last=True)
-                b_atom = frag.atoms.get(b_key)
-                if b_atom is None or not _down_ok(p_trans, frag, b_atom,
-                                                  b_key, k - 1, memo):
-                    ok = False
-                    break
-            if ok:
-                result = True
-                break
-        if result:
-            break
-    memo[(key, k)] = result
-    return result
+    chain = _iterate(dict(frag.atoms), k - 1, frag,
+                     lambda s: _proof_step(p_trans, frag, s, s))
+    return bool(_proof_step(p_trans, frag, {None: a}, chain.final()))
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +439,13 @@ def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
                 "outside the plain iteration")
 
     down_orig = tp_down(p, n, frag)
-    memo: dict = {}
+    down_trans = _iterate(dict(frag.atoms), n, frag,
+                          lambda s: _proof_step(tp.program, frag, s, s))
     for k in range(n + 1):
-        plain = down_orig.sets[k]
+        plain, proof_side = down_orig.sets[k], down_trans.sets[k]
         for key, atom in frag.atoms.items():
             lhs = key in plain
-            rhs = _down_ok(tp.program, frag, atom, key, k, memo)
+            rhs = key in proof_side
             if lhs != rhs:
                 counterexamples.append(
                     f"down k={k}: {_atom_repr(atom)} "

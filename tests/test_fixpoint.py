@@ -229,6 +229,14 @@ def test_up_member_agrees_with_materialized_chain():
             assert up_member(ADD, atom, k, frag.env) == (key in trace.sets[k])
 
 
+def test_up_member_on_a_long_body_does_not_recurse():
+    # The search keeps its conjuncts on a stack: 2,000 of them in one body
+    # cost no Python frames.
+    p = parse_program("p :- " + ", ".join(["q"] * 2000) + ". q.")
+    assert up_member(p, Atom("p", ()), 2)
+    assert not up_member(p, Atom("p", ()), 1)
+
+
 def test_sld_answers_inside_up_limit():
     frag = build_fragment(ADD, 2, 0)
     limit = tp_up(ADD, 4, frag).final()
@@ -276,6 +284,17 @@ def test_lemmas_vacuous_on_empty_program():
     report = check_transform_lemmas(parse_program(""), n=2, d=1, c=0)
     assert report.holds
     assert report.fragment_atoms == 0
+
+
+def test_lemma_check_caps_leftover_instantiations():
+    # The proof side grounds X, Y and Z over a 4-term universe: 64 choices.
+    p = parse_program("p(a) :- q(X), q(Y), q(Z). q(f(X)) :- q(X). q(a).")
+    with pytest.raises(FragmentError,
+                       match="leftover instantiation exceeds cap"):
+        check_transform_lemmas(p, n=2, d=3, c=0, cap=63)
+    report = check_transform_lemmas(p, n=2, d=3, c=0, cap=64)
+    assert report.holds, report.counterexamples
+    assert report.fragment_atoms == 8
 
 
 def test_lemma_check_keys_no_fragment_atom_again(monkeypatch):
