@@ -485,8 +485,10 @@ def expr_text(e: Expr, prec: int = 0) -> str:
              f"else {expr_text(e.orelse)}")
         return f"({s})" if prec > 0 else s
     if isinstance(e, BinOp):
+        # A left operand prints at ``-``'s level: ``-`` is left
+        # associative, and ``<=`` does not chain.
         mine = 1 if e.op == "<=" else 2
-        s = f"{expr_text(e.lhs, mine)} {e.op} {expr_text(e.rhs, mine + 1)}"
+        s = f"{expr_text(e.lhs, 2)} {e.op} {expr_text(e.rhs, mine + 1)}"
         return f"({s})" if prec > mine else s
     raise TypeError(f"not an expression node: {e!r}")
 

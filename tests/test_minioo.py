@@ -138,6 +138,19 @@ def test_roundtrip_through_printer():
     assert parse_expr(expr_text(e)) == e
 
 
+def test_printed_comparisons_parse_back():
+    a, b, c = Var("a"), Var("b"), Var("c")
+    for e, text in (
+            (BinOp("<=", BinOp("<=", a, b), c), "(a <= b) <= c"),
+            (BinOp("<=", a, BinOp("<=", b, c)), "a <= (b <= c)"),
+            (BinOp("-", BinOp("-", a, b), c), "a - b - c"),
+            (BinOp("-", a, BinOp("-", b, c)), "a - (b - c)"),
+            (BinOp("<=", BinOp("-", a, b), BinOp("-", b, c)), "a - b <= b - c"),
+            (BinOp("-", BinOp("<=", a, b), c), "(a <= b) - c")):
+        assert expr_text(e) == text
+        assert parse_expr(text) == e
+
+
 @pytest.mark.parametrize("src, message", [
     ("class A extends A { A() { super(); } }", "inheritance cycle"),
     ("class A extends B {} class B extends A {}", "inheritance cycle"),
