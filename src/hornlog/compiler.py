@@ -20,7 +20,7 @@ branch bodies, and the union of the branch results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union as TUnion
+from typing import Optional
 
 from hornlog import minioo as moo
 from hornlog.engine import (
@@ -50,7 +50,7 @@ from hornlog.transform import strip_verdict, transform_goal, transform_program
 
 #: Maps source variable names to the logic variable or closed type term
 #: standing for them during expression compilation.
-TypeEnv = Dict[str, Term]
+TypeEnv = dict[str, Term]
 
 _RUNTIME_SRC = """
 % method invocation on object types: defer to the receiver's class,

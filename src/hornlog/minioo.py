@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 from hornlog.syntax import ParseError, _Cursor, _Token, _tokenize
 from hornlog.terms import SourceSpan
@@ -114,7 +114,7 @@ class BinOp:
     span: Optional[SourceSpan] = field(default=None, compare=False)
 
 
-Expr = Union[Var, IntLit, BoolLit, Null, This, New, FieldAcc, Invoke, If, BinOp]
+Expr = Var | IntLit | BoolLit | Null | This | New | FieldAcc | Invoke | If | BinOp
 
 
 # ---------------------------------------------------------------------------

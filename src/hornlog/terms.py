@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class Compound:
 _set_fp = Compound.fp.__set__
 
 
-Term = Union[Var, Compound]
+Term = Var | Compound
 
 #: Functor used for bracket lists ``[a, b|T]`` and the empty list.
 LIST_FUNCTOR = "."
