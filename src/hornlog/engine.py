@@ -15,11 +15,12 @@ order, depth-first — and differ in how an atom may be closed or reduced:
 
 Every engine records a branch as one immutable chain of ``Step`` records,
 each linked to the step before it: its kind (``sld``, ``hyp``, ``rw`` or
-``su``), clause, selected atom and the environments around it.  What the
-engines report about a branch is read off that chain: colp's ancestors (walk
-``prev``, most recent first), the trace lines (rendered only when an answer
-is built), the selected atoms of a certificate, and a node's ``rule``.
-Structural resolution extends the chain only when a trace is asked for.
+``su``), clause, selected atom and, when a trace is asked for, the bindings
+its trace line shows, rendered when the step is taken.  What the engines
+report about a branch is read off that chain: colp's ancestors (walk
+``prev``, most recent first), the trace lines and the selected atoms of a
+certificate.  Structural resolution extends the chain only when a trace is
+asked for.
 
 A diverging rewriting phase is evidence against universal observability and
 turns into a ``not_universally_observable`` verdict carrying the witness,
@@ -75,15 +76,14 @@ class Step:
     """One reduction on a branch, linked to the branch's previous step.
 
     ``ref`` is the clause index, or for a ``hyp`` step how many steps back
-    the closing ancestor was selected; ``before`` and ``after`` are the
-    environments around the step."""
+    the closing ancestor was selected; ``bound`` holds the ``(name, term)``
+    pairs of the step's trace line, or None when no trace is asked for."""
 
     kind: str  # sld | hyp | rw | su
     ref: int
     atom_index: int
     atom: Atom
-    before: BindingEnv
-    after: BindingEnv
+    bound: Optional[list]
     prev: Optional["Step"] = field(repr=False)
 
 
@@ -95,22 +95,6 @@ def _chain(step: Optional[Step]) -> list:
         step = step.prev
     out.reverse()
     return out
-
-
-@dataclass
-class DerivationNode:
-    goal: Goal
-    env: BindingEnv
-    depth: int = 0
-    step: Optional[Step] = field(default=None, repr=False)
-
-    @property
-    def rule(self) -> Optional[str]:
-        if self.step is None:
-            return None
-        if self.step.kind == "hyp":
-            return f"hyp ancestor {self.step.ref}"
-        return f"{self.step.kind} clause {self.step.ref}"
 
 
 @dataclass
@@ -165,38 +149,21 @@ class ProductivityReport:
 
 
 def goal_var_names(g: Goal) -> tuple:
-    names = []
-    for a in g.atoms:
-        for t in a.args:
-            for v in term_vars(t):
-                if v.name not in names:
-                    names.append(v.name)
-    return tuple(names)
+    """The goal's variable names, each once, in order of first occurrence."""
+    return tuple(dict.fromkeys(v.name for a in g.atoms for t in a.args
+                               for v in term_vars(t)))
 
 
-def _capped(t, depth: int = 12):
-    """Copy of ``t`` truncated at ``depth``; elided subtrees become ``_``.
-
-    Trace and witness lines pass through here: ``resolve`` already cuts
-    cycles, but an acyclic chain of bindings can still be arbitrarily deep
-    and displays are expected to stay line-sized."""
-    if isinstance(t, Var):
-        return t
-    if depth == 0:
-        return Var("_")
-    return Compound(t.functor, tuple(_capped(a, depth - 1) for a in t.args))
-
-
-def _new_bindings(child_env: BindingEnv, parent_env: BindingEnv) -> list:
-    out = []
-    for name in sorted(child_env.bindings.keys() - parent_env.bindings.keys()):
-        out.append((name, _capped(resolve(child_env, Var(name), 2))))
-    return out
+def _new_bindings(env: BindingEnv, parent: BindingEnv) -> list:
+    """What a step bound, as its trace line shows it: each name ``env`` binds
+    and ``parent`` does not, resolved to at most 12 levels so that a line
+    stays line-sized however long the chain of bindings behind it."""
+    return [(name, resolve(env, Var(name), 2, cut=12))
+            for name in sorted(env.bindings.keys() - parent.bindings.keys())]
 
 
 def _trace_lines(step: Optional[Step]) -> list:
-    return [syntax.trace_line(n, s.kind, s.ref, s.atom_index,
-                              _new_bindings(s.after, s.before))
+    return [syntax.trace_line(n, s.kind, s.ref, s.atom_index, s.bound)
             for n, s in enumerate(_chain(step), start=1)]
 
 
@@ -204,47 +171,45 @@ def _trace_lines(step: Optional[Step]) -> list:
 # Single steps
 
 
-def _child(node: DerivationNode, goal: Goal, kind: str, ref: int,
-           env: BindingEnv) -> DerivationNode:
-    step = Step(kind, ref, 0, node.goal.atoms[0], node.env, env, node.step)
-    return DerivationNode(goal, env, node.depth + 1, step)
-
-
-def sld_step(node: DerivationNode, p: Program, occurs_check: bool = True) -> list:
-    """Children of ``node`` under SLD resolution, in clause order."""
-    if not node.goal.atoms:
+def sld_step(atoms: tuple, env: BindingEnv, p: Program,
+             occurs_check: bool = True) -> list:
+    """Resolvents of ``atoms`` under SLD resolution, in clause order, as
+    ``(atoms, env, "sld", clause index)``."""
+    if not atoms:
         return []
-    selected = node.goal.atoms[0]
-    rest = node.goal.atoms[1:]
+    selected = atoms[0]
+    rest = atoms[1:]
     children = []
     for clause in p.clauses_for(selected.key):
-        rc, env2 = rename_apart(clause, node.env)
+        rc, env2 = rename_apart(clause, env)
         u = unify_atoms(rc.head, selected, env2, occurs_check)
         if u is None:
             continue
-        children.append(_child(node, Goal(rc.body + rest), "sld", clause.idx, u))
+        children.append((rc.body + rest, u, "sld", clause.idx))
     return children
 
 
-def colp_step(node: DerivationNode, p: Program) -> list:
-    """Children under the coinductive discipline: hypothesis closures against
-    same-predicate ancestors (most recent first) come before clause children;
-    unification runs without the occurs check."""
-    if not node.goal.atoms:
+def colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
+              p: Program) -> list:
+    """Resolvents under the coinductive discipline, the branch ending at
+    ``last``: hypothesis closures against same-predicate ancestors (most
+    recent first, as ``(atoms, env, "hyp", steps back)``) come before clause
+    resolvents; unification runs without the occurs check."""
+    if not atoms:
         return []
-    selected = node.goal.atoms[0]
-    rest = node.goal.atoms[1:]
+    selected = atoms[0]
+    rest = atoms[1:]
     children = []
     back = 0
-    anc = node.step
+    anc = last
     while anc is not None:
         back += 1
         if anc.atom.key == selected.key:
-            u = unify_atoms(anc.atom, selected, node.env, occurs_check=False)
+            u = unify_atoms(anc.atom, selected, env, occurs_check=False)
             if u is not None:
-                children.append(_child(node, Goal(rest), "hyp", back, u))
+                children.append((rest, u, "hyp", back))
         anc = anc.prev
-    children.extend(sld_step(node, p, occurs_check=False))
+    children.extend(sld_step(atoms, env, p, occurs_check=False))
     return children
 
 
@@ -281,28 +246,29 @@ def _dfs_solve(g: Goal, p: Program, b: Budget, step_fn, want_trace: bool,
                certificate: bool) -> Verdict:
     env0 = bump_counter_past(EMPTY_ENV, p, g)
     goal_vars = goal_var_names(g)
-    root = DerivationNode(goal=g, env=env0)
-    stack = [root]
+    stack = [(g.atoms, env0, 0, None)]
     answers = []
     steps = 0
     truncated = False
     while stack:
-        node = stack.pop()
-        if not node.goal.atoms:
-            answers.append(_answer(node.env, goal_vars, steps, node.step,
-                                   want_trace, certificate))
+        atoms, env, depth, last = stack.pop()
+        if not atoms:
+            answers.append(_answer(env, goal_vars, steps, last, want_trace,
+                                   certificate))
             if b.max_answers and len(answers) >= b.max_answers:
                 break
             continue
         if steps >= b.max_steps:
             truncated = True
             break
-        if node.depth >= b.max_depth:
+        if depth >= b.max_depth:
             truncated = True
             continue
         steps += 1
-        children = step_fn(node)
-        stack.extend(reversed(children))
+        for atoms2, env2, kind, ref in reversed(step_fn(atoms, env, last)):
+            bound = _new_bindings(env2, env) if want_trace else None
+            stack.append((atoms2, env2, depth + 1,
+                          Step(kind, ref, 0, atoms[0], bound, last)))
     return _verdict(answers, truncated, steps)
 
 
@@ -310,14 +276,18 @@ def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
               occurs_check: bool = True, trace: bool = False,
               certificate: bool = False) -> Verdict:
     """Depth-first SLD resolution; collects every answer reachable in budget."""
-    return _dfs_solve(g, p, b, lambda n: sld_step(n, p, occurs_check), trace,
-                      certificate)
+    return _dfs_solve(g, p, b,
+                      lambda atoms, env, last: sld_step(atoms, env, p,
+                                                        occurs_check),
+                      trace, certificate)
 
 
 def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
                trace: bool = False, certificate: bool = False) -> Verdict:
     """SLD plus the coinductive hypothesis rule; computes rational answers."""
-    return _dfs_solve(g, p, b, lambda n: colp_step(n, p), trace, certificate)
+    return _dfs_solve(g, p, b,
+                      lambda atoms, env, last: colp_step(atoms, env, last, p),
+                      trace, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +346,8 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
                 if isinstance(x, Compound):
                     consumed[x.functor] = consumed.get(x.functor, 0) + 1
         if collect_trace:
-            last = Step("rw", clause.idx, ai, atoms[ai], cur_env, sigma, last)
+            last = Step("rw", clause.idx, ai, atoms[ai],
+                        _new_bindings(sigma, cur_env), last)
         history.append((atoms, cur_env))
         atoms = atoms[:ai] + rc.body + atoms[ai + 1:]
         cur_env = sigma
@@ -387,7 +358,8 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
 
 
 def _goal_snapshot(atoms, env: BindingEnv, limit: int = 6) -> str:
-    shown = [syntax.term_text(_capped(resolve(env, Compound(a.pred, a.args), 2)))
+    shown = [syntax.term_text(resolve(env, Compound(a.pred, a.args), 2,
+                                      cut=12))
              for a in atoms[:limit]]
     if len(atoms) > limit:
         shown.append("...")
@@ -465,8 +437,9 @@ def _structural_walk(g: Goal, p: Program, b: Budget,
         for goal2, env2, clause_idx, ai in reversed(options):
             substs += 1
             steps += 1
-            step = (Step("su", clause_idx, ai, goal2.atoms[ai], rw.env, env2,
-                         rw.last) if trace else None)
+            step = (Step("su", clause_idx, ai, goal2.atoms[ai],
+                         _new_bindings(env2, rw.env), rw.last)
+                    if trace else None)
             stack.append((goal2.atoms, env2, branch_substs + 1, step))
         yield rw, options, steps, substs
 

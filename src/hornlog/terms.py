@@ -451,18 +451,26 @@ def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Opt
 # Resolving, cycle detection, finite unfolding
 
 
-def resolve(env: BindingEnv, t: Term, depth: int = 8) -> Term:
+def resolve(env: BindingEnv, t: Term, depth: int = 8,
+            cut: Optional[int] = None) -> Term:
     """Substitute bindings into ``t``, unfolding each cycle at most ``depth``
     times; cut points are replaced by their variable.
 
     Acyclic bindings are substituted fully regardless of ``depth``.  Counting
     is per cyclic node along the current path, so sibling branches each get
-    the full budget.
+    the full budget.  A cut point is named by the first variable, depth
+    first and left to right, that reaches its node.
+
+    With ``cut``, a compound that would sit ``cut`` levels below the root
+    becomes ``_`` and is not walked, so a display costs what it prints.  A
+    cut point still prints as its variable at any level, named by the first
+    variable that reaches its node no more than ``cut`` levels down.
     """
     bindings = env._b
     counts: dict = {}
     varname: dict = {}
     cyc_cache: dict = {}
+    level = 0  # compounds open on the stack: the level of the next term
 
     def cyclic(node: Compound) -> bool:
         """Does ``node`` lie on a cycle?  Every node on one counts, not
@@ -478,6 +486,7 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8) -> Term:
     while stack:
         x = stack.pop()
         if x.__class__ is tuple:  # (node, nid): node's arguments are built
+            level -= 1
             node, nid = x
             k = len(out) - len(node.args)
             built = Compound(node.functor, tuple(out[k:]), node.span)
@@ -487,19 +496,23 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8) -> Term:
                 counts[nid] -= 1
             continue
         if isinstance(x, Compound):
-            stack.append((x, None))
-            stack.extend(reversed(x.args))
+            w, nid = x, None
+        else:
+            w = _walk(bindings, x)
+            if isinstance(w, Var):
+                out.append(w)
+                continue
+            nid = id(w)
+            varname.setdefault(nid, x.name)
+            if counts.get(nid, 0) >= depth and cyclic(w):
+                out.append(Var(varname[nid]))
+                continue
+        if level == cut:
+            out.append(Var("_"))
             continue
-        w = _walk(bindings, x)
-        if isinstance(w, Var):
-            out.append(w)
-            continue
-        nid = id(w)
-        varname.setdefault(nid, x.name)
-        if counts.get(nid, 0) >= depth and cyclic(w):
-            out.append(Var(varname[nid]))
-            continue
-        counts[nid] = counts.get(nid, 0) + 1
+        level += 1
+        if nid is not None:
+            counts[nid] = counts.get(nid, 0) + 1
         stack.append((w, nid))
         stack.extend(reversed(w.args))
     return out[0]

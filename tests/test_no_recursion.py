@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hornlog"
 
 # (module, qualified function name): why its recursion is bounded.
 ALLOWED = {
-    ("engine", "_capped"): "at most 12 levels",
     ("minioo", "expr_text"): "recurses on the depth of .moo source; only "
                              "class_table_text calls it, and only tests",
 }

@@ -339,6 +339,74 @@ def test_has_cycle_on_deep_terms_does_not_recurse():
     assert has_cycle(ring, Var("X0"))
 
 
+def ref_capped(t, depth):
+    """Copy of a resolved ``t`` with every compound ``depth`` levels down
+    replaced by ``_``: the cut as displays made it after a full resolve."""
+    if isinstance(t, Var):
+        return t
+    if depth == 0:
+        return Var("_")
+    return Compound(t.functor, tuple(ref_capped(a, depth - 1) for a in t.args))
+
+
+def _blur(t, env):
+    """``t`` with every variable bound in ``env`` renamed to one placeholder:
+    those are the cycle cut points, whose names the cut may change."""
+    if isinstance(t, Var):
+        return Var("?") if t.name in env.bindings else t
+    return Compound(t.functor, tuple(_blur(a, env) for a in t.args))
+
+
+_CUT_VARS = [f"X{i}" for i in range(6)]
+
+
+def _cut_term(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.7:
+            return Var(rng.choice(_CUT_VARS))
+        return const(rng.choice(["a", "b"]))
+    name, arity = rng.choice([("f", 1), ("g", 2), ("h", 1)])
+    return Compound(name, tuple(_cut_term(rng, depth - 1)
+                                for _ in range(arity)))
+
+
+def test_resolve_with_cut_is_capped_resolve_up_to_cycle_names():
+    rng = random.Random(11)
+    renamed = 0
+    for _ in range(1200):
+        # Many aliases, so that several variables reach one cyclic node.
+        bindings = {}
+        for name in _CUT_VARS:
+            r = rng.random()
+            if r < 0.4:
+                bindings[name] = _cut_term(rng, 3)
+            elif r < 0.8:
+                bindings[name] = Var(rng.choice(_CUT_VARS))
+        env = BindingEnv(bindings)
+        t = _cut_term(rng, 4)
+        for depth in (0, 1, 2):
+            full = resolve(env, t, depth)
+            for cut in (1, 2, 3, 12):
+                got = resolve(env, t, depth, cut=cut)
+                want = ref_capped(full, cut)
+                assert _blur(got, env) == _blur(want, env), (env.bindings, t)
+                renamed += got != want
+    assert renamed > 0
+
+
+def test_resolve_with_cut_names_a_cycle_from_the_printed_part():
+    # Y reaches X's cycle first, but only below the cut, so the cut point
+    # that prints is named X; resolving in full and then cutting names it Y.
+    env = BindingEnv({"X": Compound("f", (Var("X"),)), "Y": Var("X")})
+    h3 = Compound("h", (Compound("h", (Compound("h", (Var("Y"),)),)),))
+    t = Compound("pair", (h3, Var("X")))
+    elided = Compound("h", (Compound("h", (Var("_"),)),))
+    f2 = Compound("f", (Compound("f", (Var("X"),)),))
+    assert resolve(env, t, 2, cut=3) == Compound("pair", (elided, f2))
+    assert ref_capped(resolve(env, t, 2), 3) == Compound(
+        "pair", (elided, Compound("f", (Compound("f", (Var("Y"),)),))))
+
+
 # ---------------------------------------------------------------------------
 # MuTerm round trips
 
