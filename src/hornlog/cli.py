@@ -46,7 +46,7 @@ from hornlog.syntax import (
     program_text,
     term_text,
 )
-from hornlog.terms import Atom, BindingEnv, Var, canon_key, to_mu
+from hornlog.terms import Atom, BindingEnv, Compound, Var, canon_key, to_mu
 from hornlog.transform import (
     TransformError,
     strip_verdict,
@@ -114,9 +114,11 @@ def _report_verdict(verdict: Verdict, args) -> int:
     seen = set()
     for answer in verdict.answers:
         # Backtracking revisits the same rational answer at every unrolling
-        # depth; print each answer once up to bisimulation.
-        key = (answer.kind, tuple(canon_key(Var(n), answer.bindings)
-                                  for n in answer.goal_vars))
+        # depth; print each answer once up to bisimulation.  The goal
+        # variables share one term graph, so key them together: two
+        # wrappers are bisimilar exactly when their children are.
+        goal = Compound("", tuple(Var(n) for n in answer.goal_vars))
+        key = (answer.kind, canon_key(goal, answer.bindings))
         if key in seen:
             continue
         seen.add(key)

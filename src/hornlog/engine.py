@@ -218,7 +218,9 @@ def colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
 
 
 def _classify(env: BindingEnv, goal_vars: tuple) -> str:
-    if any(has_cycle(env, Var(n)) for n in goal_vars):
+    # One walk from a wrapper of all goal variables finds a back edge
+    # exactly when a walk from some goal variable would.
+    if has_cycle(env, Compound("", tuple(Var(n) for n in goal_vars))):
         return "rational"
     return "total"
 

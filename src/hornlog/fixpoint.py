@@ -19,6 +19,8 @@ A fragment member is identified by its canonical key, and ``GroundFragment``
 is the one place that computes it: each term and atom argument entering the
 fragment is keyed once, and the loops below carry the keys of the atoms they
 hold (from ``frag.atoms`` or from a stage set) instead of keying them again.
+``tp_step`` and ``_proof_step`` join clause bodies against a stage with one
+generator, ``_joins``, which scans members and keys none.
 """
 
 from __future__ import annotations
@@ -202,19 +204,19 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
 # The immediate-consequence operator
 
 
-def _ground_leftovers(args, env: BindingEnv, frag: GroundFragment):
-    free = list(dict.fromkeys(x.name for x in subterms(args, env)
-                              if isinstance(x, Var)))
-    if not free:
-        yield env
-        return
-    if len(frag.universe) ** len(free) > frag.cap:
-        raise FragmentError("leftover instantiation exceeds cap")
-    for combo in itertools.product(frag.universe, repeat=len(free)):
-        e = env
-        for name, t in zip(free, combo):
-            e = e.bind(name, t)
-        yield e
+def _joins(body, by_pred: dict, env: BindingEnv):
+    """Each extension of ``env`` under which every atom of ``body`` unifies
+    with a member of ``by_pred`` (atoms by predicate key), depth first."""
+    stack = [(0, env)]
+    while stack:
+        i, env = stack.pop()
+        if i == len(body):
+            yield env
+            continue
+        for member in by_pred.get(body[i].key, ()):
+            u = unify_atoms(body[i], member, env, occurs_check=False)
+            if u is not None:
+                stack.append((i + 1, u))
 
 
 def tp_step(p: Program, s: dict, frag: GroundFragment,
@@ -224,7 +226,7 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
 
     ``s`` maps canonical atom keys to representative atoms (all valid under
     the fragment arena).  Clause bodies are joined against ``s``; head
-    variables the body leaves free are instantiated from the term universe.
+    variables the body leaves free are instantiated from fragment atoms.
     With ``ignore_last`` the fragment restriction skips each atom's final
     argument — the mode used for programs carrying proof arguments, whose
     proof terms are not fragment members.
@@ -239,25 +241,12 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
     for clause in p.clauses:
         rc, env0 = rename_apart(clause, frag.env)
         head = rc.head
-        stack = [(0, env0)]
-        while stack:
-            i, env = stack.pop()
-            if i < len(rc.body):
-                for member in by_pred.get(rc.body[i].key, ()):
-                    u = unify_atoms(rc.body[i], member, env,
-                                    occurs_check=False)
-                    if u is not None:
-                        stack.append((i + 1, u))
-                continue
-            # Instantiate whatever the body join left free by unifying the
-            # head against the fragment's own atoms: every admissible ground
-            # instance *is* a fragment atom, so this enumerates exactly the
-            # instantiations a product over the term universe would find,
-            # without the universe^arity blowup, and each instance takes the
-            # key of the atom it unified with.  (With ``ignore_last`` the
-            # proof argument stays out of the key, so proof variables simply
-            # remain free in the stored representative: any junk grounding
-            # would witness the same key.)
+        for env in _joins(rc.body, by_pred, env0):
+            # Every admissible ground instance of the head *is* a fragment
+            # atom, so unifying with those finds exactly what a product over
+            # the universe would, and each instance takes its atom's key.
+            # (With ``ignore_last`` proof variables stay free in the stored
+            # representative: any grounding would witness the same key.)
             width = len(head.args) - (1 if ignore_last else 0)
             trimmed = Atom(head.pred, head.args[:width])
             if not any(isinstance(x, Var)
@@ -324,27 +313,36 @@ def _iterate(first: dict, n: int, frag: GroundFragment,
 def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
                 stage: dict) -> dict:
     """The members of ``atoms`` (atoms by key, over the original signature)
-    that a clause of ``p_trans`` derives from ``stage``, each body atom keyed
+    that a clause of ``p_trans`` derives from ``stage``, each atom read
     without its proof argument.  In the downward chain of ``p_trans``, stage
     0 is every fragment atom, and since stages only shrink, stage k is the
     step of stage k-1 over the members of stage k-1.
 
-    Proof positions stay unconstrained variables: the downward iteration
-    only ever inspects k constructor layers of a proof, so any completion
-    works.
+    A body atom the head unifier leaves ground is looked up by key; the
+    rest join ``stage`` as in ``tp_step``.  The universe is closed under
+    subterms, so whatever the join binds a body-only variable to, a product
+    over the universe would have tried too.  Proof positions stay
+    unconstrained: the downward iteration only inspects k constructor
+    layers of a proof, so any completion works.
     """
+    by_pred = {}
+    for a in stage.values():
+        by_pred.setdefault(a.key, []).append(a)
     out = {}
     for key, a in atoms.items():
         for clause in p_trans.clauses_for((a.pred, len(a.args) + 1)):
             rc, env0 = rename_apart(clause, frag.env)
-            stripped = Atom(rc.head.pred, rc.head.args[:-1])
-            u = unify_atoms(stripped, a, env0, occurs_check=False)
+            u = unify_atoms(Atom(rc.head.pred, rc.head.args[:-1]), a, env0,
+                            occurs_check=False)
             if u is None:
                 continue
-            orig_args = [t for b in rc.body for t in b.args[:-1]]
-            if any(all(frag.atom_key(b, envf, ignore_last=True) in stage
-                       for b in rc.body)
-                   for envf in _ground_leftovers(orig_args, u, frag)):
+            ground, joined = [], []
+            for b in rc.body:
+                b = Atom(b.pred, b.args[:-1])
+                free = any(isinstance(x, Var) for x in subterms(b.args, u))
+                (joined if free else ground).append(b)
+            if (all(frag.atom_key(b, u) in stage for b in ground)
+                    and next(_joins(joined, by_pred, u), None) is not None):
                 out[key] = a
                 break
     return out
@@ -386,8 +384,9 @@ def down_member_with_proof(p_trans: Program, a: Atom, k: int,
     of the proof-carrying program?
 
     ``a`` is an atom over the *original* signature, valid under the fragment
-    arena.  Builds the chain up to stage k-1 and steps ``a`` alone from it,
-    which for a fragment atom reads stage k.
+    arena.  Each call builds the chain up to stage k-1 and steps ``a`` from
+    it (for a fragment atom, reading stage k); to ask about many atoms,
+    build the chain once with ``_iterate`` instead.
     """
     if k <= 0:
         return True

@@ -463,34 +463,49 @@ def parse_expr(text: str, filename: str = "<expr>") -> Expr:
 # Precedence levels for parenthesization: if (0) < <= (1) < - (2) < postfix.
 
 def expr_text(e: Expr, prec: int = 0) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, Null):
-        return "null"
-    if isinstance(e, This):
-        return "this"
-    if isinstance(e, New):
-        return f"new {e.cls}(" + ", ".join(expr_text(a) for a in e.args) + ")"
-    if isinstance(e, FieldAcc):
-        return expr_text(e.target, 3) + "." + e.fld
-    if isinstance(e, Invoke):
-        args = ", ".join(expr_text(a) for a in e.args)
-        return f"{expr_text(e.target, 3)}.{e.method}({args})"
-    if isinstance(e, If):
-        s = (f"if ({expr_text(e.cond)}) {expr_text(e.then, 1)} "
-             f"else {expr_text(e.orelse)}")
-        return f"({s})" if prec > 0 else s
-    if isinstance(e, BinOp):
-        # A left operand prints at ``-``'s level: ``-`` is left
-        # associative, and ``<=`` does not chain.
-        mine = 1 if e.op == "<=" else 2
-        s = f"{expr_text(e.lhs, 2)} {e.op} {expr_text(e.rhs, mine + 1)}"
-        return f"({s})" if prec > mine else s
-    raise TypeError(f"not an expression node: {e!r}")
+    """Render an expression, of any depth: an explicit stack holds the text
+    still to come, as in ``syntax.term_text``."""
+    pieces: list = []
+    stack: list = [(e, prec)]  # text pieces and (expr, precedence) items
+    while stack:
+        x = stack.pop()
+        if x.__class__ is str:
+            pieces.append(x)
+            continue
+        e, prec = x
+        if isinstance(e, Var):
+            pieces.append(e.name)
+        elif isinstance(e, IntLit):
+            pieces.append(str(e.value))
+        elif isinstance(e, BoolLit):
+            pieces.append("true" if e.value else "false")
+        elif isinstance(e, Null):
+            pieces.append("null")
+        elif isinstance(e, This):
+            pieces.append("this")
+        elif isinstance(e, FieldAcc):
+            stack.extend(reversed([(e.target, 3), "." + e.fld]))
+        elif isinstance(e, (New, Invoke)):
+            todo = ([f"new {e.cls}("] if isinstance(e, New)
+                    else [(e.target, 3), f".{e.method}("])
+            for arg in e.args:
+                todo += [(arg, 0), ", "]
+            if e.args:
+                todo.pop()
+            stack.extend(reversed(todo + [")"]))
+        elif isinstance(e, If):
+            todo = ["if (", (e.cond, 0), ") ", (e.then, 1), " else ",
+                    (e.orelse, 0)]
+            stack.extend(reversed(["(", *todo, ")"] if prec > 0 else todo))
+        elif isinstance(e, BinOp):
+            # A left operand prints at ``-``'s level: ``-`` is left
+            # associative, and ``<=`` does not chain.
+            mine = 1 if e.op == "<=" else 2
+            todo = [(e.lhs, 2), f" {e.op} ", (e.rhs, mine + 1)]
+            stack.extend(reversed(["(", *todo, ")"] if prec > mine else todo))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+    return "".join(pieces)
 
 
 def class_table_text(ct: ClassTable) -> str:

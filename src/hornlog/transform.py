@@ -53,8 +53,7 @@ class TransformedProgram:
 
 
 def _reserved(name: str) -> bool:
-    return (KAPPA_PREFIX in name or PROOF_VAR_PREFIX in name
-            or CLAUSE_VAR_PREFIX in name)
+    return name.startswith((KAPPA_PREFIX, PROOF_VAR_PREFIX, CLAUSE_VAR_PREFIX))
 
 
 def _check_clause_namespace(c: Clause) -> None:

@@ -195,15 +195,20 @@ def _step_by_product(p, s, frag):
 
 
 def test_tp_step_matches_grounding_by_product():
+    # The proof-carrying step joins the same way, so it keeps exactly the
+    # members of ``s`` that the product derives.
     rng = random.Random(0x7E57)
     stages = 0
     for _ in range(40):
         p = random_lemma_program(rng)
+        p_trans = transform_program(p).program
         frag = build_fragment(p, 1, 1)
         for trace in (tp_up(p, 4, frag), tp_down(p, 4, frag)):
             for s in trace.sets:
-                assert set(tp_step(p, s, frag)) == _step_by_product(p, s,
-                                                                    frag)
+                by_product = _step_by_product(p, s, frag)
+                assert set(tp_step(p, s, frag)) == by_product
+                assert set(fixpoint._proof_step(p_trans, frag, s, s)) \
+                    == set(s) & by_product
                 stages += 1
     assert stages == 400
 
@@ -287,12 +292,11 @@ def test_lemmas_vacuous_on_empty_program():
 
 
 def test_lemma_check_caps_leftover_instantiations():
-    # The proof side grounds X, Y and Z over a 4-term universe: 64 choices.
+    # The proof side binds X, Y and Z by joining the stage, not by a product
+    # over the 4-term universe (64 choices), so the fragment's own cap is
+    # the only one.
     p = parse_program("p(a) :- q(X), q(Y), q(Z). q(f(X)) :- q(X). q(a).")
-    with pytest.raises(FragmentError,
-                       match="leftover instantiation exceeds cap"):
-        check_transform_lemmas(p, n=2, d=3, c=0, cap=63)
-    report = check_transform_lemmas(p, n=2, d=3, c=0, cap=64)
+    report = check_transform_lemmas(p, n=2, d=3, c=0, cap=8)
     assert report.holds, report.counterexamples
     assert report.fragment_atoms == 8
 

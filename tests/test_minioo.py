@@ -271,6 +271,20 @@ def test_parse_expr_nested_call_arguments_at_any_depth():
     assert spine[-1] == Var("y")
 
 
+@pytest.mark.parametrize("text", [
+    "x" + ".f" * DEEP,
+    "new elist()" + ".addlast(1)" * DEEP,
+    "x.m(" * DEEP + "y" + ")" * DEEP,
+    "if (c) 1 else " * DEEP + "0",
+    "n" + " - x.f" * DEEP,
+    "a - (" * DEEP + "a - b" + ")" * DEEP,
+], ids=["fields", "calls", "arguments", "else", "minus", "parentheses"])
+def test_expr_text_prints_any_depth(text):
+    # The printer gives back the text it parsed, so what it prints parses
+    # back equal.
+    assert expr_text(parse_expr(text)) == text
+
+
 def test_parse_classes_reads_a_deep_method_body():
     body = "(" * DEEP + "this.m()" + ")" * DEEP
     ct = parse_classes(f"class A {{ m() {{ {body} }} }}")

@@ -1,5 +1,5 @@
-"""Recursion guard: no function in ``src/hornlog`` recurses, except the few
-listed below, each on something other than the depth of a term.
+"""Recursion guard: no function in ``src/hornlog`` recurses, unless it is
+listed below with a reason its recursion is bounded (none is today).
 
 A term can be as deep as a derivation is long, and Python's stack is about
 a thousand frames.  So every walker over terms keeps an explicit stack.
@@ -18,10 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "hornlog"
 
 # (module, qualified function name): why its recursion is bounded.
-ALLOWED = {
-    ("minioo", "expr_text"): "recurses on the depth of .moo source; only "
-                             "class_table_text calls it, and only tests",
-}
+ALLOWED: dict = {}
 
 
 def _functions(tree: ast.Module) -> list:

@@ -80,6 +80,22 @@ def test_transform_rejects_reserved_names(bad):
         transform_program(parse_program(bad))
 
 
+@pytest.mark.parametrize("ok", [
+    "p(bank$1).",
+    "p(MAX$1) :- q(MAX$1).",
+    "r(ok$2).",
+])
+def test_transform_accepts_a_reserved_prefix_inside_a_name(ok):
+    # Only names starting with ``k$``, ``K$`` or ``X$`` are reserved.
+    tp = transform_program(parse_program(ok))
+    assert [c.head.pred for c in tp.program.clauses] == [ok[0]]
+
+
+def test_transform_goal_accepts_a_reserved_prefix_inside_a_name():
+    g = transform_goal(parse_goal("q(MAX$1)"))
+    assert g.atoms[0].args == (Var("MAX$1"), Var("K$1"))
+
+
 def test_transform_goal_appends_distinct_proof_vars():
     g = transform_goal(parse_goal("extends(A, B), subclass(B, C)"))
     assert g.atoms[0].args[-1] == Var("K$1")
