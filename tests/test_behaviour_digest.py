@@ -44,6 +44,9 @@ Cases:
   finite fixpoints and on seeded ``random_lemma_program``s: ``up_member``
   and ``down_member_with_proof`` of every atom of the ``d = 1, c = 1``
   fragment at stages 0-3, and the ``check_transform_lemmas`` report.
+  ``referee/<name>/proof-up``: the upward stages 0-3 of the same program's
+  proof-carrying version over that fragment (``tp_up`` with
+  ``ignore_last``), each stage's atoms printed and sorted.
   ``referee/query/<i>``: ``up_member`` on seeded terminating queries at
   stages 0-7.
 * ``proof/<sample>/<goal>/<engine>``: ``render_proof`` of every proof
@@ -90,6 +93,7 @@ from hornlog.fixpoint import (
     build_fragment,
     check_transform_lemmas,
     down_member_with_proof,
+    tp_up,
     up_member,
 )
 from hornlog.minioo import MooError, parse_classes, parse_expr
@@ -801,6 +805,11 @@ def _guarded(fn, *args) -> str:
         return f"FragmentError {exc}"
 
 
+def _shown(a: Atom, env: BindingEnv) -> Atom:
+    """``a`` with each cycle of its arguments unfolded once."""
+    return Atom(a.pred, tuple(resolve(env, t, 1) for t in a.args))
+
+
 def _referee_text(p) -> str:
     """``up_member`` and ``down_member_with_proof`` of every fragment atom
     at stages 0-3, and the lemma report."""
@@ -808,7 +817,7 @@ def _referee_text(p) -> str:
     frag = build_fragment(p, 1, 1)
     proof_side = transform_program(p).program
     for a in frag.atoms.values():
-        shown = Atom(a.pred, tuple(resolve(frag.env, t, 1) for t in a.args))
+        shown = _shown(a, frag.env)
         ups = [_guarded(up_member, p, a, k, frag.env)
                for k in _REFEREE_STAGES]
         downs = [_guarded(down_member_with_proof, proof_side, a, k, frag)
@@ -826,9 +835,28 @@ def _referee_text(p) -> str:
     return "\n".join(lines)
 
 
+def _proof_up_text(p) -> str:
+    """The upward proof-carrying stages 0-3 over the ``d = 1, c = 1``
+    fragment, each stage's atoms printed and sorted."""
+    frag = build_fragment(p, 1, 1)
+    try:
+        trace = tp_up(transform_program(p).program, _REFEREE_STAGES[-1],
+                      frag, ignore_last=True)
+    except FragmentError as exc:
+        return f"FragmentError {exc}"
+    lines = [f"fixed point {trace.fixed_point}"]
+    for k, stage in enumerate(trace.sets):
+        lines.append(f"stage {k}")
+        lines += sorted(atom_text(_shown(a, frag.env))
+                        for a in stage.values())
+    return "\n".join(lines)
+
+
 def referee_cases() -> dict:
-    cases = {f"referee/{name}": _referee_text(p)
-             for name, p in _referee_programs()}
+    cases = {}
+    for name, p in _referee_programs():
+        cases[f"referee/{name}"] = _referee_text(p)
+        cases[f"referee/{name}/proof-up"] = _proof_up_text(p)
     rng = random.Random(20176)
     for i in range(REFEREE_QUERIES):
         p = random_terminating_program(rng)
