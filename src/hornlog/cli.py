@@ -89,6 +89,13 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}")
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _budget(args) -> Budget:
     overrides = {}
     for name in ("max_steps", "max_depth", "max_rewrite_steps",
@@ -202,9 +209,9 @@ def _cmd_transform(args) -> int:
         table.append(f"{kappa} -> {atom_text(transformed.back_map[kappa].head)}")
     body = program_text(transformed.program)
     if args.output:
-        Path(args.output).write_text(body + "\n")
-        sidecar = Path(args.output).with_suffix(".kappa")
-        sidecar.write_text("\n".join(table) + "\n")
+        _write(args.output, body + "\n")
+        _write(Path(args.output).with_suffix(".kappa"),
+               "\n".join(table) + "\n")
     else:
         print(body)
         print()
@@ -270,7 +277,7 @@ def _cmd_oracle(args) -> int:
 
 def _emit(text: str, output) -> None:
     if output:
-        Path(output).write_text(text)
+        _write(output, text)
     else:
         sys.stdout.write(text)
 

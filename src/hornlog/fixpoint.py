@@ -11,14 +11,16 @@ example, everything a solver's answer environment reaches), which is how
 answers of the engines are checked against the model-theoretic semantics on
 programs whose full fragment would be astronomically large.
 
-All fragment terms live in one shared "arena" environment; rational seeds
-are rebased into it through their canonical equation form.  The arena only
-ever grows, so previously returned atoms stay valid.
+All fragment terms live in one shared "arena" environment.  Terms are
+rebased into it, through their canonical equation form, only while
+``build_fragment`` builds the fragment; after that the arena is fixed, and
+every step renames clauses apart from the same ``frag.env``.
 
-A fragment member is identified by its canonical key, and ``GroundFragment``
-is the one place that computes it: each term and atom argument entering the
-fragment is keyed once, and the loops below carry the keys of the atoms they
-hold (from ``frag.atoms`` or from a stage set) instead of keying them again.
+A fragment member is identified by its canonical key.  Each term entering
+the universe is keyed once, and so is each argument of a seeded atom; an
+atom of the predicate product takes its key from the keys of its
+arguments.  The loops below carry the keys of the atoms they hold (from
+``frag.atoms`` or from a stage set) instead of keying them again.
 ``tp_step`` and ``_proof_step`` join clause bodies against a stage with one
 generator, ``_joins``, which scans members and keys none.
 """
@@ -29,6 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
+from hornlog.syntax import atom_text
 from hornlog.terms import (
     Atom,
     BindingEnv,
@@ -40,6 +43,7 @@ from hornlog.terms import (
     canon_key,
     from_mu,
     rename_apart,
+    resolve,
     subterms,
     to_mu,
     unify_atoms,
@@ -56,55 +60,37 @@ class FragmentError(Exception):
 
 @dataclass
 class GroundFragment:
-    universe: list = field(default_factory=list)
+    """The term universe and the atoms of a fragment, all valid under the
+    arena ``env``.  ``build_fragment`` fills it; after that the fragment
+    is read-only, so the arena and every atom taken from it stay fixed."""
+
+    universe: dict = field(default_factory=dict)  # canon term key -> term
     atoms: dict = field(default_factory=dict)  # canon atom key -> Atom
     env: BindingEnv = EMPTY_ENV
     cap: int = DEFAULT_CAP
-    _interned: dict = field(default_factory=dict, repr=False)
 
-    def term_key(self, t, env: Optional[BindingEnv] = None):
-        return canon_key(t, env if env is not None else self.env)
-
-    def atom_key(self, a: Atom, env: Optional[BindingEnv] = None,
-                 ignore_last: bool = False):
+    def atom_key(self, a: Atom, env: Optional[BindingEnv] = None):
         e = env if env is not None else self.env
-        args = a.args[:-1] if ignore_last else a.args
-        return (a.pred, len(args)) + tuple(canon_key(t, e) for t in args)
-
-    def has_atom(self, a: Atom, env: Optional[BindingEnv] = None,
-                 ignore_last: bool = False) -> bool:
-        return self.atom_key(a, env, ignore_last) in self.atoms
-
-    def intern(self, t, env: BindingEnv):
-        """Rebase a (possibly rational) ground term onto the arena."""
-        return self._intern(canon_key(t, env), t, env)
-
-    def _intern(self, key, t, env: BindingEnv):
-        hit = self._interned.get(key)
-        if hit is None:
-            hit, self.env = from_mu(to_mu(env, t), self.env)
-            self._interned[key] = hit
-        return hit
+        return (a.pred, len(a.args)) + tuple(canon_key(t, e) for t in a.args)
 
     def add_term(self, t, env: BindingEnv):
-        """Add ``t`` to the universe; its arena term if new, else None."""
+        """Rebase ``t`` onto the arena and add it to the universe; its arena
+        term if new, else None."""
         key = canon_key(t, env)
-        if key in self._interned:
+        if key in self.universe:
             return None
         if len(self.universe) >= self.cap:
             raise FragmentError(f"fragment cap {self.cap} exceeded")
-        term = self._intern(key, t, env)
-        self.universe.append(term)
+        term, self.env = from_mu(to_mu(env, t), self.env)
+        self.universe[key] = term
         return term
 
-    def add_atom(self, a: Atom, env: BindingEnv) -> None:
-        arg_keys = tuple(canon_key(t, env) for t in a.args)
-        key = (a.pred, len(a.args)) + arg_keys
+    def add_atom(self, key, atom: Atom) -> None:
+        """Add ``atom``, whose arguments are arena terms, under ``key``."""
         if key not in self.atoms:
             if len(self.atoms) >= self.cap:
                 raise FragmentError(f"fragment cap {self.cap} exceeded")
-            self.atoms[key] = Atom(a.pred, tuple(
-                self._intern(k, t, env) for k, t in zip(arg_keys, a.args)))
+            self.atoms[key] = atom
 
 
 def _signature(p: Program):
@@ -120,12 +106,14 @@ def _signature(p: Program):
 
 
 def build_fragment(p: Program, d: int = 2, c: int = 0, *,
-                   seed_terms=(), seed_atoms=(), atom_products: bool = True,
+                   seed_atoms=(), atom_products: bool = True,
                    cap: int = DEFAULT_CAP) -> GroundFragment:
     """Enumerate a finite, deterministic fragment of the ground base.
 
-    ``seed_terms``/``seed_atoms`` are ``(term_or_atom, env)`` pairs taken
-    into the fragment together with all their subterms.  With
+    ``seed_atoms`` are ``(atom, env)`` pairs taken into the fragment
+    together with all their subterms.  A seed's free variables stay free
+    in the arena, whose fresh names start past every seed environment's
+    counter and every ``V<n>`` name in a seed atom.  With
     ``atom_products`` the atom set is the full product of predicates over
     the term universe; switched off, only seeded atoms are present (useful
     when the product would dwarf the cap but a known atom set is being
@@ -138,12 +126,14 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
         funcs.add((INJECTED_CONSTANT, 0))
     constructors = sorted((n, a) for n, a in funcs if a > 0)
 
-    frag = GroundFragment(cap=cap)
+    top = max((bump_counter_past(env, a).counter for a, env in seed_atoms),
+              default=0)
+    frag = GroundFragment(env=EMPTY_ENV.with_counter(top), cap=cap)
 
     # Finite terms, by depth layers.
     for name in consts:
         frag.add_term(Compound(name), EMPTY_ENV)
-    finite = list(frag.universe)
+    finite = list(frag.universe.values())
     for _ in range(d):
         grown = list(finite)
         for name, arity in constructors:
@@ -172,17 +162,15 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
 
         # One constructor layer mixing finite and rational parts.
         rational_ids = {id(t) for t in rational}
-        base = list(frag.universe)
+        base = list(frag.universe.values())
         for name, arity in constructors:
             for combo in itertools.product(base, repeat=arity):
                 if not any(id(t) in rational_ids for t in combo):
                     continue
                 frag.add_term(Compound(name, combo), frag.env)
 
-    seeds = [((t,), env) for t, env in seed_terms]
-    seeds += [(a.args, env) for a, env in seed_atoms]
-    for terms, env in seeds:
-        for sub in subterms(terms, env):
+    for a, env in seed_atoms:
+        for sub in subterms(a.args, env):
             if isinstance(sub, Compound):
                 frag.add_term(sub, env)
 
@@ -191,11 +179,15 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
             if len(frag.universe) ** arity > frag.cap:
                 raise FragmentError(
                     f"atom product for {pred}/{arity} exceeds cap {frag.cap}")
-            for combo in itertools.product(frag.universe, repeat=arity):
-                frag.add_atom(Atom(pred, combo), frag.env)
+            for keys in itertools.product(frag.universe, repeat=arity):
+                frag.add_atom((pred, arity) + keys, Atom(pred, tuple(
+                    frag.universe[k] for k in keys)))
 
+    # A seed argument is a universe term, or a free variable keyed by name.
     for a, env in seed_atoms:
-        frag.add_atom(a, env)
+        keys = tuple(canon_key(t, env) for t in a.args)
+        frag.add_atom((a.pred, len(keys)) + keys, Atom(a.pred, tuple(
+            Var(k[1]) if k[0] == "v" else frag.universe[k] for k in keys)))
 
     return frag
 
@@ -229,7 +221,9 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
     variables the body leaves free are instantiated from fragment atoms.
     With ``ignore_last`` the fragment restriction skips each atom's final
     argument — the mode used for programs carrying proof arguments, whose
-    proof terms are not fragment members.
+    proof terms are not fragment members.  The head's proof argument is
+    stored resolved: in the upward chain from the empty set, each one is a
+    finite ground term built from earlier proofs.
     """
     by_pred = {}
     for a in s.values():
@@ -241,17 +235,16 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
     for clause in p.clauses:
         rc, env0 = rename_apart(clause, frag.env)
         head = rc.head
+        trimmed = Atom(head.pred, head.args[:-1]) if ignore_last else head
         for env in _joins(rc.body, by_pred, env0):
             # Every admissible ground instance of the head *is* a fragment
             # atom, so unifying with those finds exactly what a product over
             # the universe would, and each instance takes its atom's key.
             # (With ``ignore_last`` proof variables stay free in the stored
             # representative: any grounding would witness the same key.)
-            width = len(head.args) - (1 if ignore_last else 0)
-            trimmed = Atom(head.pred, head.args[:width])
             if not any(isinstance(x, Var)
                        for x in subterms(trimmed.args, env)):
-                key = frag.atom_key(head, env, ignore_last)
+                key = frag.atom_key(trimmed, env)
                 matches = [(key, env)] if key in frag.atoms else []
             else:
                 matches = []
@@ -267,7 +260,7 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
                 atom = frag.atoms[key]
                 if ignore_last:
                     atom = Atom(atom.pred, atom.args
-                                + (frag.intern(head.args[-1], envf),))
+                                + (resolve(envf, head.args[-1]),))
                 out[key] = atom
     return out
 
@@ -318,27 +311,30 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
     0 is every fragment atom, and since stages only shrink, stage k is the
     step of stage k-1 over the members of stage k-1.
 
-    A body atom the head unifier leaves ground is looked up by key; the
-    rest join ``stage`` as in ``tp_step``.  The universe is closed under
-    subterms, so whatever the join binds a body-only variable to, a product
-    over the universe would have tried too.  Proof positions stay
-    unconstrained: the downward iteration only inspects k constructor
-    layers of a proof, so any completion works.
+    Each clause is renamed apart from the fixed arena once, and read
+    without its proof arguments.  A body atom the head unifier leaves
+    ground is looked up by key; the rest join ``stage`` as in ``tp_step``.
+    The universe is closed under subterms, so whatever the join binds a
+    body-only variable to, a product over the universe would have tried
+    too.  Proof positions stay unconstrained: the downward iteration only
+    inspects k constructor layers of a proof, so any completion works.
     """
     by_pred = {}
     for a in stage.values():
         by_pred.setdefault(a.key, []).append(a)
+    stripped = {}
+    for clause in p_trans.clauses:
+        rc, env0 = rename_apart(clause, frag.env)
+        head, *body = [Atom(b.pred, b.args[:-1]) for b in (rc.head, *rc.body)]
+        stripped.setdefault(head.key, []).append((head, body, env0))
     out = {}
     for key, a in atoms.items():
-        for clause in p_trans.clauses_for((a.pred, len(a.args) + 1)):
-            rc, env0 = rename_apart(clause, frag.env)
-            u = unify_atoms(Atom(rc.head.pred, rc.head.args[:-1]), a, env0,
-                            occurs_check=False)
+        for head, body, env0 in stripped.get(a.key, ()):
+            u = unify_atoms(head, a, env0, occurs_check=False)
             if u is None:
                 continue
             ground, joined = [], []
-            for b in rc.body:
-                b = Atom(b.pred, b.args[:-1])
+            for b in body:
                 free = any(isinstance(x, Var) for x in subterms(b.args, u))
                 (joined if free else ground).append(b)
             if (all(frag.atom_key(b, u) in stage for b in ground)
@@ -429,12 +425,12 @@ def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
         stripped = set(up_trans.sets[k])
         for key in plain - stripped:
             counterexamples.append(
-                f"up k={k}: {_atom_repr(up_orig.sets[k][key])} has no "
+                f"up k={k}: {atom_text(up_orig.sets[k][key])} has no "
                 "proof-carrying counterpart")
         for key in stripped - plain:
             counterexamples.append(
                 f"up k={k}: the proof-carrying atom "
-                f"{_atom_repr(up_trans.sets[k][key])} strips to an atom "
+                f"{atom_text(up_trans.sets[k][key])} strips to an atom "
                 "outside the plain iteration")
 
     down_orig = tp_down(p, n, frag)
@@ -447,15 +443,10 @@ def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
             rhs = key in proof_side
             if lhs != rhs:
                 counterexamples.append(
-                    f"down k={k}: {_atom_repr(atom)} "
+                    f"down k={k}: {atom_text(atom)} "
                     f"{'in' if lhs else 'not in'} plain iteration but proof "
                     f"side says {rhs}")
     return LemmaReport(n, len(frag.atoms), counterexamples)
-
-
-def _atom_repr(a: Atom) -> str:
-    from hornlog import syntax
-    return syntax.atom_text(a)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +464,6 @@ def certificate_fragment(p: Program, answer, *, cap: int = DEFAULT_CAP) -> Groun
     if answer.full_env is None or answer.selected is None:
         raise ValueError("answer carries no certificate "
                          "(solve with certificate=True)")
-    env = answer.full_env
-    seeds = [(atom, env) for atom in answer.selected]
+    seeds = [(atom, answer.full_env) for atom in answer.selected]
     return build_fragment(p, 0, 0, seed_atoms=seeds, atom_products=False,
                           cap=cap)

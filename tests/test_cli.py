@@ -535,6 +535,17 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv", [["compile", LISTS], ["transform", EX3]],
+                         ids=["compile", "transform"])
+def test_output_into_a_missing_directory_is_usage_error(capsys, tmp_path,
+                                                        argv):
+    target = tmp_path / "missing" / "out.lp"
+    code, out, err = run(capsys, *argv, "-o", str(target))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_lp_parse_error_reports_span(capsys, tmp_path):
     bad = tmp_path / "bad.lp"
     bad.write_text("p(X :- q.")

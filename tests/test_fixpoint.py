@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,11 +27,15 @@ from hornlog.terms import (
     EMPTY_ENV,
     Program,
     Var,
+    canon_key,
     rename_apart,
     term_vars,
 )
 from hornlog.transform import transform_program
 
+FROM = parse_program(
+    (Path(__file__).resolve().parent.parent / "samples" / "from.lp")
+    .read_text())
 ZEROS = parse_program("zeros(cons(0, X)) :- zeros(X).")
 ADD = parse_program("add(0, Y, Y). add(s(X), Y, s(Z)) :- add(X, Y, Z).")
 AB = parse_program("b. a :- b.")
@@ -47,6 +52,20 @@ ZEROS_RATIONAL_ENV = EMPTY_ENV.bind("X", parse_term("cons(0, X)"))
 ZEROS_RATIONAL_ATOM = Atom("zeros", (Var("X"),))
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.<name>``; returns the list of the arguments of each
+    call the wrapper sees."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # Fragments
 
@@ -60,17 +79,18 @@ def test_fragment_single_fact_program():
 
 def test_fragment_depth_zero_constants_only():
     frag = build_fragment(parse_program("p(a). p(f(a))."), 0, 0)
-    assert any(t == Compound("a") for t in frag.universe)
-    assert all(not t.args for t in frag.universe)
-    assert frag.has_atom(Atom("p", (Compound("a"),)), EMPTY_ENV)
-    assert not frag.has_atom(parse_goal("p(f(a))").atoms[0], EMPTY_ENV)
+    assert any(t == Compound("a") for t in frag.universe.values())
+    assert all(not t.args for t in frag.universe.values())
+    assert frag.atom_key(Atom("p", (Compound("a"),)), EMPTY_ENV) in frag.atoms
+    assert frag.atom_key(parse_goal("p(f(a))").atoms[0],
+                         EMPTY_ENV) not in frag.atoms
 
 
 def test_fragment_zeros_includes_rational_atom():
     frag = build_fragment(ZEROS, 3, 1)
-    assert frag.has_atom(ZEROS_RATIONAL_ATOM, ZEROS_RATIONAL_ENV)
-    assert frag.has_atom(parse_goal("zeros(cons(0, cons(0, 0)))").atoms[0],
-                         EMPTY_ENV)
+    assert frag.atom_key(ZEROS_RATIONAL_ATOM, ZEROS_RATIONAL_ENV) in frag.atoms
+    assert frag.atom_key(parse_goal("zeros(cons(0, cons(0, 0)))").atoms[0],
+                         EMPTY_ENV) in frag.atoms
 
 
 def test_fragment_cap_enforced():
@@ -80,13 +100,53 @@ def test_fragment_cap_enforced():
 
 def test_fragment_seeding_brings_subterms():
     env = EMPTY_ENV.bind("T", parse_term("g(h(a), T)"))
+    seed = Atom("p", (Var("T"),))
     frag = build_fragment(parse_program("p(a)."), 0, 0,
-                          seed_terms=[(Var("T"), env)],
-                          atom_products=False)
-    assert not frag.has_atom(Atom("p", (Var("T"),)), env)  # atoms not seeded
-    keys = {frag.term_key(t) for t in frag.universe}
-    assert frag.term_key(Var("T"), env) in keys
-    assert frag.term_key(parse_term("h(a)"), EMPTY_ENV) in keys
+                          seed_atoms=[(seed, env)], atom_products=False)
+    assert set(frag.atoms) == {frag.atom_key(seed, env)}
+    assert canon_key(Var("T"), env) in frag.universe
+    assert canon_key(parse_term("h(a)"), EMPTY_ENV) in frag.universe
+
+
+def _assert_keys_hold_in_the_arena(frag):
+    for key, a in frag.atoms.items():
+        assert frag.atom_key(a) == key
+    for key, t in frag.universe.items():
+        assert canon_key(t, frag.env) == key
+
+
+def test_certificate_fragment_keeps_seed_variables_free():
+    # The answer's Z is cons(V0, self) with V0 free; the arena's own fresh
+    # names start past it, so V0 stays free there and every key holds.
+    p = parse_program("p(cons(X, Y)) :- p(Y).")
+    goal = parse_goal("p(Z)")
+    ans = colp_solve(goal, p, Budget(max_answers=1),
+                     certificate=True).answers[0]
+    frag = certificate_fragment(p, ans)
+    _assert_keys_hold_in_the_arena(frag)
+    assert frag.atom_key(goal.atoms[0], ans.full_env) in frag.atoms
+    assert "V0" not in frag.env
+
+
+def test_fragment_keys_hold_in_the_arena():
+    rng = random.Random(0xA4E)
+    for _ in range(30):
+        p = random_lemma_program(rng)
+        _assert_keys_hold_in_the_arena(build_fragment(p, 1, 1))
+    for p, goal in ((ZEROS, "zeros(X)"), (ADD, "add(X, Y, s(s(0)))")):
+        for ans in colp_solve(parse_goal(goal), p, Budget(max_answers=3),
+                              certificate=True).answers:
+            _assert_keys_hold_in_the_arena(certificate_fragment(p, ans))
+
+
+def test_atom_product_keys_no_term_again(monkeypatch):
+    # Each universe term is keyed once, when it is added; the atoms of the
+    # product take their keys from the universe.
+    keyed = _count_calls(monkeypatch, fixpoint, "canon_key")
+    added = _count_calls(monkeypatch, GroundFragment, "add_term")
+    frag = build_fragment(FROM, 2, 1)
+    assert len(frag.atoms) == 18769
+    assert len(keyed) == len(added)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +243,8 @@ def _step_by_product(p, s, frag):
         rc, env0 = rename_apart(clause, frag.env)
         names = sorted({v.name for atom in (rc.head,) + rc.body
                         for t in atom.args for v in term_vars(t)})
-        for combo in itertools.product(frag.universe, repeat=len(names)):
+        for combo in itertools.product(frag.universe.values(),
+                                       repeat=len(names)):
             env = env0
             for name, t in zip(names, combo):
                 env = env.bind(name, t)
@@ -211,6 +272,21 @@ def test_tp_step_matches_grounding_by_product():
                     == set(s) & by_product
                 stages += 1
     assert stages == 400
+
+
+def test_proof_chains_leave_the_arena_fixed(monkeypatch):
+    # The upward proof side stores proof arguments resolved, rebasing
+    # nothing; the downward one renames each clause once per step.
+    p = transform_program(SUBCLASS_AB).program
+    frag = build_fragment(SUBCLASS_AB, 1, 1)
+    arena = frag.env
+    rebased = _count_calls(monkeypatch, fixpoint, "from_mu")
+    renamed = _count_calls(monkeypatch, fixpoint, "rename_apart")
+    up = tp_up(p, 4, frag, ignore_last=True)
+    assert up.final() and frag.env is arena and not rebased
+    renamed.clear()
+    fixpoint._proof_step(p, frag, frag.atoms, frag.atoms)
+    assert 0 < len(renamed) <= len(p.clauses)
 
 
 # ---------------------------------------------------------------------------
