@@ -51,6 +51,13 @@ Cases:
   stages 0-7.
 * ``proof/<sample>/<goal>/<engine>``: ``render_proof`` of every proof
   variable of every answer each engine gives to a transformed goal.
+* ``print/shared/<name>``: answers whose term graph is much smaller than
+  its unfolding, printed in every style.  ``from/<k>`` is the ``sres``
+  prefix of ``from(0, X)`` at ``lazy_k`` k (at k = 300 in the lazy style
+  only, which is how the CLI prints it); ``dag/<d>`` the doubling DAG
+  ``Y0 = f(Y1, Y1)``, ..., ``Y<d> = a`` at unfold 1 and 3; ``cycle/<i>``
+  a cycle reached from two places, and one with a shared acyclic part,
+  each at unfold 0-3 together with ``resolve`` of every variable.
 
 No case reads ``Compound.fp`` or anything else that depends on ``hash``
 salting.  A change that means to alter behaviour regenerates the file with
@@ -82,6 +89,7 @@ from hornlog.cli import main
 from hornlog import minioo as moo
 from hornlog.compiler import compile_class_table, compile_expr
 from hornlog.engine import (
+    Answer,
     Budget,
     colp_solve,
     productivity_report,
@@ -904,12 +912,79 @@ def proof_cases() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Answers that share subterms
+
+_FROM_PREFIXES = [*range(1, 61), 300]
+_DAG_DEPTHS = range(13)
+
+
+def _shared_cycles() -> list:
+    """A cycle reached from two places, and a cycle over a shared
+    acyclic part (a doubling DAG under a stream), with their goal
+    variables."""
+    two_ways = {"X": Compound("f", (Var("Y"),)),
+                "Y": Compound("g", (Var("X"),)),
+                "A": Compound("h", (Var("Y"), Var("X")))}
+    over_dag = {"X": Compound("cons", (Var("Y0"), Var("X"))),
+                "A": Compound("h", (Var("X"), Var("Y0"), Var("S")))}
+    over_dag.update(_dag_bindings(5))
+    over_dag["S"] = Compound("k", (Var("X"), Var("Y2"), Var("S")))
+    return [(BindingEnv(two_ways), ("A", "X", "Y")),
+            (BindingEnv(over_dag), ("A", "X", "S"))]
+
+
+def _dag_bindings(depth: int) -> dict:
+    out = {f"Y{i}": Compound("f", (Var(f"Y{i + 1}"), Var(f"Y{i + 1}")))
+           for i in range(depth)}
+    out[f"Y{depth}"] = const("a")
+    return out
+
+
+def _styles_text(answer, unfolds, styles=("flat", "mu", "lazy")) -> list:
+    lines = []
+    for style in styles:
+        for unfold in (unfolds if style == "lazy" else unfolds[:1]):
+            try:
+                text = print_answer(answer, style, unfold)
+            except PrintError as exc:
+                text = f"PrintError: {exc}"
+            lines.append(f"{style} {unfold}: {text}")
+    return lines
+
+
+def print_cases() -> dict:
+    cases = {}
+    program = parse_program((SAMPLES / "from.lp").read_text())
+    goal = parse_goal("from(0, X)")
+    for k in _FROM_PREFIXES:
+        verdict = sres_solve(goal, program, Budget(max_answers=1), lazy_k=k)
+        lines = [f"sres {verdict.kind}"]
+        for answer in verdict.answers:
+            lines.append(f"answer {answer.kind}")
+            lines += _styles_text(answer, (3,),
+                                  ("lazy",) if k > 60 else ("flat", "mu", "lazy"))
+        cases[f"print/shared/from/{k}"] = "\n".join(lines)
+    for d in _DAG_DEPTHS:
+        answer = Answer(BindingEnv(_dag_bindings(d)), ("Y0",), "total")
+        cases[f"print/shared/dag/{d}"] = "\n".join(
+            _styles_text(answer, (1, 3)))
+    for i, (env, names) in enumerate(_shared_cycles()):
+        lines = _styles_text(Answer(env, names, "rational"), (0, 1, 2, 3))
+        for depth in range(4):
+            lines += [f"resolve {depth} {n} {resolve(env, Var(n), depth)!r}"
+                      for n in names]
+        cases[f"print/shared/cycle/{i}"] = "\n".join(lines)
+    return cases
+
+
+# ---------------------------------------------------------------------------
 
 
 def all_cases() -> dict:
     return {**term_cases(), **program_cases(), **oracle_cases(),
             **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases(),
-            **moo_cases(), **referee_cases(), **proof_cases()}
+            **moo_cases(), **referee_cases(), **proof_cases(),
+            **print_cases()}
 
 
 def _digest(text: str) -> str:
