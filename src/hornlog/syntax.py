@@ -21,6 +21,7 @@ from hornlog.terms import (
     BindingEnv,
     Clause,
     Compound,
+    EMPTY_ENV,
     FIELD_FUNCTOR,
     Goal,
     LIST_FUNCTOR,
@@ -32,7 +33,7 @@ from hornlog.terms import (
     Var,
     has_cycle,
     resolve,
-    term_vars,
+    subterms,
     to_mu,
 )
 
@@ -308,13 +309,20 @@ def term_text(t: Term, max_prio: int = 1200, nested_lists: bool = False,
     which is how incremental answers are displayed; otherwise lists print
     compactly (``[a, b|T]``).  Variables whose names are in ``marked`` get a
     trailing ``?``.
+
+    ``t`` may share subterms: a compound met again at a priority it was
+    printed at reuses that text, so a shared subterm is printed once.
     """
     pieces: list = []
+    done: dict = {}  # (id, priority) -> its slice of pieces, then its text
     stack: list = [(t, max_prio)]  # text pieces and (term, priority) items
     while stack:
         x = stack.pop()
         if x.__class__ is str:
             pieces.append(x)
+            continue
+        if x.__class__ is list:  # [key, start]: that compound is printed
+            done[x[0]] = (x[1], len(pieces))
             continue
         t, prio = x
         if isinstance(t, Var):
@@ -323,6 +331,14 @@ def term_text(t: Term, max_prio: int = 1200, nested_lists: bool = False,
         if not t.args:
             pieces.append(t.functor)
             continue
+        key = (id(t), prio)
+        text = done.get(key)
+        if text is not None:
+            if text.__class__ is tuple:
+                text = done[key] = "".join(pieces[text[0]:text[1]])
+            pieces.append(text)
+            continue
+        stack.append([key, len(pieces)])
         if t.functor == LIST_FUNCTOR and len(t.args) == 2:
             if nested_lists:
                 todo = ["[", (t.args[0], 999), "|", (t.args[1], 999), "]"]
@@ -403,16 +419,13 @@ def print_answer(answer, style: str = "flat", unfold: int = 3) -> str:
         elif style == "mu":
             m = to_mu(env, v)
             eqs = dict(m.equations)
-            if isinstance(m.root, Var) and m.root.name in eqs:
-                first = f"{name} = {term_text(eqs.pop(m.root.name))}" \
-                    if m.root.name == name else f"{name} = {term_text(m.root)}"
-            else:
-                first = f"{name} = {term_text(m.root)}"
-            parts.append(first)
+            root = eqs.pop(name) if m.root == v and name in eqs else m.root
+            parts.append(f"{name} = {term_text(root)}")
             parts.extend(f"{n} = {term_text(rhs)}" for n, rhs in sorted(eqs.items()))
         elif style == "lazy":
             t = resolve(env, v, unfold)
-            marked = {x.name for x in term_vars(t)}
+            marked = {x.name for x in subterms((t,), EMPTY_ENV)
+                      if x.__class__ is Var}
             parts.append(f"{name} = {term_text(t, nested_lists=True, marked=marked)}")
     return ", ".join(parts) if parts else "true"
 

@@ -39,11 +39,13 @@ each for its own question:
 * :meth:`BindingEnv.restrict` walks binding chains without dereferencing
   them, because it keeps every raw binding it passes.
 
-No builder in this module recurses on term depth.  ``resolve`` and
-``to_mu`` build post-order, pushing an exit marker for each compound, and
-``_rename`` copies that way for :func:`rename_apart` and :func:`from_mu`;
-the first two keep their own loops, since they do more on entering and
-leaving a node than a copy does.  ``canon_key`` lists the minimal graph flat.
+No builder in this module recurses on term depth.  ``resolve``, ``to_mu``
+and ``_rename`` (for :func:`rename_apart` and :func:`from_mu`) build
+post-order, pushing an exit marker for each compound.  The first two keep
+their own loops: they copy a node once wherever its copy cannot depend on
+the path that reaches it, so their results may share subterms and cost what
+the term graph costs.  ``_rename`` copies every occurrence.  ``canon_key``
+lists the minimal graph flat.
 
 A :class:`BindingEnv` may share its binding dict with the environment it was
 derived from: the private ``_wrap`` constructor takes a dict without copying
@@ -465,12 +467,17 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8,
     becomes ``_`` and is not walked, so a display costs what it prints.  A
     cut point still prints as its variable at any level, named by the first
     variable that reaches its node no more than ``cut`` levels down.
+
+    Without ``cut``, a node reached through a variable is copied once and
+    its copy shared, unless its first walk reached a node open at its own
+    level or above (Tarjan's lowlink), as every node on a cycle does.
     """
     bindings = env._b
-    counts: dict = {}
+    opened: dict = {}  # id -> levels where it is open, entered by a variable
     varname: dict = {}
+    copies: dict = {}  # id -> the copy of a node on no cycle
     cyc_cache: dict = {}
-    level = 0  # compounds open on the stack: the level of the next term
+    lows: list = []  # per open compound: the lowest open level it reached
 
     def cyclic(node: Compound) -> bool:
         """Does ``node`` lie on a cycle?  Every node on one counts, not
@@ -486,33 +493,41 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8,
     while stack:
         x = stack.pop()
         if x.__class__ is tuple:  # (node, nid): node's arguments are built
-            level -= 1
             node, nid = x
             k = len(out) - len(node.args)
             built = Compound(node.functor, tuple(out[k:]), node.span)
             del out[k:]
             out.append(built)
+            low = lows.pop()
             if nid is not None:
-                counts[nid] -= 1
+                opened[nid].pop()
+                if low > len(lows) and cut is None:
+                    copies[nid] = built
+            if lows and low < lows[-1]:
+                lows[-1] = low
             continue
         if isinstance(x, Compound):
-            w, nid = x, None
+            w, nid, levels = x, None, opened.get(id(x))
         else:
             w = _walk(bindings, x)
-            if isinstance(w, Var):
-                out.append(w)
+            hit = w if isinstance(w, Var) else copies.get(id(w))
+            if hit is not None:
+                out.append(hit)
                 continue
             nid = id(w)
             varname.setdefault(nid, x.name)
-            if counts.get(nid, 0) >= depth and cyclic(w):
-                out.append(Var(varname[nid]))
-                continue
-        if level == cut:
+            levels = opened.setdefault(nid, [])
+        if levels and levels[0] < lows[-1]:
+            lows[-1] = levels[0]  # the walk touched a node still open
+        if nid is not None and len(levels) >= depth and cyclic(w):
+            out.append(Var(varname[nid]))
+            continue
+        if len(lows) == cut:
             out.append(Var("_"))
             continue
-        level += 1
         if nid is not None:
-            counts[nid] = counts.get(nid, 0) + 1
+            levels.append(len(lows))
+        lows.append(len(lows) + 1)
         stack.append((w, nid))
         stack.extend(reversed(w.args))
     return out[0]
@@ -591,7 +606,8 @@ def to_mu(env: BindingEnv, t: Term) -> MuTerm:
 
     Minimal in the sense of one equation per distinct cycle entry; acyclic
     bindings are inlined.  Equation variables reuse the name of the first
-    variable through which the cycle is reached.
+    variable through which the cycle is reached.  A node that is no cycle
+    entry is copied once and shared, so the result costs what its graph does.
     """
     # Nodes with a back edge are the cycle entries; cycles always re-enter
     # through a variable binding, whose name the equation takes.
@@ -604,7 +620,8 @@ def to_mu(env: BindingEnv, t: Term) -> MuTerm:
     bindings = env._b
     # Post-order, so an equation is added when its compound is finished.
     equations: dict = {}
-    started: set = set()  # cycle entries whose equation is begun
+    # id -> the copy of a node: its equation's variable for a cycle entry
+    copies: dict = {}
     out: list = []  # finished subterms, left to right
     stack: list = [t]
     while stack:
@@ -616,19 +633,19 @@ def to_mu(env: BindingEnv, t: Term) -> MuTerm:
             del out[k:]
             if name is None:
                 out.append(built)
+                copies[id(node)] = built
             else:
                 equations[name] = built
             continue
         x = _walk(bindings, x)
-        if isinstance(x, Var):
-            out.append(x)
+        hit = x if isinstance(x, Var) else copies.get(id(x))
+        if hit is not None:
+            out.append(hit)
             continue
         name = names.get(id(x))
         if name is not None:
             out.append(Var(name))
-            if id(x) in started:
-                continue
-            started.add(id(x))
+            copies[id(x)] = out[-1]
         stack.append((x, name))
         stack.extend(reversed(x.args))
     return MuTerm(out[0], equations)

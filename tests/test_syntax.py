@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +24,9 @@ from hornlog.syntax import (
     term_text,
     trace_line,
 )
+from hornlog.engine import Budget, sres_solve
 from hornlog.terms import (
+    EMPTY_ENV,
     Atom,
     BindingEnv,
     Compound,
@@ -30,7 +34,11 @@ from hornlog.terms import (
     Var,
     const,
     mklist,
+    resolve,
+    subterms,
 )
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def answer_of(bindings, goal_vars):
@@ -184,6 +192,62 @@ def test_print_answer_lazy_stream_prefix():
 def test_print_answer_lazy_unfolds_cycles():
     a = answer_of({"X": Compound("cons", (const("0"), Var("X")))}, ("X",))
     assert print_answer(a, "lazy", unfold=2) == "X = cons(0, cons(0, X?))"
+
+
+def test_lazy_print_of_a_long_stream_prefix_costs_its_graph(monkeypatch):
+    # Cell i of the prefix holds s^i(0), built on cell i - 1's head through
+    # a variable: k cells and k heads as a graph, about k^2/2 nodes unfolded.
+    k = 1000
+    program = parse_program((SAMPLES / "from.lp").read_text())
+    verdict = sres_solve(parse_goal("from(0, X)"), program,
+                         Budget(max_answers=1), lazy_k=k)
+    [answer] = verdict.answers
+    built = []
+    original = Compound.__post_init__
+
+    def counting(self):
+        built.append(None)
+        assert len(built) <= 3 * k, "the unfolding is being built"
+        original(self)
+
+    monkeypatch.setattr(Compound, "__post_init__", counting)
+    cells = "".join(f"[{'s(' * i}0{')' * i}|" for i in range(k))
+    assert print_answer(answer, "lazy") == f"X = {cells}V{4 * k - 3}?{']' * k}"
+    built.clear()
+    t = resolve(answer.bindings, Var("X"), 3)
+    assert sum(isinstance(x, Compound)
+               for x in subterms((t,), EMPTY_ENV)) <= 3 * k
+
+
+def _dag_term(rng):
+    """A random term whose compounds are often reused as arguments, so it
+    is a DAG, over every functor the printer treats apart."""
+    made = [const("a"), NIL, Var("X"), Var("Y")]
+    for _ in range(rng.randrange(1, 12)):
+        name, arity = rng.choice([("f", 1), ("g", 2), (".", 2),
+                                  ("\\/", 2), ("fld", 2)])
+        made.append(Compound(name, tuple(rng.choice(made)
+                                         for _ in range(arity))))
+    return made[-1]
+
+
+def _tree_copy(t):
+    """``t`` with every shared compound copied apart."""
+    if isinstance(t, Var):
+        return t
+    return Compound(t.functor, tuple(_tree_copy(a) for a in t.args))
+
+
+def test_term_text_of_a_dag_is_the_text_of_its_tree():
+    rng = random.Random(29)
+    for _ in range(400):
+        dag = _dag_term(rng)
+        tree = _tree_copy(dag)
+        for prio in (1200, 999, 500, 499, 200, 199, 0):
+            for nested in (False, True):
+                for marked in (None, {"X"}):
+                    assert (term_text(dag, prio, nested, marked)
+                            == term_text(tree, prio, nested, marked))
 
 
 def test_print_answer_skips_unbound_goal_vars():

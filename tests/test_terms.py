@@ -407,6 +407,168 @@ def test_resolve_with_cut_names_a_cycle_from_the_printed_part():
         "pair", (elided, Compound("f", (Compound("f", (Var("Y"),)),))))
 
 
+def _unshared_resolve(env, t, depth, cut=None):
+    """``resolve`` as it was before it shared subterms: every node is copied
+    again wherever it is reached, so the result is a tree."""
+    counts, varname, cyc_cache = {}, {}, {}
+    level = 0
+
+    def cyclic(node):
+        hit = cyc_cache.get(id(node))
+        if hit is None:
+            hit = cyc_cache[id(node)] = any(
+                x is node for x in subterms(node.args, env))
+        return hit
+
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is tuple:
+            level -= 1
+            node, nid = x
+            k = len(out) - len(node.args)
+            out[k:] = [Compound(node.functor, tuple(out[k:]), node.span)]
+            if nid is not None:
+                counts[nid] -= 1
+            continue
+        if isinstance(x, Compound):
+            w, nid = x, None
+        else:
+            w = env.walk(x)
+            if isinstance(w, Var):
+                out.append(w)
+                continue
+            nid = id(w)
+            varname.setdefault(nid, x.name)
+            if counts.get(nid, 0) >= depth and cyclic(w):
+                out.append(Var(varname[nid]))
+                continue
+        if level == cut:
+            out.append(Var("_"))
+            continue
+        level += 1
+        if nid is not None:
+            counts[nid] = counts.get(nid, 0) + 1
+        stack.append((w, nid))
+        stack.extend(reversed(w.args))
+    return out[0]
+
+
+_SHARE_VARS = [f"X{i}" for i in range(6)]
+
+
+def _shared_env(rng):
+    """Three variables bound to compounds, the rest aliases or free, so that
+    cycles close through several names and one node is reached from many
+    places; a compound may also be reused as a literal argument."""
+    made = []
+
+    def term(depth):
+        r = rng.random()
+        if made and r < 0.15:
+            return rng.choice(made)
+        if depth == 0 or r < 0.4:
+            if rng.random() < 0.7:
+                return Var(rng.choice(_SHARE_VARS))
+            return const(rng.choice("ab"))
+        name, arity = rng.choice([("f", 1), ("g", 2), (".", 2)])
+        t = Compound(name, tuple(term(depth - 1) for _ in range(arity)))
+        if depth == 1:
+            made.append(t)
+        return t
+
+    bindings = {n: term(2) for n in rng.sample(_SHARE_VARS, 3)}
+    for n in _SHARE_VARS:
+        if n not in bindings and rng.random() < 0.6:
+            bindings[n] = Var(rng.choice(_SHARE_VARS))
+    return BindingEnv(bindings), term(3)
+
+
+def _compounds(t):
+    return sum(isinstance(x, Compound) for x in subterms((t,), EMPTY_ENV))
+
+
+def _unfolded_compounds(t):
+    """Compounds in the unfolding of the finite term ``t``, counted on its
+    graph, so a shared node counts once for each path to it."""
+    size, stack = {}, [t]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is tuple:
+            size[id(x[0])] = 1 + sum(size.get(id(a), 0) for a in x[0].args)
+        elif isinstance(x, Compound) and id(x) not in size:
+            size[id(x)] = 0
+            stack.append((x,))
+            stack.extend(x.args)
+    return size.get(id(t), 0)
+
+
+def test_resolve_agrees_with_the_unshared_copy():
+    rng = random.Random(13)
+    shared = 0
+    for _ in range(500):
+        env, t = _shared_env(rng)
+        for depth in (0, 1, 2, 3):
+            for cut in (None, 1, 3, 12):
+                got = resolve(env, t, depth, cut)
+                want = _unshared_resolve(env, t, depth, cut)
+                assert got == want, (env, t, depth, cut)
+                for nested in (False, True):
+                    assert (term_text(got, nested_lists=nested)
+                            == term_text(want, nested_lists=nested))
+                shared += _compounds(got) < _unfolded_compounds(got)
+    assert shared > 0
+
+
+def test_resolve_shares_no_node_on_a_cycle():
+    # Y's node lies on the cycle through X.  Under A it is reached twice:
+    # inside X's walk, where X is open, and directly, where it is not.
+    env = BindingEnv({"X": Compound("f", (Var("Y"),)),
+                      "Y": Compound("g", (Var("X"),)),
+                      "A": Compound("h", (Var("Y"), Var("X")))})
+    got = resolve(env, Var("A"), 1)
+    assert term_text(got) == "h(g(f(Y)), f(g(X)))"
+    assert got == _unshared_resolve(env, Var("A"), 1)
+
+
+def _doubling_dag(depth):
+    """``Y0 = f(Y1, Y1)``, ..., ``Y<depth> = a``: depth + 1 nodes whose
+    unfolding has 2^(depth + 1) - 1."""
+    bindings = {f"Y{i}": Compound("f", (Var(f"Y{i + 1}"),) * 2)
+                for i in range(depth)}
+    bindings[f"Y{depth}"] = const("a")
+    return BindingEnv(bindings)
+
+
+def _build_cap(monkeypatch, cap):
+    """Fail as soon as more than ``cap`` compounds are built."""
+    built = []
+    original = Compound.__post_init__
+
+    def counting(self):
+        built.append(None)
+        assert len(built) <= cap, f"more than {cap} compounds built"
+        original(self)
+
+    monkeypatch.setattr(Compound, "__post_init__", counting)
+
+
+def test_resolve_and_to_mu_of_a_doubling_dag_cost_its_graph(monkeypatch):
+    env = _doubling_dag(20)
+    _build_cap(monkeypatch, 200)
+    for unfold in (1, 3):
+        got = resolve(env, Var("Y0"), unfold)
+        assert _compounds(got) == 21
+        assert _unfolded_compounds(got) == 2 ** 21 - 1
+    m = to_mu(env, Var("Y0"))
+    assert not m.equations and _compounds(m.root) == 21
+    # over a cycle: the stream's equation shares the DAG's copy
+    cyc = BindingEnv({**env.bindings,
+                      "X": Compound("cons", (Var("Y0"), Var("X")))})
+    m = to_mu(cyc, Var("X"))
+    assert m.root == Var("X") and _compounds(m.equations["X"]) == 22
+
+
 # ---------------------------------------------------------------------------
 # MuTerm round trips
 
