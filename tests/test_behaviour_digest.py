@@ -58,6 +58,13 @@ Cases:
   ``Y0 = f(Y1, Y1)``, ..., ``Y<d> = a`` at unfold 1 and 3; ``cycle/<i>``
   a cycle reached from two places, and one with a shared acyclic part,
   each at unfold 0-3 together with ``resolve`` of every variable.
+* ``engine/index/<program>/<i>``: clause selection by the first argument.
+  Two programs whose heads' first arguments mix variables, constants,
+  list cells and compounds of clashing arity, with repeated head
+  variables and zero-arity predicates, run as ``program/<i>`` runs them,
+  and ``up_member`` at stages 0-3.  Each goal's first argument is bound
+  directly, through a chain of ``eq`` bindings, to a cyclic term, or not
+  at all; goal variables share names with head variables.
 
 No case reads ``Compound.fp`` or anything else that depends on ``hash``
 salting.  A change that means to alter behaviour regenerates the file with
@@ -978,13 +985,95 @@ def print_cases() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Clause selection by the first argument
+
+_INDEX_PROGRAMS = {
+    "p": """
+        eq(X, X).
+        p(X, var(X)).
+        p(a, const).
+        p([], nil).
+        p([H|T], cons(H, T)).
+        p(f(X), f1(X)).
+        p(f(X, Y), f2(X, Y)).
+        p(g(X, X), same(X)).
+        p(X, X) :- q.
+        p(f(b), fb) :- r.
+        p(h, h) :- none.
+        q.
+        q :- r.
+        r.
+    """,
+    "w": """
+        eq(X, X).
+        w(a, Y) :- q.
+        w([], z).
+        w([H|T], s(Y)) :- w(T, Y).
+        w(f(X), Y) :- w(X, Y).
+        w(f(X, Y), Y).
+        w(g(X, X), X).
+        w(X, X).
+        w(k(X), Y) :- eq(X, Y), w(X, Y).
+        q.
+    """,
+}
+
+# (bindings, first argument, rest of the atom): the goal binds each pair
+# with ``eq`` before the indexed atom, and ``up_member`` reads them as its
+# environment.
+_INDEX_GOALS = [
+    ((), "a", "R"), ((), "b", "R"), ((), "[]", "R"), ((), "[a, b]", "R"),
+    ((), "[a|T]", "R"), ((), "f(a)", "R"), ((), "f(f(a))", "R"),
+    ((), "f(a, b)", "R"), ((), "f(X, Y)", "Y"), ((), "g(c, c)", "R"),
+    ((), "g(c, d)", "R"), ((), "g(X, X)", "X"), ((), "g(X, Y)", "R"),
+    ((), "h", "h"), ((), "k(a)", "R"), ((), "f(b)", "fb"),
+    ((("X", "Y"), ("Y", "a")), "X", "R"),
+    ((("X", "Y"), ("Y", "[a]")), "X", "R"),
+    ((("X", "Y"), ("Y", "f(b)")), "X", "R"),
+    ((("X", "Y"), ("Y", "Z"), ("Z", "g(c, c)")), "X", "R"),
+    ((("X", "Y"), ("Y", "f(a, b)")), "X", "Y"),
+    ((("X", "f(X)"),), "X", "R"),
+    ((("X", "[a|X]"),), "X", "R"),
+    ((("X", "g(X, X)"),), "X", "R"),
+    ((("X", "Y"), ("Y", "g(Y, X)")), "X", "R"),
+    ((("X", "f(X, X)"),), "X", "X"),
+    ((("X", "Y"), ("Y", "X")), "X", "R"),
+    ((), "X", "R"), ((), "X", "X"), ((), "X", "Y"), ((), "H", "T"),
+]
+
+_INDEX_ZERO_ARITY = ["q", "r", "none", "eq(X, a), q"]
+
+
+def index_cases() -> dict:
+    cases = {}
+    for name, text in _INDEX_PROGRAMS.items():
+        program = parse_program(text)
+        pred = program.clauses[1].head.pred
+        goals = [(parse_goal(g), None) for g in _INDEX_ZERO_ARITY]
+        for pairs, first, rest in _INDEX_GOALS:
+            atom = parse_goal(f"{pred}({first}, {rest})").atoms[0]
+            eqs = [parse_goal(f"eq({x}, {t})").atoms[0] for x, t in pairs]
+            env = BindingEnv({x: parse_term(t) for x, t in pairs})
+            goals.append((Goal((*eqs, atom)), (atom, env)))
+        for i, (goal, member) in enumerate(goals):
+            text = _program_text(program, goal)
+            if member is not None:
+                atom, env = member
+                text += "\nup " + " ".join(
+                    _guarded(up_member, program, atom, k, env)
+                    for k in _REFEREE_STAGES)
+            cases[f"engine/index/{name}/{i}"] = text
+    return cases
+
+
+# ---------------------------------------------------------------------------
 
 
 def all_cases() -> dict:
     return {**term_cases(), **program_cases(), **oracle_cases(),
             **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases(),
             **moo_cases(), **referee_cases(), **proof_cases(),
-            **print_cases()}
+            **print_cases(), **index_cases()}
 
 
 def _digest(text: str) -> str:
