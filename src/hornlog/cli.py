@@ -121,14 +121,16 @@ def _report_verdict(verdict: Verdict, args) -> int:
     seen = set()
     for answer in verdict.answers:
         # Backtracking revisits the same rational answer at every unrolling
-        # depth; print each answer once up to bisimulation.  The goal
-        # variables share one term graph, so key them together: two
-        # wrappers are bisimilar exactly when their children are.
-        goal = Compound("", tuple(Var(n) for n in answer.goal_vars))
-        key = (answer.kind, canon_key(goal, answer.bindings))
-        if key in seen:
-            continue
-        seen.add(key)
+        # depth; print each answer once up to bisimulation (a lone answer
+        # needs no key).  The goal variables share one term graph, so key
+        # them together: two wrappers are bisimilar exactly when their
+        # children are.
+        if len(verdict.answers) > 1:
+            goal = Compound("", tuple(Var(n) for n in answer.goal_vars))
+            key = (answer.kind, canon_key(goal, answer.bindings))
+            if key in seen:
+                continue
+            seen.add(key)
         if trace and answer.trace:
             for line in answer.trace:
                 print(line)

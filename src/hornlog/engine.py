@@ -44,6 +44,7 @@ from hornlog.terms import (
     Var,
     bump_counter_past,
     has_cycle,
+    head_matches,
     match_atoms,
     rename_apart,
     resolve,
@@ -180,7 +181,7 @@ def sld_step(atoms: tuple, env: BindingEnv, p: Program,
     selected = atoms[0]
     rest = atoms[1:]
     children = []
-    for clause in p.clauses_for(selected.key):
+    for clause in p.select(selected, env):
         rc, env2 = rename_apart(clause, env)
         u = unify_atoms(rc.head, selected, env2, occurs_check)
         if u is None:
@@ -304,7 +305,8 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
 
     One step replaces the leftmost matching atom by the clause body under the
     matcher; matching never instantiates the goal, so rewriting is the
-    deterministic, answer-preserving half of a resolution step.  Exceeding
+    deterministic, answer-preserving half of a resolution step.  A clause is
+    renamed only once its own, unrenamed head has matched.  Exceeding
     ``max_rewrite_steps`` reports divergence with the recent goal history.
     With ``collect_trace`` every step extends the branch that ends at
     ``last``, and the result's ``last`` ends the extended branch.
@@ -323,17 +325,9 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
     # instantiates the goal side.  Resume each scan at that position.
     frontier = 0
     while True:
-        found = None
-        for ai in range(frontier, len(atoms)):
-            atom = atoms[ai]
-            for clause in p.clauses_for(atom.key):
-                rc, env2 = rename_apart(clause, cur_env)
-                sigma = match_atoms(rc.head, atom, env2)
-                if sigma is not None:
-                    found = (ai, rc, clause, sigma)
-                    break
-            if found:
-                break
+        found = next(((ai, clause) for ai in range(frontier, len(atoms))
+                      for clause in p.select(atoms[ai], cur_env)
+                      if head_matches(clause.head, atoms[ai], cur_env)), None)
         if found is None:
             return RewriteResult("normal_form", Goal(atoms), cur_env, steps,
                                  last=last)
@@ -342,7 +336,9 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
             witness.append(_goal_snapshot(atoms, cur_env))
             return RewriteResult("diverged", Goal(atoms), cur_env, steps,
                                  witness=witness, last=last)
-        ai, rc, clause, sigma = found
+        ai, clause = found
+        rc, env2 = rename_apart(clause, cur_env)
+        sigma = match_atoms(rc.head, atoms[ai], env2)
         if consumed is not None:
             for x in subterms(rc.head.args, cur_env):
                 if isinstance(x, Compound):
@@ -371,29 +367,30 @@ def _goal_snapshot(atoms, env: BindingEnv, limit: int = 6) -> str:
 def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
     """Substitution reductions of the leftmost eligible atom.
 
-    Eligible clauses are those whose (renamed) head unifies with the atom but
-    does not match it — a matching head belongs to the rewriting phase, which
-    runs first, so including it here would duplicate work.  The goal's atoms
-    are unchanged; only the environment is instantiated.  Returns
-    ``(goal, env, clause_idx, atom_index)`` tuples in clause order.
+    Eligible clauses are those whose head unifies with the atom but does not
+    match it — a matching head belongs to the rewriting phase, which runs
+    first, so including it here would duplicate work.  A clause is renamed
+    only if ``Program.select`` keeps it and its own head does not match.
+    The goal's atoms are unchanged; only the environment is instantiated.
+    Returns ``(goal, env, clause_idx, atom_index)`` tuples in clause order.
 
-    An atom that unifies with no head at all can never be solved, however the
-    rest of the goal instantiates it, so its presence fails the whole goal.
-    Without this check a derivation could keep taking substitution steps on
-    atoms to the right of an unsatisfiable one and report hollow partial
-    answers for a goal that has no answers.
+    An atom that unifies with no head can never be solved, however the rest
+    of the goal instantiates it, so it fails the whole goal; else a
+    derivation could keep taking substitution steps to its right and report
+    hollow partial answers for a goal that has no answers.
     """
     best: list = []
     for ai, atom in enumerate(g.atoms):
         options = []
         alive = False
-        for clause in p.clauses_for(atom.key):
+        for clause in p.select(atom, env):
+            if head_matches(clause.head, atom, env):
+                alive = True
+                continue
             rc, env2 = rename_apart(clause, env)
             u = unify_atoms(rc.head, atom, env2, occurs_check=False)
-            if u is None:
-                continue
-            alive = True
-            if match_atoms(rc.head, atom, env2) is None:
+            if u is not None:
+                alive = True
                 options.append((g, u, clause.idx, ai))
         if not alive:
             return []

@@ -363,7 +363,7 @@ def up_member(p: Program, a: Atom, k: int, env: BindingEnv = EMPTY_ENV) -> bool:
         (atom, stage), rest = goals
         if stage <= 0:
             continue
-        for clause in reversed(p.clauses_for(atom.key)):
+        for clause in reversed(p.select(atom, env)):
             rc, env0 = rename_apart(clause, env)
             u = unify_atoms(rc.head, atom, env0, occurs_check=False)
             if u is not None:

@@ -36,6 +36,9 @@ each for its own question:
   so that cyclic terms terminate.  ``match`` is ``_unify`` restricted to
   the pattern's variables.  ``rational_equal`` binds nothing; ``==`` on
   compounds is ``rational_equal`` under no environment.
+* :func:`head_matches` stays apart from ``_unify``: it binds nothing, and
+  its pattern, a clause's own head, needs no renaming, since the head's
+  variables live in a dict of their own.
 * :meth:`BindingEnv.restrict` walks binding chains without dereferencing
   them, because it keeps every raw binding it passes.
 
@@ -185,6 +188,15 @@ class Program:
     def clauses_for(self, key: tuple) -> tuple:
         return self._index.get(key, ())
 
+    def select(self, atom: Atom, env: BindingEnv) -> tuple:
+        """``clauses_for`` less each clause whose head's first argument
+        clashes with ``atom``'s under ``env`` (WAM ``switch_on_term``)."""
+        first = _walk(env._b, atom.args[0]) if atom.args else None
+        buckets = self._first_index.get(atom.key)
+        if first.__class__ is not Compound or buckets is None:
+            return self.clauses_for(atom.key)
+        return buckets.get((first.functor, len(first.args)), buckets[None])
+
     @cached_property
     def _index(self) -> dict:
         """Clauses by head ``(pred, arity)``, each in program order."""
@@ -192,6 +204,19 @@ class Program:
         for c in self.clauses:
             index.setdefault(c.head.key, []).append(c)
         return {k: tuple(cs) for k, cs in index.items()}
+
+    @cached_property
+    def _first_index(self) -> dict:
+        """Per head key, the clauses by the functor and arity of their first
+        argument; a variable there is every one, and alone under ``None``."""
+        index: dict = {}
+        for key, cs in self._index.items():
+            shapes = [None if isinstance(h, Var) else (h.functor, len(h.args))
+                      for h in (c.head.args[0] for c in cs if key[1])]
+            index[key] = {s: tuple(c for c, s2 in zip(cs, shapes)
+                                   if s2 in (None, s))
+                          for s in {None, *shapes}}
+        return index
 
     @cached_property
     def var_ceiling(self) -> int:
@@ -447,6 +472,30 @@ def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Opt
     pat_vars = {v.name for a in pattern.args for v in term_vars(a)}
     return _unify(list(zip(reversed(pattern.args), reversed(target.args))),
                   env, False, pat_vars)
+
+
+def head_matches(head: Atom, target: Atom, env: BindingEnv) -> bool:
+    """Would ``match_atoms`` of a renamed copy of ``head`` succeed against
+    ``target`` under ``env``?  Walks ``head`` as a finite tree and binds its
+    variables in a dict of their own, so they may share names with
+    ``target``'s.  Nothing is renamed, built or bound in ``env``."""
+    if head.pred != target.pred or len(head.args) != len(target.args):
+        return False
+    own: dict = {}
+    stack = list(zip(head.args, target.args))
+    while stack:
+        p, t = stack.pop()
+        t = _walk(env._b, t)
+        if isinstance(p, Var):
+            first = own.setdefault(p.name, t)
+            if first is not t and not rational_equal(first, t, env, env):
+                return False  # a repeated variable, two different targets
+        elif (isinstance(t, Var) or p.functor != t.functor
+              or len(p.args) != len(t.args)):
+            return False
+        else:
+            stack.extend(zip(p.args, t.args))
+    return True
 
 
 # ---------------------------------------------------------------------------

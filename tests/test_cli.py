@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hornlog import cli
 from hornlog.cli import main
 from hornlog.syntax import parse_program, parse_trace_line
 
@@ -58,6 +59,19 @@ def test_solve_sres_from_partial(capsys):
     assert code == 0
     assert re.fullmatch(
         r"X = \[0\|\[s\(0\)\|\[s\(s\(0\)\)\|\w+\?\]\]\]  % partial\n", out)
+
+
+def test_one_answer_verdict_prints_without_an_answer_key(capsys,
+                                                          monkeypatch):
+    # Keys only tell duplicates apart, and a lone answer has none.
+    def no_key(*args):
+        raise AssertionError("canon_key called")
+
+    monkeypatch.setattr(cli, "canon_key", no_key)
+    code, out, err = run(capsys, "solve", FROM, "from(0, X)",
+                         "--engine", "sres", "--lazy-k", "3")
+    assert code == 0
+    assert out == "X = [0|[s(0)|[s(s(0))|V9?]]]  % partial\n"
 
 
 def test_solve_failed_goal(capsys):

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from genprog import random_atom, random_program
+from genprog import random_atom, random_program, random_term
 
 from hornlog.engine import (
     Budget,
@@ -27,8 +27,9 @@ from hornlog.engine import (
     subst_step,
 )
 from hornlog.syntax import parse_goal, parse_program, parse_term, print_answer, parse_trace_line
-from hornlog import terms
+from hornlog import engine, terms
 from hornlog.terms import (
+    BindingEnv,
     Compound,
     EMPTY_ENV,
     Goal,
@@ -513,3 +514,60 @@ def test_colp_len_ancestor_checks_are_not_cubic(monkeypatch):
     # (cubic growth would multiply them by 8).
     ratio = _colp_len_walks(monkeypatch, 200) / _colp_len_walks(monkeypatch, 100)
     assert ratio < 5
+
+
+# ---------------------------------------------------------------------------
+# Clause selection by the first argument
+
+
+def test_clause_selection_drops_only_clauses_that_cannot_unify():
+    dropped = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        p = random_program(rng, max_clauses=8)
+        bindings = {n: random_term(rng) for n in ("X", "Y", "Z")
+                    if rng.random() < 0.6}
+        if seed % 4 == 0:  # a variable loop X -> Y -> X
+            bindings.update(X=Var("Y"), Y=Var("X"))
+        env = BindingEnv(bindings)
+        for _ in range(4):
+            atom = random_atom(rng)
+            candidates = p.clauses_for(atom.key)
+            kept = p.select(atom, env)
+            assert list(kept) == [c for c in candidates
+                                  if any(c is k for k in kept)]
+            for c in candidates:
+                if any(c is k for k in kept):
+                    continue
+                dropped += 1
+                rc, env2 = rename_apart(c, env)
+                for oc in (False, True):
+                    assert unify_atoms(rc.head, atom, env2, oc) is None
+    assert dropped > 300
+
+
+@pytest.mark.parametrize("solve, options, most", [
+    (sld_solve, {}, lambda n: n + 1),
+    (colp_solve, {}, lambda n: n + 1),
+    (sres_solve, {"lazy_k": None}, lambda n: 2 * n + 2),
+], ids=["sld", "colp", "sres"])
+def test_len_renames_no_clause_its_first_argument_rules_out(
+        monkeypatch, solve, options, most):
+    # One rename per cell for sld and colp, and for sres one in the
+    # substitution step and one in the rewrite that follows it.  Renaming
+    # every clause of the predicate took 2n + 2 and 6n + 5.
+    n = 200
+    calls = 0
+    real = engine.rename_apart
+
+    def counting(clause, env):
+        nonlocal calls
+        calls += 1
+        return real(clause, env)
+
+    monkeypatch.setattr(engine, "rename_apart", counting)
+    p = parse_program("len([], z). len([_|T], s(N)) :- len(T, N).")
+    g = parse_goal("len([" + ", ".join(["a"] * n) + "], N)")
+    verdict = solve(g, p, Budget(max_answers=1), **options)
+    assert verdict.kind == "answers"
+    assert calls <= most(n)

@@ -30,6 +30,7 @@ from hornlog.terms import (
     const,
     from_mu,
     has_cycle,
+    head_matches,
     match,
     match_atoms,
     mklist,
@@ -878,6 +879,60 @@ def test_match_atoms_is_unify_atoms_binding_only_pattern_variables():
             successes += 1
             assert _same_bindings(matched, unified)
     assert successes > 20
+
+
+# ---------------------------------------------------------------------------
+# Matching a clause's own head, unrenamed
+
+# Head variables; the first two are also variable names of the targets.
+_HEAD_VARS = ["X0", "X1", "A", "B"]
+
+
+def _head_term(rng, t, depth, named):
+    """A head argument for the finite target term ``t``: mostly ``t``'s
+    shape with some subterms replaced by head variables.  ``named`` maps
+    each replaced subterm to its variable, which is mostly reused when the
+    same subterm is replaced again, so that variables repeat."""
+    if depth == 0 or rng.random() < 0.3:
+        if t in named and rng.random() < 0.7:
+            return Var(named[t])
+        return Var(named.setdefault(t, rng.choice(_HEAD_VARS)))
+    if isinstance(t, Var) or rng.random() < 0.05:
+        return rng.choice([const("a"), Compound("f", (Var("A"),)),
+                           Compound(".", (Var("X0"), Var("B")))])
+    return Compound(t.functor, tuple(_head_term(rng, a, depth - 1, named)
+                                     for a in t.args))
+
+
+def test_head_matches_agrees_with_match_atoms_of_the_renamed_head():
+    rng = random.Random(14)
+    seen = {True: 0, False: 0}
+    repeated_cyclic = 0
+    for i in range(2000):
+        env, t = _shared_env(rng)
+        if i % 3 == 0:  # a variable loop X4 -> X5 -> X4
+            env = BindingEnv({**env.bindings, "X4": Var("X5"),
+                              "X5": Var("X4")})
+        target = Atom("p", (t, Var(rng.choice(_SHARE_VARS))))
+        named: dict = {}
+        head = Atom("p", tuple(_head_term(rng, resolve(env, a, 1, cut=4), 3,
+                                          named) for a in target.args))
+        renamed, env2 = rename_apart(Clause(head), env)
+        want = match_atoms(renamed.head, target, env2) is not None
+        assert head_matches(head, target, env) == want, (head, target, env)
+        seen[want] += 1
+        names = [v.name for a in head.args for v in term_vars(a)]
+        repeated_cyclic += (want and len(set(names)) < len(names)
+                            and has_cycle(env, Compound("", target.args)))
+    assert min(seen.values()) > 300
+    assert repeated_cyclic > 20
+
+
+def test_head_matches_checks_the_predicate_and_arity():
+    a = Atom("p", (Var("X"),))
+    assert head_matches(a, a, EMPTY_ENV)
+    assert not head_matches(a, Atom("q", (Var("X"),)), EMPTY_ENV)
+    assert not head_matches(a, Atom("p", (Var("X"), Var("Y"))), EMPTY_ENV)
 
 
 # ---------------------------------------------------------------------------
