@@ -208,7 +208,8 @@ class Program:
     @cached_property
     def _first_index(self) -> dict:
         """Per head key, the clauses by the functor and arity of their first
-        argument; a variable there is every one, and alone under ``None``."""
+        argument, in program order.  A clause with a variable there is in
+        every bucket, and the ``None`` bucket holds those clauses alone."""
         index: dict = {}
         for key, cs in self._index.items():
             shapes = [None if isinstance(h, Var) else (h.functor, len(h.args))
