@@ -49,6 +49,16 @@ Cases:
   ``ignore_last``), each stage's atoms printed and sorted.
   ``referee/query/<i>``: ``up_member`` on seeded terminating queries at
   stages 0-7.
+* ``referee/<name>/stages``: the stages 0-3 of ``tp_up``, ``tp_down``,
+  ``tp_up`` with ``ignore_last`` over the proof-carrying program and the
+  proof-carrying downward chain (``_proof_step``), each stage's atoms
+  printed in the stage dict's order, so that insertion order and
+  representatives are pinned.  The programs are the ``referee/<name>``
+  ones over the same fragment; hand-written ones, over the ``d = 2,
+  c = 1`` fragment, whose bodies have variables the head never reads,
+  shared body variables or ground atoms; and ``certificate/<i>``:
+  ``certificate_fragment``s of ``colp`` answers whose seeds keep variables
+  free.
 * ``proof/<sample>/<goal>/<engine>``: ``render_proof`` of every proof
   variable of every answer each engine gives to a transformed goal.
 * ``print/shared/<name>``: answers whose term graph is much smaller than
@@ -103,11 +113,14 @@ from hornlog.engine import (
     sld_solve,
     sres_solve,
 )
+from hornlog import fixpoint
 from hornlog.fixpoint import (
     FragmentError,
     build_fragment,
+    certificate_fragment,
     check_transform_lemmas,
     down_member_with_proof,
+    tp_down,
     tp_up,
     up_member,
 )
@@ -1067,13 +1080,79 @@ def index_cases() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Referee stages in insertion order
+
+_STAGE_PROGRAMS = {
+    "exists": "r(g(g(Z))) :- p(X), p(Y).\np(a).\np(f(X)) :- p(X).",
+    "shared": "r(Z) :- p(Y), q(Y).\np(a).\np(f(X)) :- p(X).\n"
+              "q(f(a)).\nq(g(X)) :- q(X).",
+    "ground-body": "s(X) :- p(a), q(f(a)), p(X).\np(a).\n"
+                   "p(g(X)) :- q(X).\nq(f(X)) :- p(X).",
+    "chain": "r(X, W) :- p(X, Y), p(Y, Z), q(Z, W), q(V, V).\n"
+             "p(a, f(a)).\np(f(X), X) :- q(X, X).\nq(X, X).",
+}
+_CERTIFICATES = [
+    ("p(cons(X, Y)) :- p(Y).", "p(Z)"),
+    ("p(cons(X, Y)) :- p(Y), q(X, W).\nq(A, B).", "p(Z)"),
+]
+
+
+def _chains(p, frag) -> list:
+    """Name and thunk of each stage chain that ``_stages_text`` prints."""
+    n = _REFEREE_STAGES[-1]
+    proof_side = transform_program(p).program
+    return [
+        ("up", lambda: tp_up(p, n, frag)),
+        ("down", lambda: tp_down(p, n, frag)),
+        ("proof-up", lambda: tp_up(proof_side, n, frag, ignore_last=True)),
+        ("proof-down", lambda: fixpoint._iterate(
+            dict(frag.atoms), n, frag,
+            lambda s: fixpoint._proof_step(proof_side, frag, s, s))),
+    ]
+
+
+def _stages_text(p, frag) -> str:
+    lines = [f"program {clause_text(c)}" for c in p.clauses]
+    for name, chain in _chains(p, frag):
+        try:
+            trace = chain()
+        except FragmentError as exc:
+            lines.append(f"{name} FragmentError {exc}")
+            continue
+        lines.append(f"{name} fixed point {trace.fixed_point}")
+        for k, stage in enumerate(trace.sets):
+            lines.append(f"{name} stage {k}")
+            lines += [atom_text(_shown(a, frag.env)) for a in stage.values()]
+    return "\n".join(lines)
+
+
+def stage_cases() -> dict:
+    cases = {}
+    for name, p in _referee_programs():
+        cases[f"referee/{name}/stages"] = _stages_text(
+            p, build_fragment(p, 1, 1))
+    for name, text in _STAGE_PROGRAMS.items():
+        p = parse_program(text)
+        cases[f"referee/{name}/stages"] = _stages_text(
+            p, build_fragment(p, 2, 1))
+    for i, (text, goal) in enumerate(_CERTIFICATES):
+        p = parse_program(text)
+        answer = colp_solve(parse_goal(goal), p, Budget(max_answers=1),
+                            certificate=True).answers[0]
+        frag = certificate_fragment(p, answer)
+        cases[f"referee/certificate/{i}/stages"] = (
+            f"goal {goal}\n{_stages_text(p, frag)}")
+    return cases
+
+
+# ---------------------------------------------------------------------------
 
 
 def all_cases() -> dict:
     return {**term_cases(), **program_cases(), **oracle_cases(),
             **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases(),
             **moo_cases(), **referee_cases(), **proof_cases(),
-            **print_cases(), **index_cases()}
+            **print_cases(), **index_cases(), **stage_cases()}
 
 
 def _digest(text: str) -> str:
