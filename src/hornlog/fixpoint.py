@@ -23,12 +23,25 @@ arguments.  The loops below carry the keys of the atoms they hold (from
 ``frag.atoms`` or from a stage set) instead of keying them again.
 ``tp_step`` and ``_proof_step`` join clause bodies against a stage with one
 generator, ``_joins``, which scans members and keys none.
+
+The join follows a plan read off each clause once (``_plan``).  A body atom
+whose variables shared with the head or a later atom are all bound by
+earlier atoms is *existential*: whichever member it joins, the rest of the
+join and the head come out the same, so it joins one member only, the last
+one that unifies.  ``_joins`` explores its members last first, so that is
+the member the full join explores first; every key is still derived first
+from the same join result, and stage sets, their insertion order and their
+representatives stay those of the full join.  The same plan says whether
+the head (``tp_step``) or a body atom (``_proof_step``) is ground after the
+join.  Both readings need every fragment member to be ground; a fragment
+seeded with free variables (``certificate_fragment``) joins every member and
+walks the terms to tell what is ground.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from hornlog.syntax import atom_text
@@ -45,6 +58,7 @@ from hornlog.terms import (
     rename_apart,
     resolve,
     subterms,
+    term_vars,
     to_mu,
     unify_atoms,
 )
@@ -68,6 +82,7 @@ class GroundFragment:
     atoms: dict = field(default_factory=dict)  # canon atom key -> Atom
     env: BindingEnv = EMPTY_ENV
     cap: int = DEFAULT_CAP
+    _free: bool = False  # does a member hold a free variable?
 
     def atom_key(self, a: Atom, env: Optional[BindingEnv] = None):
         e = env if env is not None else self.env
@@ -130,18 +145,24 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
               default=0)
     frag = GroundFragment(env=EMPTY_ENV.with_counter(top), cap=cap)
 
-    # Finite terms, by depth layers.
+    # Finite terms, by depth layers.  A combination of older terms only was
+    # tried in an earlier layer, so each layer tries those with at least one
+    # argument from the newest layer.
     for name in consts:
         frag.add_term(Compound(name), EMPTY_ENV)
     finite = list(frag.universe.values())
+    newest = finite
     for _ in range(d):
-        grown = list(finite)
+        newest_ids = {id(t) for t in newest}
+        newest = []
         for name, arity in constructors:
             for combo in itertools.product(finite, repeat=arity):
+                if not any(id(t) in newest_ids for t in combo):
+                    continue
                 term = frag.add_term(Compound(name, combo), frag.env)
                 if term is not None:
-                    grown.append(term)
-        finite = grown
+                    newest.append(term)
+        finite = finite + newest
 
     # Rational terms: systems of up to c equations, one constructor deep.
     rational = []
@@ -173,6 +194,8 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
         for sub in subterms(a.args, env):
             if isinstance(sub, Compound):
                 frag.add_term(sub, env)
+            else:
+                frag._free = True
 
     if atom_products:
         for pred, arity in sorted(preds):
@@ -196,19 +219,59 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
 # The immediate-consequence operator
 
 
-def _joins(body, by_pred: dict, env: BindingEnv):
+def _names(atoms) -> set:
+    return {v.name for a in atoms for t in a.args for v in term_vars(t)}
+
+
+def _ground(a: Atom, env: BindingEnv) -> bool:
+    return not any(isinstance(x, Var) for x in subterms(a.args, env))
+
+
+def _plan(body, bound: set, read: set, frag: GroundFragment) -> tuple:
+    """How ``_joins`` joins ``body`` when the names in ``bound`` are bound
+    and those in ``read`` are read after the join: for each atom, whether
+    it joins one member only (it is existential), and whether every name in
+    ``read`` is bound, so ground, after the join.
+
+    In a fragment with a free variable, joining a member can bind it, so
+    every atom joins every member, and groundness is ``None``: unknown
+    until a walk of the joined terms."""
+    if frag._free:
+        return (False,) * len(body), None
+    names = [_names((b,)) for b in body]
+    later, shared = set(read), []
+    for vs in reversed(names):
+        shared.append(vs & later)
+        later |= vs
+    bound, one = set(bound), []
+    for vs, need in zip(names, reversed(shared)):
+        one.append(need <= bound)
+        bound |= vs
+    return tuple(one), read <= bound
+
+
+def _joins(body, one, by_pred: dict, env: BindingEnv):
     """Each extension of ``env`` under which every atom of ``body`` unifies
-    with a member of ``by_pred`` (atoms by predicate key), depth first."""
+    with a member of ``by_pred`` (atoms by predicate key), depth first.
+
+    ``one[i]`` says that ``body[i]`` is existential (see ``_plan``): it
+    takes only the last member that unifies.  The stack is popped last in,
+    first out, so that member is the one a full join explores first, and
+    the results come in the full join's order, less those that differ from
+    an earlier one only in the existential atoms' own variables."""
     stack = [(0, env)]
     while stack:
         i, env = stack.pop()
         if i == len(body):
             yield env
             continue
-        for member in by_pred.get(body[i].key, ()):
+        members = by_pred.get(body[i].key, ())
+        for member in reversed(members) if one[i] else members:
             u = unify_atoms(body[i], member, env, occurs_check=False)
             if u is not None:
                 stack.append((i + 1, u))
+                if one[i]:
+                    break
 
 
 def tp_step(p: Program, s: dict, frag: GroundFragment,
@@ -224,6 +287,14 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
     proof terms are not fragment members.  The head's proof argument is
     stored resolved: in the upward chain from the empty set, each one is a
     finite ground term built from earlier proofs.
+
+    The join plan is read off each clause against the head it keys (without
+    the proof argument under ``ignore_last``): a body atom whose variables
+    the head and later atoms read are bound earlier joins one member.  Each
+    key's first derivation, whose proof argument is stored, is one the full
+    join finds first too, so the result, its order and its representatives
+    are the full join's.  The head is ground after the join when the body
+    binds every variable it has.
     """
     by_pred = {}
     for a in s.values():
@@ -236,14 +307,14 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
         rc, env0 = rename_apart(clause, frag.env)
         head = rc.head
         trimmed = Atom(head.pred, head.args[:-1]) if ignore_last else head
-        for env in _joins(rc.body, by_pred, env0):
+        one, ground = _plan(rc.body, set(), _names((trimmed,)), frag)
+        for env in _joins(rc.body, one, by_pred, env0):
             # Every admissible ground instance of the head *is* a fragment
             # atom, so unifying with those finds exactly what a product over
             # the universe would, and each instance takes its atom's key.
             # (With ``ignore_last`` proof variables stay free in the stored
             # representative: any grounding would witness the same key.)
-            if not any(isinstance(x, Var)
-                       for x in subterms(trimmed.args, env)):
+            if ground or ground is None and _ground(trimmed, env):
                 key = frag.atom_key(trimmed, env)
                 matches = [(key, env)] if key in frag.atoms else []
             else:
@@ -318,6 +389,13 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
     body-only variable to, a product over the universe would have tried
     too.  Proof positions stay unconstrained: the downward iteration only
     inspects k constructor layers of a proof, so any completion works.
+
+    ``atoms`` hold ground atoms, so the head unifier grounds every head
+    variable, and the plan is read off the clause once: a body atom is
+    looked up when the head holds all its variables, and a joined atom
+    whose variables shared with later joined atoms are bound by the head or
+    earlier atoms joins one member.  Only whether a join exists is asked,
+    and that one member leaves it unchanged.
     """
     by_pred = {}
     for a in stage.values():
@@ -326,19 +404,29 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
     for clause in p_trans.clauses:
         rc, env0 = rename_apart(clause, frag.env)
         head, *body = [Atom(b.pred, b.args[:-1]) for b in (rc.head, *rc.body)]
-        stripped.setdefault(head.key, []).append((head, body, env0))
+        split = None
+        if not frag._free:
+            bound, keyed, joined = _names((head,)), [], []
+            for b in body:
+                (keyed if _names((b,)) <= bound else joined).append(b)
+            split = keyed, joined, _plan(joined, bound, set(), frag)[0]
+        stripped.setdefault(head.key, []).append((head, body, env0, split))
     out = {}
     for key, a in atoms.items():
-        for head, body, env0 in stripped.get(a.key, ()):
+        for head, body, env0, split in stripped.get(a.key, ()):
             u = unify_atoms(head, a, env0, occurs_check=False)
             if u is None:
                 continue
-            ground, joined = [], []
-            for b in body:
-                free = any(isinstance(x, Var) for x in subterms(b.args, u))
-                (joined if free else ground).append(b)
-            if (all(frag.atom_key(b, u) in stage for b in ground)
-                    and next(_joins(joined, by_pred, u), None) is not None):
+            if split is None:
+                keyed, joined = [], []
+                for b in body:
+                    (keyed if _ground(b, u) else joined).append(b)
+                one = (False,) * len(joined)
+            else:
+                keyed, joined, one = split
+            if (all(frag.atom_key(b, u) in stage for b in keyed)
+                    and next(_joins(joined, one, by_pred, u), None)
+                    is not None):
                 out[key] = a
                 break
     return out
@@ -382,12 +470,15 @@ def down_member_with_proof(p_trans: Program, a: Atom, k: int,
     ``a`` is an atom over the *original* signature, valid under the fragment
     arena.  Each call builds the chain up to stage k-1 and steps ``a`` from
     it (for a fragment atom, reading stage k); to ask about many atoms,
-    build the chain once with ``_iterate`` instead.
+    build the chain once with ``_iterate`` instead.  A non-ground ``a`` is
+    stepped as over a fragment with free variables, joining every member.
     """
     if k <= 0:
         return True
     chain = _iterate(dict(frag.atoms), k - 1, frag,
                      lambda s: _proof_step(p_trans, frag, s, s))
+    if not _ground(a, frag.env):
+        frag = replace(frag, _free=True)
     return bool(_proof_step(p_trans, frag, {None: a}, chain.final()))
 
 

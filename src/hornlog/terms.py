@@ -24,8 +24,11 @@ The walks that read a term under an environment are few and iterative,
 each for its own question:
 
 * :func:`subterms` lists what is reachable: every compound once, in
-  depth-first, left-to-right order.  ``resolve`` asks it whether a node
-  lies on a cycle, and ``canon_key`` takes its node list from it.
+  depth-first, left-to-right order.  ``canon_key`` takes its node list
+  from it.
+* ``_on_cycles`` finds every compound that lies on a cycle, in one pass
+  of Tarjan's strongly connected components.  ``resolve`` runs it on its
+  first question about a cycle, so a walk that asks none pays nothing.
 * ``_cycle_scan`` finds where cycles close: a path-marking walk that
   records the variable through which each compound is first entered and
   each back edge's target.  ``has_cycle`` and ``to_mu`` both read it.
@@ -526,17 +529,15 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8,
     opened: dict = {}  # id -> levels where it is open, entered by a variable
     varname: dict = {}
     copies: dict = {}  # id -> the copy of a node on no cycle
-    cyc_cache: dict = {}
+    on_cycles: list = []  # the ids from _on_cycles, once asked
     lows: list = []  # per open compound: the lowest open level it reached
 
     def cyclic(node: Compound) -> bool:
         """Does ``node`` lie on a cycle?  Every node on one counts, not
         only the one where a walk from the root re-enters it."""
-        hit = cyc_cache.get(id(node))
-        if hit is None:
-            hit = cyc_cache[id(node)] = any(
-                x is node for x in subterms(node.args, env))
-        return hit
+        if not on_cycles:
+            on_cycles.append(_on_cycles(env, t))
+        return id(node) in on_cycles[0]
 
     out: list = []  # finished subterms, left to right
     stack: list = [t]
@@ -581,6 +582,49 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8,
         stack.append((w, nid))
         stack.extend(reversed(w.args))
     return out[0]
+
+
+def _on_cycles(env: BindingEnv, t: Term) -> set:
+    """The ids of the compounds reachable from ``t`` under ``env`` that lie
+    on a cycle: those in a strongly connected component of more than one
+    node or with an edge to themselves (Tarjan, without recursion)."""
+    bindings = env._b
+    index: dict = {}  # id -> preorder number
+    low: dict = {}  # id -> lowest number reached from it, while open
+    open_nodes: list = []  # the open components' nodes, in preorder
+    out: set = set()
+    stack: list = [(None, t)]  # (parent id, term to enter)
+    while stack:
+        parent, x = stack.pop()
+        if x.__class__ is tuple:  # (node,): every argument of node is done
+            nid = id(x[0])
+            if low[nid] == index[nid]:
+                k = len(open_nodes) - 1
+                while open_nodes[k] != nid:
+                    k -= 1
+                if len(open_nodes) - k > 1:
+                    out.update(open_nodes[k:])
+                for m in open_nodes[k:]:
+                    del low[m]
+                del open_nodes[k:]
+            elif parent is not None:
+                low[parent] = min(low[parent], low[nid])
+            continue
+        x = _walk(bindings, x)
+        if isinstance(x, Var):
+            continue
+        nid = id(x)
+        if nid in index:
+            if nid in low and parent is not None:  # open: a cycle closes
+                low[parent] = min(low[parent], index[nid])
+                if nid == parent:
+                    out.add(nid)
+            continue
+        index[nid] = low[nid] = len(index)
+        open_nodes.append(nid)
+        stack.append((parent, (x,)))
+        stack.extend((nid, a) for a in reversed(x.args))
+    return out
 
 
 def _cycle_scan(env: BindingEnv, t: Term) -> tuple:

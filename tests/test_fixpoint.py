@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from hornlog.fixpoint import (
     tp_up,
     up_member,
 )
-from hornlog.syntax import parse_goal, parse_program, parse_term
+from hornlog.syntax import atom_text, parse_goal, parse_program, parse_term
 from hornlog.terms import (
     Atom,
     Clause,
@@ -30,6 +31,7 @@ from hornlog.terms import (
     canon_key,
     rename_apart,
     term_vars,
+    unify_atoms,
 )
 from hornlog.transform import transform_program
 
@@ -58,9 +60,9 @@ def _count_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
@@ -287,6 +289,92 @@ def test_proof_chains_leave_the_arena_fixed(monkeypatch):
     renamed.clear()
     fixpoint._proof_step(p, frag, frag.atoms, frag.atoms)
     assert 0 < len(renamed) <= len(p.clauses)
+
+
+# ---------------------------------------------------------------------------
+# Joins by need
+
+
+def _all_branching_joins(body, one, by_pred, env):
+    """``_joins`` before join plans: every atom joins every member."""
+    stack = [(0, env)]
+    while stack:
+        i, env = stack.pop()
+        if i == len(body):
+            yield env
+            continue
+        for member in by_pred.get(body[i].key, ()):
+            u = unify_atoms(body[i], member, env, occurs_check=False)
+            if u is not None:
+                stack.append((i + 1, u))
+
+
+def _chains(p, frag, n):
+    """Every stage of ``tp_up``, ``tp_down``, the proof-carrying ``tp_up``
+    and the proof-carrying downward chain: its keys in order, each with its
+    representative's text."""
+    p_trans = transform_program(p).program
+    traces = (tp_up(p, n, frag), tp_down(p, n, frag),
+              tp_up(p_trans, n, frag, ignore_last=True),
+              fixpoint._iterate(dict(frag.atoms), n, frag,
+                                lambda s: fixpoint._proof_step(
+                                    p_trans, frag, s, s)))
+    return [[(key, atom_text(a)) for key, a in stage.items()]
+            for trace in traces for stage in trace.sets]
+
+
+def _certificate_fragments():
+    for text, goal in (("zeros(cons(0, X)) :- zeros(X).", "zeros(X)"),
+                       ("add(0, Y, Y). add(s(X), Y, s(Z)) :- add(X, Y, Z).",
+                        "add(X, Y, s(s(0)))"),
+                       ("p(cons(X, Y)) :- p(Y).", "p(Z)"),
+                       ("p(cons(X, Y)) :- p(Y), q(X, W). q(A, B).", "p(Z)")):
+        p = parse_program(text)
+        for ans in colp_solve(parse_goal(goal), p, Budget(max_answers=3),
+                              certificate=True).answers:
+            yield p, certificate_fragment(p, ans)
+
+
+def test_joins_by_need_keep_every_stage_of_the_full_join(monkeypatch):
+    # The reference joins every member and walks for groundness, as a
+    # fragment with free variables does; the plan must leave each stage's
+    # keys, their order and their representatives as they were.
+    rng = random.Random(0x10E7)
+    cases = []
+    for _ in range(300):
+        p = random_lemma_program(rng)
+        cases += [(p, build_fragment(p, d, c), n)
+                  for n, d, c in ((4, 3, 2), (3, 1, 1), (4, 2, 0))]
+    cases += [(p, frag, 3) for p, frag in _certificate_fragments()]
+    assert sum(frag._free for _, frag, _ in cases) >= 2
+    for p, frag, n in cases:
+        got = _chains(p, frag, n)
+        with monkeypatch.context() as m:
+            m.setattr(fixpoint, "_joins", _all_branching_joins)
+            want = _chains(p, replace(frag, _free=True), n)
+        assert got == want, [str(c) for c in p.clauses]
+
+
+def test_down_member_with_proof_of_a_non_ground_atom_joins_its_body():
+    # Z is free, so the head leaves q(X) open: q(X) joins the stage, as in
+    # a fragment with free variables, instead of being looked up by key.
+    p = parse_program("p(X) :- q(X). q(a).")
+    frag = build_fragment(p, 1, 0)
+    a = Atom("p", (Var("Z"),))
+    assert down_member_with_proof(transform_program(p).program, a, 2, frag)
+
+
+def test_tp_down_joins_each_existential_atom_once(monkeypatch):
+    # Neither p(X) nor p(Y) binds a variable that the head or a later atom
+    # reads, so each joins one member; the full join tried all 21,567 pairs
+    # and head candidates of this program at (n, d, c) = (4, 3, 2).
+    p = parse_program("r(g(g(Z))) :- p(X), p(Y).\np(g(f(Z))).\n"
+                      "r(g(g(a))) :- r(a), q(a).")
+    frag = build_fragment(p, 3, 2)
+    unified = _count_calls(monkeypatch, fixpoint, "unify_atoms")
+    trace = tp_down(p, 4, frag)
+    assert [len(s) for s in trace.sets] == [81, 12, 12, 12, 12]
+    assert len(unified) <= 500
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ independent oracle for the production unifier on acyclic inputs.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,7 +44,10 @@ from hornlog.terms import (
     unify,
     unify_atoms,
 )
-from hornlog.syntax import parse_program, term_text
+from hornlog.engine import Budget, sres_solve
+from hornlog.syntax import parse_goal, parse_program, term_text
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +324,25 @@ def test_resolve_depth_zero_cuts_every_node_on_a_cycle():
                       "W": Compound("g", (Var("U"),))})
     t = Compound("pair", (Var("U"), Var("W")))
     assert resolve(env, t, 0) == t
+
+
+def test_resolve_depth_zero_finds_the_cycles_in_one_pass(monkeypatch):
+    # The sres prefix of from(0, X) at lazy-k 1000 is an acyclic graph of
+    # about 2k compounds, each reached through a variable.  Depth 0 asks of
+    # each whether it lies on a cycle; one pass over the graph answers all
+    # of them, where a walk from each node took about 2.5 million steps.
+    k = 1000
+    program = parse_program((SAMPLES / "from.lp").read_text())
+    [answer] = sres_solve(parse_goal("from(0, X)"), program,
+                          Budget(max_answers=1), lazy_k=k).answers
+    walks = []
+    real = term_module._walk
+    monkeypatch.setattr(term_module, "_walk",
+                        lambda b, t: walks.append(t) or real(b, t))
+    t = resolve(answer.bindings, Var("X"), 0)
+    assert len(walks) <= 10 * k
+    monkeypatch.undo()
+    assert t == resolve(answer.bindings, Var("X"), 1)
 
 
 def ref_has_cycle(env, t, path=()):
