@@ -24,18 +24,16 @@ arguments.  The loops below carry the keys of the atoms they hold (from
 ``tp_step`` and ``_proof_step`` join clause bodies against a stage with one
 generator, ``_joins``, which scans members and keys none.
 
-The join follows a plan read off each clause once (``_plan``).  A body atom
-whose variables shared with the head or a later atom are all bound by
-earlier atoms is *existential*: whichever member it joins, the rest of the
-join and the head come out the same, so it joins one member only, the last
-one that unifies.  ``_joins`` explores its members last first, so that is
-the member the full join explores first; every key is still derived first
-from the same join result, and stage sets, their insertion order and their
-representatives stay those of the full join.  The same plan says whether
-the head (``tp_step``) or a body atom (``_proof_step``) is ground after the
-join.  Both readings need every fragment member to be ground; a fragment
-seeded with free variables (``certificate_fragment``) joins every member and
-walks the terms to tell what is ground.
+The join follows a plan read off each clause (``_plan``).  A body atom is
+*existential* when every variable it shares with the head or a later atom
+is bound by an earlier one: whichever member it joins, the rest of the join
+comes out the same, so it joins one member, the last that unifies, which is
+the one the full join explores first.  Each key is still derived first from
+the same join result, so stages keep their keys, order and representatives.
+The plan also says whether the head or a body atom is ground after the
+join.  Both readings need ground members: a fragment seeded with free
+variables (``certificate_fragment``) joins every member and walks the terms
+to tell what is ground.
 """
 
 from __future__ import annotations
@@ -228,37 +226,26 @@ def _ground(a: Atom, env: BindingEnv) -> bool:
 
 
 def _plan(body, bound: set, read: set, frag: GroundFragment) -> tuple:
-    """How ``_joins`` joins ``body`` when the names in ``bound`` are bound
-    and those in ``read`` are read after the join: for each atom, whether
-    it joins one member only (it is existential), and whether every name in
-    ``read`` is bound, so ground, after the join.
-
-    In a fragment with a free variable, joining a member can bind it, so
-    every atom joins every member, and groundness is ``None``: unknown
-    until a walk of the joined terms."""
+    """The join plan of ``body`` once the names in ``bound`` are bound, with
+    those in ``read`` read after it: whether each atom is existential, and
+    whether every name in ``read`` is ground after the join (``None`` in a
+    fragment with free variables, where a member can bind one of them)."""
     if frag._free:
         return (False,) * len(body), None
     names = [_names((b,)) for b in body]
-    later, shared = set(read), []
-    for vs in reversed(names):
-        shared.append(vs & later)
-        later |= vs
-    bound, one = set(bound), []
-    for vs, need in zip(names, reversed(shared)):
-        one.append(need <= bound)
-        bound |= vs
-    return tuple(one), read <= bound
+    one = tuple(vs & read.union(*names[i + 1:]) <= bound.union(*names[:i])
+                for i, vs in enumerate(names))
+    return one, read <= bound.union(*names)
 
 
 def _joins(body, one, by_pred: dict, env: BindingEnv):
     """Each extension of ``env`` under which every atom of ``body`` unifies
     with a member of ``by_pred`` (atoms by predicate key), depth first.
 
-    ``one[i]`` says that ``body[i]`` is existential (see ``_plan``): it
-    takes only the last member that unifies.  The stack is popped last in,
-    first out, so that member is the one a full join explores first, and
-    the results come in the full join's order, less those that differ from
-    an earlier one only in the existential atoms' own variables."""
+    When ``one[i]`` (``body[i]`` is existential), ``body[i]`` joins only
+    the last member that unifies.  The stack is last in, first out, so that
+    is the member a full join explores first, and the results keep the full
+    join's order."""
     stack = [(0, env)]
     while stack:
         i, env = stack.pop()
@@ -288,13 +275,11 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
     stored resolved: in the upward chain from the empty set, each one is a
     finite ground term built from earlier proofs.
 
-    The join plan is read off each clause against the head it keys (without
-    the proof argument under ``ignore_last``): a body atom whose variables
-    the head and later atoms read are bound earlier joins one member.  Each
-    key's first derivation, whose proof argument is stored, is one the full
-    join finds first too, so the result, its order and its representatives
-    are the full join's.  The head is ground after the join when the body
-    binds every variable it has.
+    The plan reads the head as keyed, without its proof argument under
+    ``ignore_last``.  An existential atom joins one member, which never
+    drops the first derivation of a key, so the stored proof arguments are
+    the full join's too.  The head is ground after the join when the body
+    binds all its variables.
     """
     by_pred = {}
     for a in s.values():
@@ -390,12 +375,10 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
     too.  Proof positions stay unconstrained: the downward iteration only
     inspects k constructor layers of a proof, so any completion works.
 
-    ``atoms`` hold ground atoms, so the head unifier grounds every head
-    variable, and the plan is read off the clause once: a body atom is
-    looked up when the head holds all its variables, and a joined atom
-    whose variables shared with later joined atoms are bound by the head or
-    earlier atoms joins one member.  Only whether a join exists is asked,
-    and that one member leaves it unchanged.
+    ``atoms`` are ground, so the head unifier grounds the head's variables:
+    a body atom whose variables the head holds is looked up, and a joined
+    atom that is existential given the head joins one member.  Only whether
+    a join exists is asked, and one member leaves that unchanged.
     """
     by_pred = {}
     for a in stage.values():

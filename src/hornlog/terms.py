@@ -590,38 +590,39 @@ def _on_cycles(env: BindingEnv, t: Term) -> set:
     node or with an edge to themselves (Tarjan, without recursion)."""
     bindings = env._b
     index: dict = {}  # id -> preorder number
-    low: dict = {}  # id -> lowest number reached from it, while open
-    open_nodes: list = []  # the open components' nodes, in preorder
+    low: dict = {}  # id -> lowest number it reaches, while still open
+    opened: list = []  # the ids of the open components' nodes, in preorder
     out: set = set()
     stack: list = [(None, t)]  # (parent id, term to enter)
     while stack:
         parent, x = stack.pop()
         if x.__class__ is tuple:  # (node,): every argument of node is done
             nid = id(x[0])
-            if low[nid] == index[nid]:
-                k = len(open_nodes) - 1
-                while open_nodes[k] != nid:
-                    k -= 1
-                if len(open_nodes) - k > 1:
-                    out.update(open_nodes[k:])
-                for m in open_nodes[k:]:
-                    del low[m]
-                del open_nodes[k:]
-            elif parent is not None:
+            if low[nid] < index[nid]:
                 low[parent] = min(low[parent], low[nid])
+                continue
+            k = len(opened) - 1  # nid is its component's first node
+            while opened[k] != nid:
+                k -= 1
+            if len(opened) - k > 1:
+                out.update(opened[k:])
+            for m in opened[k:]:
+                del low[m]
+            del opened[k:]
             continue
         x = _walk(bindings, x)
         if isinstance(x, Var):
             continue
         nid = id(x)
+        if nid in low:  # open: a cycle closes at x
+            low[parent] = min(low[parent], index[nid])
+            if nid == parent:
+                out.add(nid)
+            continue
         if nid in index:
-            if nid in low and parent is not None:  # open: a cycle closes
-                low[parent] = min(low[parent], index[nid])
-                if nid == parent:
-                    out.add(nid)
             continue
         index[nid] = low[nid] = len(index)
-        open_nodes.append(nid)
+        opened.append(nid)
         stack.append((parent, (x,)))
         stack.extend((nid, a) for a in reversed(x.args))
     return out
