@@ -529,15 +529,16 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8,
     opened: dict = {}  # id -> levels where it is open, entered by a variable
     varname: dict = {}
     copies: dict = {}  # id -> the copy of a node on no cycle
-    on_cycles: list = []  # the ids from _on_cycles, once asked
+    cycle_ids = None  # _on_cycles(env, t), once asked
     lows: list = []  # per open compound: the lowest open level it reached
 
     def cyclic(node: Compound) -> bool:
         """Does ``node`` lie on a cycle?  Every node on one counts, not
         only the one where a walk from the root re-enters it."""
-        if not on_cycles:
-            on_cycles.append(_on_cycles(env, t))
-        return id(node) in on_cycles[0]
+        nonlocal cycle_ids
+        if cycle_ids is None:
+            cycle_ids = _on_cycles(env, t)
+        return id(node) in cycle_ids
 
     out: list = []  # finished subterms, left to right
     stack: list = [t]
