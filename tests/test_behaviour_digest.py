@@ -75,6 +75,14 @@ Cases:
   and ``up_member`` at stages 0-3.  Each goal's first argument is bound
   directly, through a chain of ``eq`` bindings, to a cyclic term, or not
   at all; goal variables share names with head variables.
+* ``observe/<name>``: what observing a derivation reads off it.
+  ``productivity/<sample>`` is ``productivity_report`` on ``zeros``,
+  ``from``, ``ex3``'s ``q(X)`` and ``p(X)`` and a 40-cell ``len`` at
+  ``max_subst_steps`` 200; ``trace/<engine>/len`` a traced 200-cell
+  ``len`` under each engine and ``trace/sres/from`` a traced ``from``
+  prefix, each with its answers; ``resolve/<i>`` ``resolve`` of every
+  variable at depths 0-3, with and without ``cut=12``, on cycles that
+  hang off long acyclic parts.
 
 No case reads ``Compound.fp`` or anything else that depends on ``hash``
 salting.  A change that means to alter behaviour regenerates the file with
@@ -1146,13 +1154,82 @@ def stage_cases() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Observing a derivation: traces, productivity reports, cut displays
+
+_LEN = "len([], z). len([_|T], s(N)) :- len(T, N)."
+_OBSERVE_BUDGET = Budget(max_subst_steps=200)
+
+
+def _len_goal(n: int):
+    return parse_goal("len([" + ", ".join(["a"] * n) + "], N)")
+
+
+def _hanging_cycles() -> list:
+    """Cycles reached through long acyclic parts, with their variables:
+    ``X = f(Y, X)`` over a list ``Y``; a list whose tail is a stream; and
+    two cycles through each other under a chain of ``s``."""
+    cells = mklist([const(str(i % 4)) for i in range(60)], Var("T"))
+    over_list = {"X": Compound("f", (Var("Y"), Var("X"))), "Y": cells,
+                 "T": Compound("g", (Var("Z"),))}
+    tail = {"L": mklist([const("a")] * 40, Var("S")),
+            "S": Compound("cons", (const("b"), Var("S")))}
+    chain = Var("U")
+    for _ in range(30):
+        chain = Compound("s", (chain,))
+    twined = {"A": Compound("h", (chain, Var("V"))),
+              "U": Compound("f", (Var("W"), Var("V"))),
+              "W": Compound("g", (Var("U"),)),
+              "V": Compound("k", (Var("A"), Var("Z")))}
+    return [(BindingEnv(b), tuple(b)) for b in (over_list, tail, twined)]
+
+
+def observe_cases() -> dict:
+    cases = {}
+    samples = [("zeros", "zeros.lp", "zeros(X)"), ("from", "from.lp",
+               "from(0, X)"), ("ex3-q", "ex3.lp", "q(X)"),
+               ("ex3-p", "ex3.lp", "p(X)")]
+    reports = [(name, parse_program((SAMPLES / f).read_text()),
+                parse_goal(goal)) for name, f, goal in samples]
+    reports.append(("len", parse_program(_LEN), _len_goal(40)))
+    for name, p, goal in reports:
+        report = productivity_report(goal, p, _OBSERVE_BUDGET)
+        lines = [f"productivity {report.observable} {report.liveness} "
+                 f"{sorted(report.produced.items())}"]
+        lines += [f"  witness {line}" for line in report.witness or ()]
+        cases[f"observe/productivity/{name}"] = "\n".join(lines)
+    first = Budget(max_answers=1)
+    p, goal = parse_program(_LEN), _len_goal(200)
+    for name, verdict in (
+            ("sld", sld_solve(goal, p, first, trace=True)),
+            ("colp", colp_solve(goal, p, first, trace=True)),
+            ("sres", sres_solve(goal, p, first, lazy_k=None, trace=True))):
+        cases[f"observe/trace/{name}/len"] = "\n".join(
+            _verdict_text(name, verdict))
+    verdict = sres_solve(parse_goal("from(0, X)"),
+                         parse_program((SAMPLES / "from.lp").read_text()),
+                         first, lazy_k=40, trace=True)
+    cases["observe/trace/sres/from"] = "\n".join(
+        _verdict_text("sres", verdict))
+    for i, (env, names) in enumerate(_hanging_cycles()):
+        lines = []
+        for depth in range(4):
+            for cut in (None, 12):
+                lines += [f"resolve {depth} {cut} {n} "
+                          f"{term_text(resolve(env, Var(n), depth, cut))}"
+                          for n in names]
+        cases[f"observe/resolve/{i}"] = "\n".join(lines)
+    return cases
+
+
+# ---------------------------------------------------------------------------
 
 
 def all_cases() -> dict:
     return {**term_cases(), **program_cases(), **oracle_cases(),
             **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases(),
             **moo_cases(), **referee_cases(), **proof_cases(),
-            **print_cases(), **index_cases(), **stage_cases()}
+            **print_cases(), **index_cases(), **stage_cases(),
+            **observe_cases()}
 
 
 def _digest(text: str) -> str:
