@@ -42,6 +42,7 @@ from hornlog.terms import (
     Goal,
     Program,
     Var,
+    _bound_since,
     bump_counter_past,
     has_cycle,
     head_matches,
@@ -160,7 +161,7 @@ def _new_bindings(env: BindingEnv, parent: BindingEnv) -> list:
     and ``parent`` does not, resolved to at most 12 levels so that a line
     stays line-sized however long the chain of bindings behind it."""
     return [(name, resolve(env, Var(name), 2, cut=12))
-            for name in sorted(env.bindings.keys() - parent.bindings.keys())]
+            for name in sorted(_bound_since(env, parent))]
 
 
 def _trace_lines(step: Optional[Step]) -> list:
@@ -487,12 +488,11 @@ def productivity_report(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET) -> Prod
             return ProductivityReport(False, liveness, {}, witness=rw.witness)
         if not options:
             continue
-        pre_vars = {x.name for x in subterms([t for a in rw.goal.atoms
-                                              for t in a.args], rw.env)
-                    if isinstance(x, Var)}
         for _goal, env2, _cid, _ai in options:
-            for name in env2.bindings.keys() - rw.env.bindings.keys():
-                if name in pre_vars:
+            # the goal's names, not the renamed clause's (bump_counter_past)
+            fresh = {f"V{i}" for i in range(rw.env.counter, env2.counter)}
+            for name in _bound_since(env2, rw.env):
+                if name not in fresh:
                     for x in subterms((Var(name),), env2):
                         if isinstance(x, Compound):
                             introduced[x.functor] = introduced.get(x.functor, 0) + 1

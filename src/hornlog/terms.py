@@ -27,8 +27,8 @@ each for its own question:
   depth-first, left-to-right order.  ``canon_key`` takes its node list
   from it.
 * ``_on_cycles`` finds every compound that lies on a cycle, in one pass
-  of Tarjan's strongly connected components.  ``resolve`` runs it on its
-  first question about a cycle, so a walk that asks none pays nothing.
+  of Tarjan's strongly connected components.  ``resolve`` runs it only at
+  depth 0: deeper, it cuts only nodes open on the path, all on a cycle.
 * ``_cycle_scan`` finds where cycles close: a path-marking walk that
   records the variable through which each compound is first entered and
   each back edge's target.  ``has_cycle`` and ``to_mu`` both read it.
@@ -56,7 +56,10 @@ lists the minimal graph flat.
 A :class:`BindingEnv` may share its binding dict with the environment it was
 derived from: the private ``_wrap`` constructor takes a dict without copying
 it, and no dict is mutated after it has been wrapped.  ``_unify`` copies
-on its first write, and returns ``env`` itself when it binds nothing.
+on its first write, and returns ``env`` itself when it binds nothing.  A
+derived dict holds its parent's bindings first, in order, then the new ones
+(a collapsed variable loop's member is overwritten in place), so
+``_bound_since`` reads what a step bound off its end.
 """
 
 from __future__ import annotations
@@ -455,6 +458,11 @@ def _unify(stack: list, env: BindingEnv, occurs_check: bool,
     return env if shared else BindingEnv._wrap(work, env.counter)
 
 
+def _bound_since(env: BindingEnv, parent: BindingEnv) -> Iterator[str]:
+    """What ``env``, derived from ``parent``, binds beyond it, newest first."""
+    return itertools.islice(reversed(env._b), len(env._b) - len(parent._b))
+
+
 def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[BindingEnv]:
     """Most general matcher: extend ``env`` with pattern-variable bindings so
     that the instantiated pattern equals ``target``.
@@ -529,17 +537,8 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8,
     opened: dict = {}  # id -> levels where it is open, entered by a variable
     varname: dict = {}
     copies: dict = {}  # id -> the copy of a node on no cycle
-    cycle_ids = None  # _on_cycles(env, t), once asked
     lows: list = []  # per open compound: the lowest open level it reached
-
-    def cyclic(node: Compound) -> bool:
-        """Does ``node`` lie on a cycle?  Every node on one counts, not
-        only the one where a walk from the root re-enters it."""
-        nonlocal cycle_ids
-        if cycle_ids is None:
-            cycle_ids = _on_cycles(env, t)
-        return id(node) in cycle_ids
-
+    on_cycles = _on_cycles(env, t) if depth < 1 else ()
     out: list = []  # finished subterms, left to right
     stack: list = [t]
     while stack:
@@ -571,7 +570,8 @@ def resolve(env: BindingEnv, t: Term, depth: int = 8,
             levels = opened.setdefault(nid, [])
         if levels and levels[0] < lows[-1]:
             lows[-1] = levels[0]  # the walk touched a node still open
-        if nid is not None and len(levels) >= depth and cyclic(w):
+        if (nid is not None and len(levels) >= depth
+                and (levels or id(w) in on_cycles)):
             out.append(Var(varname[nid]))
             continue
         if len(lows) == cut:
