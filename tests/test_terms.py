@@ -228,6 +228,39 @@ def test_unify_and_match_never_change_the_input_env(t1, t2, t3):
     assert all(env.bindings[k] is v for k, v in before.items())
 
 
+def test_a_derived_environment_binds_its_new_names_last():
+    # What a step bound is read off the end of its environment's dict.  It
+    # must be exactly the names the parent lacks, also where unify
+    # overwrites the member of a collapsed variable loop X4 -> X5 -> X4.
+    rng = random.Random(16)
+    derived = overwritten = 0
+    for i in range(1500):
+        env, t = _shared_env(rng)
+        if i % 3 == 0:
+            env = BindingEnv({**env.bindings, "X4": Var("X5"),
+                              "X5": Var("X4")})
+        other = _shared_env(rng)[1]
+        target = Atom("p", (other, Var(rng.choice(_SHARE_VARS))))
+        renamed, env2 = rename_apart(Clause(Atom("p", (t, Var("X4")))), env)
+        steps = [(env, unify(t, other, env, oc)) for oc in (False, True)]
+        steps += [(env, unify(Var("X4"), other, env)), (env, env2),
+                  (env, env.bind("B", other)),
+                  (env, from_mu(to_mu(env, t), env)[1]),
+                  (env2, match(renamed.head.args[0], other, env2)),
+                  (env2, match_atoms(renamed.head, target, env2)),
+                  (env2, unify_atoms(renamed.head, target, env2))]
+        for parent, child in steps:
+            if child is None:
+                continue
+            derived += 1
+            assert sorted(term_module._bound_since(child, parent)) == \
+                sorted(child.bindings.keys() - parent.bindings.keys())
+            overwritten += any(child.bindings[k] is not v
+                               for k, v in parent.bindings.items())
+    assert derived > 5000
+    assert overwritten > 100
+
+
 # ---------------------------------------------------------------------------
 # Matching
 
@@ -343,6 +376,23 @@ def test_resolve_depth_zero_finds_the_cycles_in_one_pass(monkeypatch):
     assert len(walks) <= 10 * k
     monkeypatch.undo()
     assert t == resolve(answer.bindings, Var("X"), 1)
+
+
+def test_resolve_past_depth_zero_runs_no_cycle_pass(monkeypatch):
+    # Past depth 0, resolve cuts a node only while it is open on the path,
+    # which puts it on a cycle, so a trace line's display of X = f(Y, X)
+    # need not walk the whole list Y to learn that.
+    env = BindingEnv({"X": Compound("f", (Var("Y"), Var("X"))),
+                      "Y": mklist([const("a")] * 2000)})
+    passes = []
+    real = term_module._on_cycles
+    monkeypatch.setattr(term_module, "_on_cycles",
+                        lambda e, t: passes.append(t) or real(e, t))
+    for depth, cut in ((1, None), (2, 12), (3, None)):
+        resolve(env, Var("X"), depth, cut)
+    assert passes == []
+    assert resolve(env, Var("X"), 0) == Var("X")
+    assert len(passes) == 1
 
 
 def ref_has_cycle(env, t, path=()):
