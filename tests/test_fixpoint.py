@@ -5,9 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from genprog import random_lemma_program
+from genprog import (
+    random_atom,
+    random_lemma_program,
+    random_program,
+    random_terminating_program,
+    random_terminating_query,
+)
 from hornlog import fixpoint
-from hornlog.engine import Budget, colp_solve, sld_solve
+from hornlog.engine import Budget, colp_solve, sld_solve, sres_solve
 from hornlog.fixpoint import (
     FragmentError,
     GroundFragment,
@@ -26,6 +32,7 @@ from hornlog.terms import (
     Clause,
     Compound,
     EMPTY_ENV,
+    Goal,
     Program,
     Var,
     canon_key,
@@ -524,3 +531,52 @@ def test_certificate_requires_certificate_answers():
     verdict = colp_solve(parse_goal("zeros(X)"), ZEROS, Budget(max_answers=1))
     with pytest.raises(ValueError):
         certificate_fragment(ZEROS, verdict.answers[0])
+
+
+# ---------------------------------------------------------------------------
+# The referee on every answer of random programs
+
+
+def _answer_set(verdict) -> set:
+    return {canon_key(Compound("", tuple(Var(n) for n in a.goal_vars)),
+                      a.bindings) for a in verdict.answers}
+
+
+def test_the_referee_accepts_every_answer_of_random_programs():
+    # Cycles and non-termination allowed: a colp answer's certificate must
+    # close downward with the goal inside, and a total sld or sres answer
+    # must hold at an upward stage no later than its step count.  The
+    # occurs check keeps sld's answers finite, as the least model's are.
+    rng = random.Random(12345)
+    budget = Budget(max_steps=300, max_depth=30, max_rewrite_steps=60,
+                    max_subst_steps=60, max_answers=3)
+    closed = derived = 0
+    for _ in range(400):
+        p = random_program(rng)
+        goal = Goal((random_atom(rng),))
+        where = ([str(c) for c in p.clauses], goal)
+        for answer in colp_solve(goal, p, budget, certificate=True).answers:
+            frag = certificate_fragment(p, answer)
+            trace = tp_down(p, len(frag.atoms) + 1, frag)
+            assert trace.fixed_point, where
+            assert frag.atom_key(goal.atoms[0], answer.full_env) \
+                in trace.final(), where
+            closed += 1
+        answers = sld_solve(goal, p, budget).answers
+        assert all(a.kind == "total" for a in answers), where
+        answers += [a for a in sres_solve(goal, p, budget, lazy_k=3).answers
+                    if a.kind == "total"]
+        for answer in answers:
+            assert any(up_member(p, goal.atoms[0], k, answer.bindings)
+                       for k in range(answer.steps_used + 1)), where
+        derived += len(answers)
+    assert closed >= 50 and derived >= 50
+    # On terminating programs the three engines find the same answer set.
+    for _ in range(100):
+        p = random_terminating_program(rng)
+        goal = random_terminating_query(rng, p)
+        sld = sld_solve(goal, p)
+        assert sld.kind == "answers"
+        assert _answer_set(colp_solve(goal, p)) == _answer_set(sld) == \
+            _answer_set(sres_solve(goal, p, lazy_k=None)), \
+            [str(c) for c in p.clauses]
