@@ -14,6 +14,7 @@ aborted because a rewriting phase diverged), 3 usage or parse errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -308,6 +309,7 @@ def _solver_flags(parser) -> None:
                              "yields the same rational answer endlessly)")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hornlog", description=__doc__.split("\n\n")[1],
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -74,6 +74,16 @@ def test_one_answer_verdict_prints_without_an_answer_key(capsys,
     assert out == "X = [0|[s(0)|[s(s(0))|V9?]]]  % partial\n"
 
 
+def test_a_usage_error_leaves_the_next_command_working(capsys):
+    # main builds its argument parser once per process and reuses it
+    assert run(capsys, "solve", ZEROS, "zeros(X)", "--engine", "bogus")[0] == 3
+    assert run(capsys, "check", ZEROS, "zeros(X)", "--max-steps", "0")[0] == 3
+    code, out, err = run(capsys, "solve", ZEROS, "zeros(X)",
+                         "--engine", "colp")
+    assert (code, out, err) == (0, "X = cons(0, X)\n", "")
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_solve_failed_goal(capsys):
     code, out, err = run(capsys, "solve", SUBCLASS, "?- subclass(b, a).")
     assert code == 1
