@@ -83,6 +83,15 @@ Cases:
   prefix, each with its answers; ``resolve/<i>`` ``resolve`` of every
   variable at depths 0-3, with and without ``cut=12``, on cycles that
   hang off long acyclic parts.
+* ``colp/<name>``: ancestor closure on long branches.  ``from/<d>`` is
+  ``colp`` on ``from(0, X)`` at ``max_depth`` d, traced; ``chain/cli``
+  and ``chain/solve`` a 12-call ``addLast`` chain of mixed element types,
+  through ``infer`` and as the compiled goal solved traced with
+  certificates; ``zeros/<i>`` the traced certificate answers of ``zeros``
+  goals.
+* ``key/<i>``: the ``canon_key`` partition, as in ``term/<i>``, of long
+  finite lists (literal and through bindings), shared and unshared DAGs,
+  finite prefixes that hang off cycles and cycles over finite parts.
 
 No case reads ``Compound.fp`` or anything else that depends on ``hash``
 salting.  A change that means to alter behaviour regenerates the file with
@@ -148,6 +157,7 @@ from hornlog.syntax import (
 )
 from hornlog.terms import (
     EMPTY_ENV,
+    NIL,
     Atom,
     BindingEnv,
     Compound,
@@ -1222,6 +1232,115 @@ def observe_cases() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Ancestor closure on long colp branches
+
+_CHAIN_ITEMS = ["x", "1", "false", "y"] * 3
+_ZEROS_GOALS = ["zeros(X)", "zeros(cons(0, X))", "zeros(X), zeros(Y)",
+                "zeros(cons(0, cons(0, X))), zeros(X)"]
+
+
+def colp_cases() -> dict:
+    cases = {}
+    program = parse_program((SAMPLES / "from.lp").read_text())
+    for d in (60, 120):
+        verdict = colp_solve(parse_goal("from(0, X)"), program,
+                             Budget(max_depth=d), trace=True, certificate=True)
+        cases[f"colp/from/{d}"] = "\n".join(_verdict_text("colp", verdict))
+    expr = "new EList()" + "".join(f".addLast({i})" for i in _CHAIN_ITEMS)
+    cases["colp/chain/cli"] = _cli_text(
+        ["infer", str(SAMPLES / "lists.moo"), expr, "--engine", "colp"])
+    lists = SAMPLES / "lists.moo"
+    unit = compile_class_table(parse_classes(lists.read_text(), lists.name))
+    goal, _ = compile_expr(parse_expr(expr), {})
+    verdict = colp_solve(goal, unit.program, Budget(max_answers=2),
+                         trace=True, certificate=True)
+    cases["colp/chain/solve"] = "\n".join(_verdict_text("colp", verdict))
+    program = parse_program((SAMPLES / "zeros.lp").read_text())
+    for i, text in enumerate(_ZEROS_GOALS):
+        verdict = colp_solve(parse_goal(text), program, Budget(max_answers=4),
+                             trace=True, certificate=True)
+        cases[f"colp/zeros/{i}"] = "\n".join(
+            [f"goal {text}", *_verdict_text("colp", verdict)])
+    return cases
+
+
+# ---------------------------------------------------------------------------
+# Canonical keys of long, shared and hanging terms
+
+
+def _chained_list(items, tail, prefix: str) -> tuple:
+    """A list of ``items`` built one cell per binding, ``<prefix>0`` first,
+    ending in ``tail``."""
+    names = [f"{prefix}{i}" for i in range(len(items))]
+    bindings = {n: Compound(".", (x, Var(m))) for n, x, m in
+                zip(names, items, names[1:] + [None])}
+    if names:
+        bindings[names[-1]] = Compound(".", (items[-1], tail))
+    return bindings, (Var(names[0]) if names else tail)
+
+
+def _tree(depth: int):
+    return const("a") if depth == 0 else Compound(
+        "f", (_tree(depth - 1), _tree(depth - 1)))
+
+
+def _key_inputs() -> list:
+    a, b = const("a"), const("b")
+    digits = [const(str(i % 4)) for i in range(50)]
+    dag, odd_dag = a, b  # odd_dag: dag with its rightmost leaf b
+    for _ in range(12):
+        dag, odd_dag = Compound("f", (dag, dag)), Compound("f", (dag, odd_dag))
+    chained, head = _chained_list([a] * 300, NIL, "L")
+    alt_chained, alt_head = _chained_list([a, b] * 150, NIL, "M")
+    stream = {"S": Compound(".", (a, Var("S")))}
+    stream2 = {"S2": Compound(".", (a, Compound(".", (a, Var("S2")))))}
+    prefix, phead = _chained_list([a] * 50, Var("S"), "P")
+    bprefix, bhead = _chained_list([b] + [a] * 49, Var("S"), "Q")
+    dprefix, dhead = _chained_list(digits, Var("C"), "D")
+    cyc = {"C": Compound("cons", (b, Var("C")))}
+    over = mklist([a] * 40)
+    g1 = {"G": Compound("g", (over, Var("G")))}
+    g2 = {"H": Compound("g", (mklist([a] * 40),
+                              Compound("g", (over, Var("H")))))}
+    g3 = {"K": Compound("g", (mklist([a] * 39), Var("K")))}
+    inputs = [
+        (EMPTY_ENV, mklist([a] * 300)),
+        (BindingEnv(chained), head),
+        (EMPTY_ENV, mklist([a] * 299)),
+        (EMPTY_ENV, mklist([a, b] * 150)),
+        (BindingEnv(alt_chained), alt_head),
+        (EMPTY_ENV, mklist([a] * 300, Var("T"))),
+        (EMPTY_ENV, mklist([a] * 300, Var("U"))),
+        (EMPTY_ENV, dag),
+        (BindingEnv(_dag_bindings(12)), Var("Y0")),
+        (EMPTY_ENV, _tree(8)),
+        (BindingEnv(_dag_bindings(8)), Var("Y0")),
+        (EMPTY_ENV, odd_dag),
+        (BindingEnv(stream), Var("S")),
+        (BindingEnv(stream2), Var("S2")),
+        (BindingEnv({**stream, **prefix}), phead),
+        (BindingEnv({**stream, **bprefix}), bhead),
+        (BindingEnv({**cyc, **dprefix}), dhead),
+        (BindingEnv(cyc), mklist(digits, Var("C"))),
+        (BindingEnv(cyc), mklist(digits[1:], Var("C"))),
+        (BindingEnv(g1), Var("G")),
+        (BindingEnv(g2), Var("H")),
+        (BindingEnv(g3), Var("K")),
+        (BindingEnv({**g1, **g2}), Compound("p", (Var("G"), Var("H")))),
+    ]
+    for env, names in _hanging_cycles():
+        inputs += [(env, Var(n)) for n in names]
+    return inputs
+
+
+def key_cases() -> dict:
+    first_with_key: dict = {}
+    return {f"key/{i}": f"canon_key class "
+            f"{first_with_key.setdefault(canon_key(t, env), i)}"
+            for i, (env, t) in enumerate(_key_inputs())}
+
+
+# ---------------------------------------------------------------------------
 
 
 def all_cases() -> dict:
@@ -1229,7 +1348,7 @@ def all_cases() -> dict:
             **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases(),
             **moo_cases(), **referee_cases(), **proof_cases(),
             **print_cases(), **index_cases(), **stage_cases(),
-            **observe_cases()}
+            **observe_cases(), **colp_cases(), **key_cases()}
 
 
 def _digest(text: str) -> str:
