@@ -43,6 +43,7 @@ from hornlog.terms import (
     Program,
     Var,
     _bound_since,
+    _fp_under,
     bump_counter_past,
     has_cycle,
     head_matches,
@@ -79,7 +80,9 @@ class Step:
 
     ``ref`` is the clause index, or for a ``hyp`` step how many steps back
     the closing ancestor was selected; ``bound`` holds the ``(name, term)``
-    pairs of the step's trace line, or None when no trace is asked for."""
+    pairs of the step's trace line, or None when no trace is asked for.
+    ``colp`` fills ``fps`` with ``atom``'s per-argument ground fingerprints
+    under the environment it was selected in (``None`` where not ground)."""
 
     kind: str  # sld | hyp | rw | su
     ref: int
@@ -87,6 +90,7 @@ class Step:
     atom: Atom
     bound: Optional[list]
     prev: Optional["Step"] = field(repr=False)
+    fps: Optional[tuple] = field(default=None, repr=False)
 
 
 def _chain(step: Optional[Step]) -> list:
@@ -197,22 +201,39 @@ def colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
     ``last``: hypothesis closures against same-predicate ancestors (most
     recent first, as ``(atoms, env, "hyp", steps back)``) come before clause
     resolvents; unification runs without the occurs check."""
+    return _colp_step(atoms, env, last, p)[0]
+
+
+def _colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
+               p: Program) -> tuple:
+    """``colp_step``'s resolvents and the selected atom's ``Step.fps``.
+
+    An ancestor whose ``fps`` differ from the selected atom's at a position
+    where both are set is skipped without unifying: bindings only grow along
+    a branch, so a term ground under the ancestor's environment is the same
+    tree under ``env``, and two different ground trees never unify."""
     if not atoms:
-        return []
+        return [], None
     selected = atoms[0]
     rest = atoms[1:]
+    key = selected.key
+    fps = tuple(_fp_under(env, a) for a in selected.args)
     children = []
     back = 0
     anc = last
     while anc is not None:
         back += 1
-        if anc.atom.key == selected.key:
-            u = unify_atoms(anc.atom, selected, env, occurs_check=False)
-            if u is not None:
-                children.append((rest, u, "hyp", back))
+        if anc.atom.key == key:
+            for x, y in zip(anc.fps or (), fps):
+                if x != y and x is not None and y is not None:
+                    break
+            else:
+                u = unify_atoms(anc.atom, selected, env, occurs_check=False)
+                if u is not None:
+                    children.append((rest, u, "hyp", back))
         anc = anc.prev
     children.extend(sld_step(atoms, env, p, occurs_check=False))
-    return children
+    return children, fps
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +269,8 @@ def _verdict(answers: list, truncated: bool, steps: int) -> Verdict:
 
 def _dfs_solve(g: Goal, p: Program, b: Budget, step_fn, want_trace: bool,
                certificate: bool) -> Verdict:
+    # step_fn(atoms, env, last) gives the resolvents of atoms[0] and the
+    # Step.fps to record for it
     env0 = bump_counter_past(EMPTY_ENV, p, g)
     goal_vars = goal_var_names(g)
     stack = [(g.atoms, env0, 0, None)]
@@ -269,10 +292,11 @@ def _dfs_solve(g: Goal, p: Program, b: Budget, step_fn, want_trace: bool,
             truncated = True
             continue
         steps += 1
-        for atoms2, env2, kind, ref in reversed(step_fn(atoms, env, last)):
+        children, fps = step_fn(atoms, env, last)
+        for atoms2, env2, kind, ref in reversed(children):
             bound = _new_bindings(env2, env) if want_trace else None
             stack.append((atoms2, env2, depth + 1,
-                          Step(kind, ref, 0, atoms[0], bound, last)))
+                          Step(kind, ref, 0, atoms[0], bound, last, fps)))
     return _verdict(answers, truncated, steps)
 
 
@@ -281,8 +305,8 @@ def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
               certificate: bool = False) -> Verdict:
     """Depth-first SLD resolution; collects every answer reachable in budget."""
     return _dfs_solve(g, p, b,
-                      lambda atoms, env, last: sld_step(atoms, env, p,
-                                                        occurs_check),
+                      lambda atoms, env, last: (sld_step(atoms, env, p,
+                                                         occurs_check), None),
                       trace, certificate)
 
 
@@ -290,7 +314,7 @@ def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
                trace: bool = False, certificate: bool = False) -> Verdict:
     """SLD plus the coinductive hypothesis rule; computes rational answers."""
     return _dfs_solve(g, p, b,
-                      lambda atoms, env, last: colp_step(atoms, env, last, p),
+                      lambda atoms, env, last: _colp_step(atoms, env, last, p),
                       trace, certificate)
 
 

@@ -53,6 +53,7 @@ from hornlog.terms import (
     bump_counter_past,
     canon_key,
     from_mu,
+    head_matches,
     rename_apart,
     resolve,
     subterms,
@@ -379,6 +380,11 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
     a body atom whose variables the head holds is looked up, and a joined
     atom that is existential given the head joins one member.  Only whether
     a join exists is asked, and one member leaves that unchanged.
+
+    A head is unified with an atom only if their first arguments do not
+    clash in functor or arity (as in ``Program.select``) and, for ground
+    atoms, ``head_matches`` says it will succeed; that binds nothing, so a
+    failing head copies no arena.
     """
     by_pred = {}
     for a in stage.values():
@@ -393,10 +399,19 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
             for b in body:
                 (keyed if _names((b,)) <= bound else joined).append(b)
             split = keyed, joined, _plan(joined, bound, set(), frag)[0]
-        stripped.setdefault(head.key, []).append((head, body, env0, split))
+        first = head.args[0] if head.args else None
+        shape = ((first.functor, len(first.args))
+                 if isinstance(first, Compound) else None)
+        stripped.setdefault(head.key, []).append(
+            (head, body, env0, split, shape))
     out = {}
     for key, a in atoms.items():
-        for head, body, env0, split in stripped.get(a.key, ()):
+        first = frag.env.walk(a.args[0]) if a.args else None
+        for head, body, env0, split, shape in stripped.get(a.key, ()):
+            if ((shape is not None and isinstance(first, Compound)
+                 and shape != (first.functor, len(first.args)))
+                    or not (frag._free or head_matches(head, a, frag.env))):
+                continue
             u = unify_atoms(head, a, env0, occurs_check=False)
             if u is None:
                 continue

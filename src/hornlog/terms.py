@@ -20,12 +20,23 @@ nothing and are always walked, so a hash collision cannot change an answer.
 Fingerprints come from ``hash``, which is salted per process, so they are
 never printed, stored or used to order anything.
 
+A compound built with variables has ``fp = None`` even when its variables
+are bound to ground terms.  ``_fp_under`` folds the same scheme through an
+environment's bindings: it reuses every ``fp`` it meets, visits each other
+node once, and gives ``None`` at an unbound variable or a cycle.  Bindings
+only grow along a derivation, so a term ground under one environment is the
+same tree, with the same fingerprint, under every environment derived from
+it; ``colp`` rejects an ancestor by comparing such fingerprints.
+
 The walks that read a term under an environment are few and iterative,
 each for its own question:
 
 * :func:`subterms` lists what is reachable: every compound once, in
-  depth-first, left-to-right order.  ``canon_key`` takes its node list
-  from it.
+  depth-first, left-to-right order.
+* ``canon_key`` numbers the reachable compounds in its own depth-first
+  walk.  A node that reaches no cycle is a finite tree, and its class is
+  interned from its functor and its children's classes when the walk
+  finishes it.  Only the nodes that reach a cycle are refined as a graph.
 * ``_on_cycles`` finds every compound that lies on a cycle, in one pass
   of Tarjan's strongly connected components.  ``resolve`` runs it only at
   depth 0: deeper, it cuts only nodes open on the path, all on a cycle.
@@ -132,6 +143,43 @@ class Compound:
 # Compound is frozen, so __post_init__ writes ``fp`` through the slot's own
 # descriptor, which is cheaper than ``object.__setattr__`` on every node.
 _set_fp = Compound.fp.__set__
+
+
+def _fp_under(env: "BindingEnv", t) -> Optional[int]:
+    """``t``'s ground fingerprint under ``env``, in ``Compound.fp``'s scheme,
+    or ``None`` if the walk reaches an unbound variable or a cycle."""
+    bindings = env._b
+    memo: dict = {}  # id -> fingerprint, or None while open on the path
+    out: list = []  # finished fingerprints, left to right
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is tuple:  # (node,): node's arguments are finished
+            node = x[0]
+            k = len(out) - len(node.args)
+            fp = hash(node.functor)
+            for a in out[k:]:
+                fp = hash((fp, a))
+            out[k:] = [fp]
+            memo[id(node)] = fp
+            continue
+        if x.__class__ is Var:
+            x = _walk(bindings, x)
+            if x.__class__ is Var:
+                return None
+        if x.fp is not None:
+            out.append(x.fp)
+            continue
+        fp = memo.get(id(x), x)
+        if fp is None:
+            return None  # open: a cycle closes here
+        if fp is not x:
+            out.append(fp)
+            continue
+        memo[id(x)] = None
+        stack.append((x,))
+        stack.extend(reversed(x.args))
+    return out[0]
 
 
 Term = Var | Compound
@@ -824,29 +872,65 @@ def canon_key(t, env: Optional[BindingEnv] = None):
     if isinstance(root, Var):
         return ("v", root.name)
 
-    nodes = [n for n in subterms((root,), env) if isinstance(n, Compound)]
-    index = {id(n): i for i, n in enumerate(nodes)}
-    # Each node as [functor, child, ...]; a child is an index or ("v", name).
-    shapes = []
-    for n in nodes:
-        shape = [n.functor]
-        for a in n.args:
-            a = _walk(env._b, a)
-            shape.append(("v", a.name) if isinstance(a, Var) else index[id(a)])
+    # Number the nodes in preorder; each as [functor, child, ...], a child
+    # its node's number or ("v", name).  A node whose children are all
+    # finite is finite, and its class is interned from its functor and
+    # their classes when it is finished; a constant's when it is entered.
+    bindings = env._b
+    index: dict = {}  # id -> number
+    shapes: list = []
+    cls: list = []  # per node: its class, None while open or if infinite
+    interned: dict = {}
+    stack: list = [root]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is int:  # node x is finished
+            shape = shapes[x]
+            sig = [shape[0]]
+            for k in range(1, len(shape)):
+                c = shape[k]
+                if c.__class__ is Var:
+                    c = shape[k] = ("v", c.name)
+                    sig.append(c)
+                else:
+                    c = shape[k] = index[id(c)]
+                    sig.append(cls[c])
+            if None not in sig:
+                cls[x] = interned.setdefault(tuple(sig), len(interned))
+            continue
+        if id(x) in index:
+            continue
+        index[id(x)] = len(shapes)
+        if not x.args:
+            shapes.append([x.functor])
+            cls.append(interned.setdefault((x.functor,), len(interned)))
+            continue
+        stack.append(len(shapes))
+        shape = [x.functor]
+        for a in x.args:
+            shape.append(_walk(bindings, a) if a.__class__ is Var else a)
         shapes.append(shape)
+        cls.append(None)
+        stack.extend(a for a in reversed(shape) if a.__class__ is Compound)
 
-    # Partition refinement from one class: split classes by functor and
-    # child classes until stable (bisimulation minimization).
-    cls, count = [0] * len(shapes), 1
-    while count < len(shapes):
+    # Partition refinement of the infinite nodes, from one class numbered
+    # past the finite ones: split classes by functor and child classes until
+    # stable (bisimulation minimization).
+    cyclic = [i for i, c in enumerate(cls) if c is None]
+    base = len(interned)
+    for i in cyclic:
+        cls[i] = base
+    count = 1
+    while count < len(cyclic):
         remap: dict = {}
         new = []
-        for shape in shapes:
+        for i in cyclic:
             sig = []
-            for r in shape:
+            for r in shapes[i]:
                 sig.append(cls[r] if r.__class__ is int else r)
-            new.append(remap.setdefault(tuple(sig), len(remap)))
-        cls = new
+            new.append(base + remap.setdefault(tuple(sig), len(remap)))
+        for i, c in zip(cyclic, new):
+            cls[i] = c
         if len(remap) == count:
             break
         count = len(remap)

@@ -7,6 +7,7 @@ engine's answers on inductive programs must agree with it.
 """
 
 import random
+from pathlib import Path
 import re
 import tracemalloc
 
@@ -593,3 +594,130 @@ def test_len_renames_no_clause_its_first_argument_rules_out(
     verdict = solve(g, p, Budget(max_answers=1), **options)
     assert verdict.kind == "answers"
     assert calls <= most(n)
+
+
+# ---------------------------------------------------------------------------
+# colp: ancestors rejected by their ground fingerprints
+
+
+def _failed_ancestor_unifications(monkeypatch, solve) -> int:
+    """Failed ``unify_atoms`` calls in ``engine`` whose first atom is not
+    the clause head renamed just before: the ancestor checks of ``colp``."""
+    failed = 0
+    last_head = None
+    real_rename, real_unify = engine.rename_apart, engine.unify_atoms
+
+    def renaming(clause, env):
+        nonlocal last_head
+        rc, env2 = real_rename(clause, env)
+        last_head = rc.head
+        return rc, env2
+
+    def unifying(a1, a2, env, occurs_check=False):
+        nonlocal failed
+        u = real_unify(a1, a2, env, occurs_check)
+        if u is None and a1 is not last_head:
+            failed += 1
+        return u
+
+    monkeypatch.setattr(engine, "rename_apart", renaming)
+    monkeypatch.setattr(engine, "unify_atoms", unifying)
+    solve()
+    monkeypatch.setattr(engine, "rename_apart", real_rename)
+    monkeypatch.setattr(engine, "unify_atoms", real_unify)
+    return failed
+
+
+def test_colp_from_unifies_no_ancestor_that_cannot_close_it(monkeypatch):
+    # Every ancestor's stream starts at another s^k(0): 19,900 failed
+    # unifications at depth 200 when each was walked.
+    def solve():
+        verdict = colp_solve(parse_goal("from(0, X)"), FROM,
+                             Budget(max_depth=200))
+        assert (verdict.kind, verdict.steps_used) == ("exhausted", 200)
+
+    assert _failed_ancestor_unifications(monkeypatch, solve) == 0
+
+
+def test_colp_call_chain_unifies_no_ancestor_that_cannot_close_it(
+        monkeypatch):
+    # The 30-call addLast chain: 9,897 of 10,391 ancestor unifications
+    # failed when each was walked.
+    from hornlog.compiler import compile_class_table, compile_expr
+    from hornlog.minioo import parse_classes, parse_expr
+
+    source = (Path(__file__).resolve().parent.parent / "samples"
+              / "lists.moo").read_text()
+    unit = compile_class_table(parse_classes(source))
+    goal, _ = compile_expr(parse_expr("new EList()" + ".addLast(1)" * 30), {})
+
+    def solve():
+        verdict = colp_solve(goal, unit.program, Budget(max_answers=10))
+        assert verdict.kind == "answers"
+
+    assert _failed_ancestor_unifications(monkeypatch, solve) == 0
+
+
+def _unfiltered_colp_step(atoms, env, last, p):
+    """``colp_step`` as it was before fingerprints: it unifies against
+    every same-predicate ancestor."""
+    if not atoms:
+        return []
+    selected = atoms[0]
+    rest = atoms[1:]
+    children = []
+    back = 0
+    anc = last
+    while anc is not None:
+        back += 1
+        if anc.atom.key == selected.key:
+            u = engine.unify_atoms(anc.atom, selected, env, occurs_check=False)
+            if u is not None:
+                children.append((rest, u, "hyp", back))
+        anc = anc.prev
+    children.extend(sld_step(atoms, env, p, occurs_check=False))
+    return children
+
+
+def _colp_text(verdict) -> list:
+    lines = [f"{verdict.kind} {verdict.steps_used}"]
+    for a in verdict.answers:
+        lines += [a.kind, str(a.steps_used), repr(a.bindings), *a.trace,
+                  repr(a.full_env), repr(a.selected)]
+    return lines
+
+
+def test_colp_skips_only_ancestors_that_cannot_unify(monkeypatch):
+    # colp against a colp that unifies every ancestor, on random programs
+    # and the cyclic samples: the same search, answer for answer, with
+    # fewer unifications.
+    budget = Budget(max_steps=300, max_depth=40, max_answers=20)
+    cases = [(ZEROS, parse_goal("zeros(X)")), (EX3, parse_goal("p(X)")),
+             (FROM, parse_goal("from(0, X)")),
+             (ADD, parse_goal("add(X, Y, s(s(s(0))))")),
+             (SUBCLASS_AB, parse_goal("subclass(X, Y)"))]
+    rng = random.Random(2006)
+    cases += [(random_program(rng), Goal((random_atom(rng),)))
+              for _ in range(400)]
+    calls = 0
+    real = engine.unify_atoms
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "unify_atoms", counting)
+    texts = []
+    for p, g in cases:
+        texts.append(_colp_text(colp_solve(g, p, budget, trace=True,
+                                           certificate=True)))
+    skipping, calls = calls, 0
+    monkeypatch.setattr(engine, "_colp_step",
+                        lambda atoms, env, last, p: (
+                            _unfiltered_colp_step(atoms, env, last, p), None))
+    for (p, g), text in zip(cases, texts):
+        assert _colp_text(colp_solve(g, p, budget, trace=True,
+                                     certificate=True)) == text
+    assert sum(any(" hyp " in line for line in t) for t in texts) >= 15
+    assert skipping < calls - 1000

@@ -8,6 +8,7 @@ independent oracle for the production unifier on acyclic inputs.
 from __future__ import annotations
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -787,6 +788,90 @@ def test_canon_key_lists_a_shared_dag_once():
     for _ in range(18):
         dag = Compound("f", (dag, dag))
     assert len(repr(canon_key(dag))) < 10_000
+
+
+def test_canon_key_of_a_long_ground_list_is_not_quadratic():
+    # Refining the whole graph took one round per cell: 1.3-2.7 s at
+    # 1,600 cells.  Each finite node is now keyed once, when finished.
+    n = 10 ** 4
+    t = mklist([const("a")] * n)
+    start = time.perf_counter()
+    key = canon_key(t)
+    assert time.perf_counter() - start < 1.0
+    # every cell is its own class (its own length), then "a" and "[]"
+    assert len(key) == 1 + n + 2
+
+
+def _whole_graph_canon_key(t, env=None):
+    """``canon_key`` as it was before finite nodes were interned: every
+    node starts in one class and the whole graph is refined."""
+    t, env = term_module._as_pair(t, env)
+    root = term_module._walk(env._b, t)
+    if isinstance(root, Var):
+        return ("v", root.name)
+    nodes = [n for n in subterms((root,), env) if isinstance(n, Compound)]
+    index = {id(n): i for i, n in enumerate(nodes)}
+    shapes = []
+    for n in nodes:
+        shape = [n.functor]
+        for a in n.args:
+            a = term_module._walk(env._b, a)
+            shape.append(("v", a.name) if isinstance(a, Var) else index[id(a)])
+        shapes.append(shape)
+    cls, count = [0] * len(shapes), 1
+    while count < len(shapes):
+        remap: dict = {}
+        new = [remap.setdefault(tuple(cls[r] if r.__class__ is int else r
+                                      for r in shape), len(remap))
+               for shape in shapes]
+        cls = new
+        if len(remap) == count:
+            break
+        count = len(remap)
+    pos, firsts, stack = {}, [], [0]
+    while stack:
+        i = stack.pop()
+        if i.__class__ is int and cls[i] not in pos:
+            pos[cls[i]] = len(firsts)
+            firsts.append(i)
+            stack.extend(reversed(shapes[i]))
+    return ("f", *(tuple(("c", pos[cls[r]]) if r.__class__ is int else r
+                         for r in shapes[i]) for i in firsts))
+
+
+def _seeded_rational(rng: random.Random):
+    """Bindings of X0-X5, each to a term, a variable or nothing, over
+    constants, lists and f/g/h, so that cycles, shared nodes and finite
+    prefixes above cycles all occur."""
+    names = [f"X{i}" for i in range(6)]
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return (Var(rng.choice(names)) if rng.random() < 0.5
+                    else const(rng.choice("ab")))
+        name, arity = rng.choice([("f", 1), ("g", 2), (".", 2), ("h", 3)])
+        return Compound(name, tuple(term(depth - 1) for _ in range(arity)))
+
+    bindings = {}
+    for name in names:
+        r = rng.random()
+        if r < 0.6:
+            bindings[name] = term(rng.randint(1, 5))
+        elif r < 0.7:
+            bindings[name] = Var(rng.choice(names))
+    return BindingEnv(bindings), term(4)
+
+
+def test_canon_key_keys_as_the_whole_graph_refinement_did():
+    rng = random.Random(1987)
+    cases = [_seeded_rational(rng) for _ in range(3000)]
+    stream = {"S": Compound(".", (const("a"), Var("S")))}
+    for n in (1, 2, 30):
+        cases += [(BindingEnv(stream), mklist([const("a")] * n, Var("S"))),
+                  (BindingEnv(stream), mklist([const("b")] * n, Var("S"))),
+                  (EMPTY_ENV, mklist([const("a")] * n, Var("T")))]
+    for env, t in cases:
+        assert canon_key(t, env) == _whole_graph_canon_key(t, env)
 
 
 def _spine(t):
