@@ -7,14 +7,15 @@ engine's answers on inductive programs must agree with it.
 """
 
 import random
-from pathlib import Path
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from genprog import random_atom, random_program, random_term
 
+from hornlog.compiler import compile_class_table, compile_expr
 from hornlog.engine import (
     Budget,
     Step,
@@ -27,6 +28,7 @@ from hornlog.engine import (
     sres_solve,
     subst_step,
 )
+from hornlog.minioo import parse_classes, parse_expr
 from hornlog.syntax import parse_goal, parse_program, parse_term, print_answer, parse_trace_line
 from hornlog import engine, terms
 from hornlog.terms import (
@@ -643,9 +645,6 @@ def test_colp_call_chain_unifies_no_ancestor_that_cannot_close_it(
         monkeypatch):
     # The 30-call addLast chain: 9,897 of 10,391 ancestor unifications
     # failed when each was walked.
-    from hornlog.compiler import compile_class_table, compile_expr
-    from hornlog.minioo import parse_classes, parse_expr
-
     source = (Path(__file__).resolve().parent.parent / "samples"
               / "lists.moo").read_text()
     unit = compile_class_table(parse_classes(source))
