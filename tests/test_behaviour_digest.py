@@ -92,6 +92,18 @@ Cases:
 * ``key/<i>``: the ``canon_key`` partition, as in ``term/<i>``, of long
   finite lists (literal and through bindings), shared and unshared DAGs,
   finite prefixes that hang off cycles and cycles over finite parts.
+* ``head/<name>``: resolving against clause heads with repeated variables
+  (``p(X, X)``, ``subclass(X, X)``), heads with a compound where the goal
+  has a variable (``p(f(Y), Y)``, failing the occurs check against
+  ``p(X, X)`` under ``sld``) and heads with ``[]`` twice, literal and as
+  shared list tails.  ``program/<i>`` runs each goal as ``program/<i>``
+  runs its goals, which pins ``productivity_report``'s consumed
+  constructors.  ``step/<i>`` takes one ``sld_step`` with and without the
+  occurs check, one ``subst_step`` and one ``rewrite_normalize`` of an
+  atom under environments whose targets are identical, equal but
+  distinct, cyclic, or a variable loop ``X -> Y -> X``; each child's body
+  atoms, with every variable's span, and its bindings in order.
+  ``subst/<i>`` is ``subst_step`` on goals that are not normal forms.
 
 No case reads ``Compound.fp`` or anything else that depends on ``hash``
 salting.  A change that means to alter behaviour regenerates the file with
@@ -127,8 +139,11 @@ from hornlog.engine import (
     Budget,
     colp_solve,
     productivity_report,
+    rewrite_normalize,
     sld_solve,
+    sld_step,
     sres_solve,
+    subst_step,
 )
 from hornlog import fixpoint
 from hornlog.fixpoint import (
@@ -1341,6 +1356,119 @@ def key_cases() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Clause heads: repeated variables, compounds against goal variables
+
+_HEAD_PROGRAM = """
+    eq(X, X).
+    p(X, X).
+    p(f(Y), Y).
+    p(g(X, Y), X) :- p(Y, X).
+    subclass(X, X).
+    subclass(a, b).
+    subclass(X, Z) :- subclass(X, Y), subclass(Y, Z).
+    two([], []).
+    two([A|B], [C|D]) :- two(B, D).
+    pair([X], [Y]).
+    pair([X|Y], [X|Y]) :- two(Y, Y).
+"""
+
+_HEAD_GOALS = [
+    "p(X, X)", "p(X, Y)", "p(f(a), f(a))", "eq(Y, f(a)), p(Y, Y)",
+    "eq(X, f(X)), eq(Y, f(Y)), p(X, Y)", "eq(X, f(X)), p(X, f(X))",
+    "eq(X, f(X)), p(X, X)", "p(f(X), X)", "p(g(a, X), Y)",
+    "subclass(a, a)", "subclass(X, X)", "subclass(a, X)", "subclass(X, b)",
+    "eq(X, Y), subclass(X, Y)", "two(X, Y)", "two([], [])",
+    "two([a, b], X)", "pair(X, Y)", "pair([a], [a])", "pair(X, X)",
+]
+
+# Environments of the goal atom: identical targets, equal but distinct
+# ones, cyclic ones and a variable loop.
+_HEAD_ENVS = [
+    {},
+    {"Y": "f(a)"},
+    {"X": "f(a)", "Y": "f(a)"},
+    {"X": "f(X)", "Y": "f(Y)"},
+    {"X": "f(X)", "Y": "f(f(Y))"},
+    {"X": "Y", "Y": "X"},
+    {"X": "Y", "Y": "X", "Z": "f(Z)"},
+    {"X": "Z", "Y": "Z", "Z": "[a]"},
+]
+
+_HEAD_ATOMS = [
+    "p(X, X)", "p(X, Y)", "p(Y, Y)", "p(f(a), f(a))", "p(X, f(X))",
+    "p(f(X), X)", "p(Z, X)", "p(g(X, Y), Y)", "subclass(X, Y)",
+    "subclass(X, X)", "subclass(a, X)", "two(X, Y)", "two([], Y)",
+    "two(X, [])", "pair(X, X)", "pair(Z, X)",
+]
+
+_SUBST_GOALS = [
+    "p(a, a), p(X, Y)", "p(X, Y), p(a, a)", "subclass(a, a), two(X, Y)",
+    "two([], []), pair(X, Y)", "p(X, X), subclass(X, Y)",
+    "pair([a], [a]), p(f(X), X)",
+]
+
+
+def _body_text(atoms) -> str:
+    """The atoms, then each variable's span at its first occurrence."""
+    lines = ["  body " + ", ".join(atom_text(a) for a in atoms)]
+    seen = set()
+    for a in atoms:
+        for arg in a.args:
+            for v in term_vars(arg):
+                if v.name not in seen:
+                    seen.add(v.name)
+                    span = v.span and (v.span.line, v.span.column,
+                                       v.span.length)
+                    lines.append(f"    {v.name} {span}")
+    return "\n".join(lines)
+
+
+def _head_step_text(program, atoms, env) -> str:
+    lines = [f"goal {', '.join(atom_text(a) for a in atoms)} under "
+             f"{{{_result_text(env)}}}"]
+    for occurs_check in (True, False):
+        for body, env2, kind, ref in sld_step(atoms, env, program,
+                                              occurs_check):
+            lines += [f"sld {occurs_check} {kind} {ref} counter "
+                      f"{env2.counter} {{{_result_text(env2)}}}",
+                      _body_text(body)]
+    g = Goal(atoms)
+    for goal, env2, ref, ai in subst_step(g, program, env):
+        lines.append(f"su {ref} {ai} {goal is g} counter "
+                     f"{env2.counter} {{{_result_text(env2)}}}")
+    rw = rewrite_normalize(Goal(atoms), program, env, BUDGET,
+                           collect_trace=True)
+    lines += [f"rw {rw.status} {rw.steps} counter {rw.env.counter} "
+              f"{{{_result_text(rw.env)}}}", _body_text(rw.goal.atoms)]
+    lines += [f"  {line}" for line in rw.trace]
+    lines += [f"  witness {line}" for line in rw.witness or ()]
+    return "\n".join(lines)
+
+
+def head_cases() -> dict:
+    program = parse_program(_HEAD_PROGRAM, "heads.lp")
+    cases = {f"head/program/{i}": _program_text(program, parse_goal(text))
+             for i, text in enumerate(_HEAD_GOALS)}
+    i = 0
+    for bindings in _HEAD_ENVS:
+        env = BindingEnv({n: parse_term(t) for n, t in bindings.items()})
+        for text in _HEAD_ATOMS:
+            cases[f"head/step/{i}"] = _head_step_text(
+                program, parse_goal(text).atoms, env)
+            i += 1
+    for j, text in enumerate(_SUBST_GOALS):
+        goal = parse_goal(text)
+        for k, bindings in enumerate(_HEAD_ENVS):
+            env = BindingEnv({n: parse_term(t) for n, t in bindings.items()})
+            lines = [f"goal {text} under {{{_result_text(env)}}}"]
+            for goal2, env2, ref, ai in subst_step(goal, program, env):
+                lines.append(f"su {ref} {ai} {goal2 is goal} counter "
+                             f"{env2.counter} {{{_result_text(env2)}}}")
+            cases[f"head/subst/{j}/{k}"] = "\n".join(lines)
+    return cases
+
+
+# ---------------------------------------------------------------------------
 
 
 def all_cases() -> dict:
@@ -1348,7 +1476,8 @@ def all_cases() -> dict:
             **pair_cases(), **rename_cases(), **parse_cases(), **cli_cases(),
             **moo_cases(), **referee_cases(), **proof_cases(),
             **print_cases(), **index_cases(), **stage_cases(),
-            **observe_cases(), **colp_cases(), **key_cases()}
+            **observe_cases(), **colp_cases(), **key_cases(),
+            **head_cases()}
 
 
 def _digest(text: str) -> str:
