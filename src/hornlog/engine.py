@@ -47,12 +47,13 @@ from hornlog.terms import (
     bump_counter_past,
     has_cycle,
     head_matches,
-    match_atoms,
-    rename_apart,
+    match_head,
+    rename_body,
     resolve,
     subterms,
     term_vars,
     unify_atoms,
+    unify_head,
 )
 
 
@@ -187,11 +188,12 @@ def sld_step(atoms: tuple, env: BindingEnv, p: Program,
     rest = atoms[1:]
     children = []
     for clause in p.select(selected, env):
-        rc, env2 = rename_apart(clause, env)
-        u = unify_atoms(rc.head, selected, env2, occurs_check)
-        if u is None:
+        resolved = unify_head(clause, selected, env, occurs_check)
+        if resolved is None:
             continue
-        children.append((rc.body + rest, u, "sld", clause.idx))
+        ren, u = resolved
+        children.append((rename_body(clause, ren) + rest, u, "sld",
+                         clause.idx))
     return children
 
 
@@ -330,8 +332,8 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
 
     One step replaces the leftmost matching atom by the clause body under the
     matcher; matching never instantiates the goal, so rewriting is the
-    deterministic, answer-preserving half of a resolution step.  A clause is
-    renamed only once its own, unrenamed head has matched.  Exceeding
+    deterministic, answer-preserving half of a resolution step.  A clause's
+    own, unrenamed head is matched, and only the body is copied.  Exceeding
     ``max_rewrite_steps`` reports divergence with the recent goal history.
     With ``collect_trace`` every step extends the branch that ends at
     ``last``, and the result's ``last`` ends the extended branch.
@@ -350,9 +352,11 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
     # instantiates the goal side.  Resume each scan at that position.
     frontier = 0
     while True:
-        found = next(((ai, clause) for ai in range(frontier, len(atoms))
+        found = next(((ai, clause, matched)
+                      for ai in range(frontier, len(atoms))
                       for clause in p.select(atoms[ai], cur_env)
-                      if head_matches(clause.head, atoms[ai], cur_env)), None)
+                      if (matched := match_head(clause, atoms[ai], cur_env))
+                      is not None), None)
         if found is None:
             return RewriteResult("normal_form", Goal(atoms), cur_env, steps,
                                  last=last)
@@ -361,18 +365,19 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
             witness.append(_goal_snapshot(atoms, cur_env))
             return RewriteResult("diverged", Goal(atoms), cur_env, steps,
                                  witness=witness, last=last)
-        ai, clause = found
-        rc, env2 = rename_apart(clause, cur_env)
-        sigma = match_atoms(rc.head, atoms[ai], env2)
+        ai, clause, (ren, sigma) = found
         if consumed is not None:
-            for x in subterms(rc.head.args, cur_env):
-                if isinstance(x, Compound):
+            stack = list(clause.head.args)  # every compound occurrence
+            while stack:
+                x = stack.pop()
+                if x.__class__ is Compound:
                     consumed[x.functor] = consumed.get(x.functor, 0) + 1
+                    stack.extend(x.args)
         if collect_trace:
             last = Step("rw", clause.idx, ai, atoms[ai],
                         _new_bindings(sigma, cur_env), last)
         history.append((atoms, cur_env))
-        atoms = atoms[:ai] + rc.body + atoms[ai + 1:]
+        atoms = atoms[:ai] + rename_body(clause, ren) + atoms[ai + 1:]
         cur_env = sigma
         frontier = ai
         steps += 1
@@ -394,8 +399,10 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
 
     Eligible clauses are those whose head unifies with the atom but does not
     match it — a matching head belongs to the rewriting phase, which runs
-    first, so including it here would duplicate work.  A clause is renamed
-    only if ``Program.select`` keeps it and its own head does not match.
+    first, so including it here would duplicate work.  Each head that
+    ``Program.select`` keeps is unified once, unrenamed, and nothing is
+    copied but the subterms it binds goal variables to.  It matched when
+    the unifier bound only the clause's fresh names.
     The goal's atoms are unchanged; only the environment is instantiated.
     Returns ``(goal, env, clause_idx, atom_index)`` tuples in clause order.
 
@@ -409,13 +416,16 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
         options = []
         alive = False
         for clause in p.select(atom, env):
-            if head_matches(clause.head, atom, env):
-                alive = True
+            resolved = unify_head(clause, atom, env)
+            if resolved is None:
                 continue
-            rc, env2 = rename_apart(clause, env)
-            u = unify_atoms(rc.head, atom, env2, occurs_check=False)
-            if u is not None:
-                alive = True
+            alive = True
+            ren, u = resolved
+            fresh = {v.name for v in ren.values()}
+            # binding only fresh names, a head may still have overwritten a
+            # goal's variable loop, which _bound_since does not list
+            if (any(name not in fresh for name in _bound_since(u, env))
+                    or not head_matches(clause.head, atom, env)):
                 options.append((g, u, clause.idx, ai))
         if not alive:
             return []

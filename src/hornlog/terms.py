@@ -48,16 +48,19 @@ each for its own question:
   compound.
 * ``_unify`` is the one pair walker that binds, with a visited-pair memo
   so that cyclic terms terminate.  ``match`` is ``_unify`` restricted to
-  the pattern's variables.  ``rational_equal`` binds nothing; ``==`` on
-  compounds is ``rational_equal`` under no environment.
+  the pattern's variables.  It also binds a clause's own head for
+  :func:`unify_head`, reading the head's variables through the renaming,
+  so that only the body is copied.  ``rational_equal`` binds nothing;
+  ``==`` on compounds is ``rational_equal`` under no environment.
 * :func:`head_matches` stays apart from ``_unify``: it binds nothing, and
   its pattern, a clause's own head, needs no renaming, since the head's
-  variables live in a dict of their own.
+  variables live in a dict of their own.  The targets it finds are the
+  matcher, which :func:`match_head` binds to the variables' fresh names.
 * :meth:`BindingEnv.restrict` walks binding chains without dereferencing
   them, because it keeps every raw binding it passes.
 
 No builder in this module recurses on term depth.  ``resolve``, ``to_mu``
-and ``_rename`` (for :func:`rename_apart` and :func:`from_mu`) build
+and ``_rename`` (for renamed clauses and bodies and :func:`from_mu`) build
 post-order, pushing an exit marker for each compound.  The first two keep
 their own loops: they copy a node once wherever its copy cannot depend on
 the path that reaches it, so their results may share subterms and cost what
@@ -462,17 +465,37 @@ def unify_atoms(a1: Atom, a2: Atom, env: BindingEnv = EMPTY_ENV,
 
 
 def _unify(stack: list, env: BindingEnv, occurs_check: bool,
-           only: Optional[set] = None) -> Optional[BindingEnv]:
+           only: Optional[set] = None, heads: Optional[list] = None,
+           ren: Optional[dict] = None) -> Optional[BindingEnv]:
     """Unify every pair on ``stack`` under ``env``; the last pair is taken
     first.  With ``only`` this matches (pattern, target) pairs: it fails
-    where it would bind a name outside ``only`` or on the target side."""
+    where it would bind a name outside ``only`` or on the target side.
+    ``heads`` holds pairs whose left side, an unrenamed clause head term, is
+    read through ``ren``; one is taken when ``stack`` is empty, as it would
+    be if renamed on ``stack``, since goal terms spawn only goal pairs."""
     work = env._b  # copied on the first write
     shared = True
     seen: set = set()
-    while stack:
-        a, b = stack.pop()
-        a = _walk(work, a)
-        b = _walk(work, b)
+    while True:
+        if stack:
+            a, b = stack.pop()
+            a = _walk(work, a)
+            b = _walk(work, b)
+        elif heads:
+            a, b = heads.pop()
+            b = _walk(work, b)
+            if a.__class__ is Var:
+                a = _walk(work, ren[a.name])
+            elif b.__class__ is Var:
+                a = _rename((a,), ren)[0]
+            elif (a.functor != b.functor or len(a.args) != len(b.args)
+                  or a.fp != b.fp and a.fp is not None and b.fp is not None):
+                return None
+            else:  # a renamed copy is never ``b`` nor met twice
+                heads.extend(zip(reversed(a.args), reversed(b.args)))
+                continue
+        else:
+            break
         if isinstance(a, Var):
             if isinstance(b, Var) and a.name == b.name:
                 continue
@@ -536,26 +559,35 @@ def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Opt
 
 def head_matches(head: Atom, target: Atom, env: BindingEnv) -> bool:
     """Would ``match_atoms`` of a renamed copy of ``head`` succeed against
-    ``target`` under ``env``?  Walks ``head`` as a finite tree and binds its
-    variables in a dict of their own, so they may share names with
-    ``target``'s.  Nothing is renamed, built or bound in ``env``."""
+    ``target`` under ``env``?  Nothing is renamed, built or bound in
+    ``env``."""
+    return _head_targets(head, target, env) is not None
+
+
+def _head_targets(head: Atom, target: Atom, env: BindingEnv) -> Optional[dict]:
+    """The matcher of ``head`` against ``target`` under ``env``: each head
+    variable's walked target at its leftmost occurrence, which is what
+    ``match`` binds its renamed copy to, or None if there is no matcher.
+    Walks ``head`` as a finite tree, right to left, and keeps its variables
+    in a dict of their own, so they may share names with ``target``'s."""
     if head.pred != target.pred or len(head.args) != len(target.args):
-        return False
+        return None
     own: dict = {}
     stack = list(zip(head.args, target.args))
     while stack:
         p, t = stack.pop()
         t = _walk(env._b, t)
         if isinstance(p, Var):
-            first = own.setdefault(p.name, t)
+            first = own.get(p.name, t)
             if first is not t and not rational_equal(first, t, env, env):
-                return False  # a repeated variable, two different targets
+                return None  # a repeated variable, two different targets
+            own[p.name] = t  # the walk is right to left: leftmost wins
         elif (isinstance(t, Var) or p.functor != t.functor
               or len(p.args) != len(t.args)):
-            return False
+            return None
         else:
             stack.extend(zip(p.args, t.args))
-    return True
+    return own
 
 
 # ---------------------------------------------------------------------------
@@ -963,13 +995,55 @@ def rename_apart(c: Clause, env: BindingEnv) -> tuple:
     clause twice yields disjoint variable sets.  Variables are numbered in
     the order they first occur, and each keeps its first occurrence's span.
     """
-    counter = env.counter
-    ren = {v.name: Var(f"V{counter + i}", v.span)
-           for i, v in enumerate(c._vars)}
+    ren = _renaming(c, env.counter)
     head, *body = [Atom(a.pred, tuple(_rename(a.args, ren)), a.span)
                    for a in (c.head, *c.body)]
     return (Clause(head, tuple(body), c.idx, c.span),
-            BindingEnv._wrap(env._b, counter + len(ren)))
+            BindingEnv._wrap(env._b, env.counter + len(ren)))
+
+
+def _renaming(c: Clause, counter: int) -> dict:
+    """``rename_apart``'s map from each clause variable to its fresh one."""
+    return {v.name: Var(f"V{counter + i}", v.span)
+            for i, v in enumerate(c._vars)}
+
+
+def unify_head(c: Clause, atom: Atom, env: BindingEnv,
+               occurs_check: bool = False) -> Optional[tuple]:
+    """``(ren, env2)``, with ``env2`` what ``unify_atoms`` of the head of
+    ``rename_apart(c, env)`` with ``atom`` gives, bindings in order, or
+    None; the head is not copied.  ``ren`` is the renaming, for
+    :func:`rename_body`."""
+    head = c.head
+    if head.pred != atom.pred or len(head.args) != len(atom.args):
+        return None
+    ren = _renaming(c, env.counter)
+    u = _unify([], BindingEnv._wrap(env._b, env.counter + len(ren)),
+               occurs_check, heads=list(zip(reversed(head.args),
+                                            reversed(atom.args))), ren=ren)
+    return None if u is None else (ren, u)
+
+
+def match_head(c: Clause, atom: Atom, env: BindingEnv) -> Optional[tuple]:
+    """``unify_head`` with ``match_atoms``: the fresh names of the head's
+    variables, in order, bound to the targets ``head_matches`` walks to."""
+    own = _head_targets(c.head, atom, env)
+    if own is None:
+        return None
+    ren = _renaming(c, env.counter)
+    bindings = env._b
+    if own:
+        bindings = dict(bindings)
+        for v in c._vars[:len(own)]:  # the head's variables come first
+            bindings[ren[v.name].name] = own[v.name]
+    return ren, BindingEnv._wrap(bindings, env.counter + len(ren))
+
+
+def rename_body(c: Clause, ren: Mapping[str, Var]) -> tuple:
+    """``c``'s body atoms renamed by ``ren``, as ``rename_apart`` renames
+    them."""
+    return tuple(Atom(a.pred, tuple(_rename(a.args, ren)), a.span)
+                 for a in c.body)
 
 
 def _rename(terms, ren: Mapping[str, Var]) -> list:

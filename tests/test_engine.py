@@ -578,24 +578,51 @@ def test_clause_selection_drops_only_clauses_that_cannot_unify():
 ], ids=["sld", "colp", "sres"])
 def test_len_renames_no_clause_its_first_argument_rules_out(
         monkeypatch, solve, options, most):
-    # One rename per cell for sld and colp, and for sres one in the
-    # substitution step and one in the rewrite that follows it.  Renaming
-    # every clause of the predicate took 2n + 2 and 6n + 5.
+    # One body copy per cell: sld and colp copy it as they resolve, sres in
+    # the rewrite after each substitution step, which copies no body.  The
+    # bounds are those the whole-clause renames met; renaming every clause
+    # of the predicate took 2n + 2 and 6n + 5.
     n = 200
     calls = 0
-    real = engine.rename_apart
+    real = engine.rename_body
 
-    def counting(clause, env):
+    def counting(clause, ren):
         nonlocal calls
         calls += 1
-        return real(clause, env)
+        return real(clause, ren)
 
-    monkeypatch.setattr(engine, "rename_apart", counting)
+    monkeypatch.setattr(engine, "rename_body", counting)
     p = parse_program("len([], z). len([_|T], s(N)) :- len(T, N).")
     g = parse_goal("len([" + ", ".join(["a"] * n) + "], N)")
     verdict = solve(g, p, Budget(max_answers=1), **options)
     assert verdict.kind == "answers"
-    assert calls <= most(n)
+    assert 0 < calls <= most(n)
+
+
+def test_sres_len_walks_each_head_once_per_match(monkeypatch):
+    # Per cell, the rewrite after the substitution step walks the head that
+    # matches and then the head that does not; the substitution step's
+    # unifier tells the head apart from one that matches.  Asking
+    # head_matches in the substitution step as well took 3 walks per cell.
+    n = 200
+    calls = 0
+    names = ("match_head", "head_matches")
+    reals = {name: getattr(engine, name) for name in names}
+
+    def counting(real):
+        def count(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+        return count
+
+    for name, real in reals.items():
+        monkeypatch.setattr(engine, name, counting(real))
+    p = parse_program("len([], z). len([_|T], s(N)) :- len(T, N).")
+    g = parse_goal("len([" + ", ".join(["a"] * n) + "], N)")
+    verdict = sres_solve(g, p, Budget(max_answers=1), lazy_k=None)
+    assert verdict.kind == "answers"
+    assert 0 < calls <= 2 * n + 2
 
 
 # ---------------------------------------------------------------------------
@@ -603,29 +630,21 @@ def test_len_renames_no_clause_its_first_argument_rules_out(
 
 
 def _failed_ancestor_unifications(monkeypatch, solve) -> int:
-    """Failed ``unify_atoms`` calls in ``engine`` whose first atom is not
-    the clause head renamed just before: the ancestor checks of ``colp``."""
+    """Failed ``unify_atoms`` calls in ``engine``: the ancestor checks of
+    ``colp``, since clause heads are resolved by ``unify_head`` and no
+    longer reach ``unify_atoms``."""
     failed = 0
-    last_head = None
-    real_rename, real_unify = engine.rename_apart, engine.unify_atoms
-
-    def renaming(clause, env):
-        nonlocal last_head
-        rc, env2 = real_rename(clause, env)
-        last_head = rc.head
-        return rc, env2
+    real_unify = engine.unify_atoms
 
     def unifying(a1, a2, env, occurs_check=False):
         nonlocal failed
         u = real_unify(a1, a2, env, occurs_check)
-        if u is None and a1 is not last_head:
+        if u is None:
             failed += 1
         return u
 
-    monkeypatch.setattr(engine, "rename_apart", renaming)
     monkeypatch.setattr(engine, "unify_atoms", unifying)
     solve()
-    monkeypatch.setattr(engine, "rename_apart", real_rename)
     monkeypatch.setattr(engine, "unify_atoms", real_unify)
     return failed
 

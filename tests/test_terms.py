@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hornlog.terms as term_module
-from genprog import random_atom
+from genprog import random_atom, random_program, random_term
 
 from hornlog.terms import (
     EMPTY_ENV,
@@ -35,18 +35,27 @@ from hornlog.terms import (
     head_matches,
     match,
     match_atoms,
+    match_head,
     mklist,
     rational_equal,
     rename_apart,
+    rename_body,
     resolve,
     subterms,
     term_vars,
     to_mu,
     unify,
     unify_atoms,
+    unify_head,
 )
 from hornlog.engine import Budget, sres_solve
-from hornlog.syntax import parse_goal, parse_program, term_text
+from hornlog.syntax import (
+    atom_text,
+    parse_goal,
+    parse_program,
+    program_text,
+    term_text,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -1084,6 +1093,73 @@ def test_head_matches_agrees_with_match_atoms_of_the_renamed_head():
                             and has_cycle(env, Compound("", target.args)))
     assert min(seen.values()) > 300
     assert repeated_cyclic > 20
+
+
+def _nodes(t) -> list:
+    """Every node of the finite term ``t`` in preorder, with its span."""
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Var):
+            out.append((x.name, x.span))
+        else:
+            out.append((x.functor, len(x.args), x.span))
+            stack.extend(reversed(x.args))
+    return out
+
+
+def _resolvent(env, body):
+    """The bindings in order, the counter and the body atoms, every node
+    with its span; None for a failure."""
+    if env is None:
+        return None
+    return ([(name, _nodes(t)) for name, t in env.bindings.items()],
+            env.counter,
+            [(a.pred, a.span, [_nodes(x) for x in a.args]) for a in body])
+
+
+def _in_place(resolved, c):
+    return None if resolved is None else _resolvent(
+        resolved[1], rename_body(c, resolved[0]))
+
+
+def test_head_resolution_gives_what_renaming_the_whole_clause_gave():
+    # unify_head and match_head against rename_apart then unify_atoms or
+    # match_atoms of the renamed head, on genprog clauses and atoms printed
+    # and parsed back so that every node has a span, under environments with
+    # cycles and variable loops whose names the clauses share.
+    rng = random.Random(18)
+    triples = 0
+    outcomes = dict.fromkeys(["unify", "occurs", "match", "loop"], 0)
+    for seed in range(600):
+        p = parse_program(program_text(random_program(rng, max_clauses=8)))
+        bindings = {n: random_term(rng) for n in ("X", "Y", "Z")
+                    if rng.random() < 0.6}
+        if seed % 4 == 0:  # a variable loop X -> Y -> X
+            bindings.update(X=Var("Y"), Y=Var("X"))
+        env = BindingEnv(bindings, counter=seed % 5)
+        # a goal variable repeated against every head, which the occurs
+        # check fails on heads such as r(f(X), X)
+        atoms = [Atom("r", (Var("X"), Var("X")))]
+        atoms += [random_atom(rng) for _ in range(4)]
+        for atom in parse_goal(", ".join(map(atom_text, atoms))).atoms:
+            for c in p.clauses_for(atom.key):
+                triples += 1
+                rc, env2 = rename_apart(c, env)
+                results = []
+                for oc in (False, True):
+                    want = _resolvent(unify_atoms(rc.head, atom, env2, oc),
+                                      rc.body)
+                    assert _in_place(unify_head(c, atom, env, oc), c) == want
+                    results.append(want is not None)
+                want = _resolvent(match_atoms(rc.head, atom, env2), rc.body)
+                assert _in_place(match_head(c, atom, env), c) == want
+                outcomes["unify"] += results[0]
+                outcomes["occurs"] += results[0] and not results[1]
+                outcomes["match"] += want is not None
+                outcomes["loop"] += results[0] and seed % 4 == 0
+    assert triples >= 2000
+    assert min(outcomes.values()) >= 30, (triples, outcomes)
 
 
 def test_head_matches_checks_the_predicate_and_arity():
