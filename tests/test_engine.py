@@ -599,7 +599,7 @@ def test_len_renames_no_clause_its_first_argument_rules_out(
     assert 0 < calls <= most(n)
 
 
-def test_sres_len_walks_each_head_once_per_match(monkeypatch):
+def test_sres_len_walks_at_most_two_heads_per_cell_to_match(monkeypatch):
     # Per cell, the rewrite after the substitution step walks the head that
     # matches and then the head that does not; the substitution step's
     # unifier tells the head apart from one that matches.  Asking

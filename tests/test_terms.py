@@ -1130,7 +1130,8 @@ def test_head_resolution_gives_what_renaming_the_whole_clause_gave():
     # cycles and variable loops whose names the clauses share.
     rng = random.Random(18)
     triples = 0
-    outcomes = dict.fromkeys(["unify", "occurs", "match", "loop"], 0)
+    outcomes = dict.fromkeys(["unify", "occurs", "match", "cycle", "loop"],
+                             0)
     for seed in range(600):
         p = parse_program(program_text(random_program(rng, max_clauses=8)))
         bindings = {n: random_term(rng) for n in ("X", "Y", "Z")
@@ -1138,6 +1139,7 @@ def test_head_resolution_gives_what_renaming_the_whole_clause_gave():
         if seed % 4 == 0:  # a variable loop X -> Y -> X
             bindings.update(X=Var("Y"), Y=Var("X"))
         env = BindingEnv(bindings, counter=seed % 5)
+        cyclic = has_cycle(env, Compound("", (Var("X"), Var("Y"), Var("Z"))))
         # a goal variable repeated against every head, which the occurs
         # check fails on heads such as r(f(X), X)
         atoms = [Atom("r", (Var("X"), Var("X")))]
@@ -1157,6 +1159,7 @@ def test_head_resolution_gives_what_renaming_the_whole_clause_gave():
                 outcomes["unify"] += results[0]
                 outcomes["occurs"] += results[0] and not results[1]
                 outcomes["match"] += want is not None
+                outcomes["cycle"] += results[0] and cyclic
                 outcomes["loop"] += results[0] and seed % 4 == 0
     assert triples >= 2000
     assert min(outcomes.values()) >= 30, (triples, outcomes)
