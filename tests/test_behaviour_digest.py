@@ -58,7 +58,10 @@ Cases:
   c = 1`` fragment, whose bodies have variables the head never reads,
   shared body variables or ground atoms; and ``certificate/<i>``:
   ``certificate_fragment``s of ``colp`` answers whose seeds keep variables
-  free.
+  free.  ``referee/c2/<name>/stages`` prints the same chains over the
+  ``d = 2, c = 2`` fragment of ``zeros``, ``ex3`` and four more seeded
+  ``random_lemma_program``s, where rational systems of two equations and
+  the arena's variable names for them are pinned.
 * ``proof/<sample>/<goal>/<engine>``: ``render_proof`` of every proof
   variable of every answer each engine gives to a transformed goal.
 * ``print/shared/<name>``: answers whose term graph is much smaller than
@@ -1175,6 +1178,12 @@ def stage_cases() -> dict:
         frag = certificate_fragment(p, answer)
         cases[f"referee/certificate/{i}/stages"] = (
             f"goal {goal}\n{_stages_text(p, frag)}")
+    rng = random.Random(20190)
+    wide = _referee_programs()[:2] + [
+        (f"random/{i}", random_lemma_program(rng)) for i in range(4)]
+    for name, p in wide:
+        cases[f"referee/c2/{name}/stages"] = _stages_text(
+            p, build_fragment(p, 2, 2))
     return cases
 
 
