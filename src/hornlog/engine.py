@@ -338,11 +338,21 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
     With ``collect_trace`` every step extends the branch that ends at
     ``last``, and the result's ``last`` ends the extended branch.
     ``observer(atoms, env)`` is called after every step, which lets callers
-    watch termination measures shrink.
+    watch termination measures shrink.  Fresh names start past every
+    literal ``V<n>`` in ``p`` and ``g``, so the renamed clauses never share
+    a name with the goal.
     """
-    env0 = bump_counter_past(env, p)
+    return _rewrite_normalize(g, p, bump_counter_past(env, p, g), b,
+                              collect_trace, consumed, observer, last)
+
+
+def _rewrite_normalize(g: Goal, p: Program, env: BindingEnv, b: Budget,
+                       collect_trace: bool, consumed: Optional[dict],
+                       observer, last: Optional[Step]) -> RewriteResult:
+    """``rewrite_normalize`` with ``env``'s counter already past ``p``'s
+    and ``g``'s names."""
     atoms = tuple(g.atoms)
-    cur_env = env0
+    cur_env = env
     steps = 0
     # (atoms, env) before each of the last steps; rendered on divergence.
     history: deque = deque(maxlen=8)
@@ -454,8 +464,8 @@ def _structural_walk(g: Goal, p: Program, b: Budget,
     substs = 0
     while stack:
         atoms, env, branch_substs, last = stack.pop()
-        rw = rewrite_normalize(Goal(atoms), p, env, b, collect_trace=trace,
-                               consumed=consumed, last=last)
+        rw = _rewrite_normalize(Goal(atoms), p, env, b, trace, consumed,
+                                None, last)
         steps += rw.steps
         if rw.status == "diverged":
             yield rw, None, steps, substs

@@ -11,18 +11,23 @@ example, everything a solver's answer environment reaches), which is how
 answers of the engines are checked against the model-theoretic semantics on
 programs whose full fragment would be astronomically large.
 
-All fragment terms live in one shared "arena" environment.  Terms are
-rebased into it, through their canonical equation form, only while
-``build_fragment`` builds the fragment; after that the arena is fixed, and
-every step renames clauses apart from the same ``frag.env``.
+All fragment terms live in one shared "arena" environment.  A finite
+ground term is the same under every environment and enters it as it is;
+any other term is rebased into it, through its canonical equation form,
+only while ``build_fragment`` builds the fragment.  After that the arena is
+fixed, and every step renames clauses apart from the same ``frag.env``: a
+chain (``tp_up``, ``tp_down``, the proof-carrying downward chain) renames
+and plans each clause once and hands the result to every stage.
 
 A fragment member is identified by its canonical key.  Each term entering
 the universe is keyed once, and so is each argument of a seeded atom; an
 atom of the predicate product takes its key from the keys of its
-arguments.  The loops below carry the keys of the atoms they hold (from
-``frag.atoms`` or from a stage set) instead of keying them again.
-``tp_step`` and ``_proof_step`` join clause bodies against a stage with one
-generator, ``_joins``, which scans members and keys none.
+arguments.  ``atom_key`` looks a finite ground argument up among the
+finite ground members before it keys one.  The loops below carry the keys
+of the atoms they hold (from ``frag.atoms`` or from a stage set) instead of
+keying them again.  ``tp_step`` and ``_proof_step`` join clause bodies
+against a stage with one generator, ``_joins``, which scans members and
+keys none.
 
 The join follows a plan read off each clause (``_plan``).  A body atom is
 *existential* when every variable it shares with the head or a later atom
@@ -82,22 +87,32 @@ class GroundFragment:
     env: BindingEnv = EMPTY_ENV
     cap: int = DEFAULT_CAP
     _free: bool = False  # does a member hold a free variable?
+    # finite ground member -> its key; equal terms hash alike (``fp``)
+    _ground_keys: dict = field(default_factory=dict, repr=False)
 
     def atom_key(self, a: Atom, env: Optional[BindingEnv] = None):
         e = env if env is not None else self.env
-        return (a.pred, len(a.args)) + tuple(canon_key(t, e) for t in a.args)
+        key = [a.pred, len(a.args)]
+        for t in a.args:
+            t = e.walk(t)
+            k = self._ground_keys.get(t) if t.fp is not None else None
+            key.append(canon_key(t, e) if k is None else k)
+        return tuple(key)
 
     def add_term(self, t, env: BindingEnv):
-        """Rebase ``t`` onto the arena and add it to the universe; its arena
-        term if new, else None."""
+        """Add ``t`` to the universe, rebased onto the arena unless it is
+        finite and ground; its arena term if new, else None."""
         key = canon_key(t, env)
         if key in self.universe:
             return None
         if len(self.universe) >= self.cap:
             raise FragmentError(f"fragment cap {self.cap} exceeded")
-        term, self.env = from_mu(to_mu(env, t), self.env)
-        self.universe[key] = term
-        return term
+        if t.fp is None:
+            t, self.env = from_mu(to_mu(env, t), self.env)
+        else:
+            self._ground_keys[t] = key
+        self.universe[key] = t
+        return t
 
     def add_atom(self, key, atom: Atom) -> None:
         """Add ``atom``, whose arguments are arena terms, under ``key``."""
@@ -131,7 +146,9 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
     ``atom_products`` the atom set is the full product of predicates over
     the term universe; switched off, only seeded atoms are present (useful
     when the product would dwarf the cap but a known atom set is being
-    checked).
+    checked).  A candidate term is keyed once and, if new, stored as it is
+    when finite and ground, else rebased onto the arena; a rational system
+    that another system tried before must denote is not keyed at all.
     """
     funcs, preds = _signature(p)
     consts = sorted(n for n, a in funcs if a == 0)
@@ -164,6 +181,9 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
         finite = finite + newest
 
     # Rational terms: systems of up to c equations, one constructor deep.
+    # A system with an equation that R$1 does not reach denotes what the
+    # smaller system of the equations it reaches denotes, renamed in order
+    # so that R$1 stays first; that one was tried before, so it is skipped.
     rational = []
     if c >= 1 and constructors:
         for m in range(1, c + 1):
@@ -175,6 +195,12 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
                               for combo in itertools.product(leaves,
                                                              repeat=arity))
             for system in itertools.product(bodies, repeat=m):
+                reached = {0}
+                for _ in names:
+                    reached |= {names.index(x.name) for i in reached
+                                for x in system[i].args if isinstance(x, Var)}
+                if len(reached) < m:
+                    continue
                 env = BindingEnv({n: b for n, b in zip(names, system)})
                 term = frag.add_term(Var(names[0]), env)
                 if term is not None:
@@ -280,21 +306,41 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
     ``ignore_last``.  An existential atom joins one member, which never
     drops the first derivation of a key, so the stored proof arguments are
     the full join's too.  The head is ground after the join when the body
-    binds all its variables.
+    binds all its variables.  Each call renames and plans the clauses
+    (``_tp_plans``); ``tp_up`` and ``tp_down`` do that once per chain and
+    step with ``_tp_stage``.
     """
-    by_pred = {}
-    for a in s.values():
-        by_pred.setdefault(a.key, []).append(a)
-    fragment_by_pred = {}
-    for key, a in frag.atoms.items():
-        fragment_by_pred.setdefault(a.key, []).append((key, a))
-    out = {}
+    return _tp_stage(_tp_plans(p, frag, ignore_last), s, frag, ignore_last)
+
+
+def _tp_plans(p: Program, frag: GroundFragment, ignore_last: bool) -> tuple:
+    """What every ``tp_step`` of ``p`` over ``frag`` reads: each clause
+    renamed apart from the arena, with its head, its keyed head and its
+    join plan; and the fragment's atoms by predicate key, with their keys."""
+    plans = []
     for clause in p.clauses:
         rc, env0 = rename_apart(clause, frag.env)
         head = rc.head
         trimmed = Atom(head.pred, head.args[:-1]) if ignore_last else head
         one, ground = _plan(rc.body, set(), _names((trimmed,)), frag)
-        for env in _joins(rc.body, one, by_pred, env0):
+        plans.append((rc.body, env0, head, trimmed, one, ground))
+    fragment_by_pred = {}
+    if not all(plan[-1] for plan in plans):  # some head is not ground
+        for key, a in frag.atoms.items():
+            fragment_by_pred.setdefault(a.key, []).append((key, a))
+    return plans, fragment_by_pred
+
+
+def _tp_stage(plans: tuple, s: dict, frag: GroundFragment,
+              ignore_last: bool) -> dict:
+    """``tp_step`` from its ``_tp_plans``."""
+    clauses, fragment_by_pred = plans
+    by_pred = {}
+    for a in s.values():
+        by_pred.setdefault(a.key, []).append(a)
+    out = {}
+    for body, env0, head, trimmed, one, ground in clauses:
+        for env in _joins(body, one, by_pred, env0):
             # Every admissible ground instance of the head *is* a fragment
             # atom, so unifying with those finds exactly what a product over
             # the universe would, and each instance takes its atom's key.
@@ -335,13 +381,16 @@ class FixpointTrace:
 def tp_up(p: Program, n: int, frag: GroundFragment,
           ignore_last: bool = False) -> FixpointTrace:
     """Iterate upward from the empty set: n+1 increasing sets."""
-    return _iterate({}, n, frag, lambda s: tp_step(p, s, frag, ignore_last))
+    plans = _tp_plans(p, frag, ignore_last)
+    return _iterate({}, n, frag,
+                    lambda s: _tp_stage(plans, s, frag, ignore_last))
 
 
 def tp_down(p: Program, n: int, frag: GroundFragment) -> FixpointTrace:
     """Iterate downward from the whole fragment: n+1 decreasing sets."""
+    plans = _tp_plans(p, frag, False)
     return _iterate(dict(frag.atoms), n, frag, lambda s: {
-        k: a for k, a in tp_step(p, s, frag).items() if k in s})
+        k: a for k, a in _tp_stage(plans, s, frag, False).items() if k in s})
 
 
 def _iterate(first: dict, n: int, frag: GroundFragment,
@@ -369,12 +418,13 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
     step of stage k-1 over the members of stage k-1.
 
     Each clause is renamed apart from the fixed arena once, and read
-    without its proof arguments.  A body atom the head unifier leaves
-    ground is looked up by key; the rest join ``stage`` as in ``tp_step``.
-    The universe is closed under subterms, so whatever the join binds a
-    body-only variable to, a product over the universe would have tried
-    too.  Proof positions stay unconstrained: the downward iteration only
-    inspects k constructor layers of a proof, so any completion works.
+    without its proof arguments (``_proof_heads``).  A body atom the head
+    unifier leaves ground is looked up by key; the rest join ``stage`` as
+    in ``tp_step``.  The universe is closed under subterms, so whatever the
+    join binds a body-only variable to, a product over the universe would
+    have tried too.  Proof positions stay unconstrained: the downward
+    iteration only inspects k constructor layers of a proof, so any
+    completion works.
 
     ``atoms`` are ground, so the head unifier grounds the head's variables:
     a body atom whose variables the head holds is looked up, and a joined
@@ -384,12 +434,20 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
     A head is unified with an atom only if their first arguments do not
     clash in functor or arity (as in ``Program.select``) and, for ground
     atoms, ``head_matches`` says it will succeed; that binds nothing, so a
-    failing head copies no arena.
+    failing head copies no arena.  A chain builds the table of heads once
+    and steps with ``_proof_stage``, which keys each (atom, clause) pair's
+    looked-up body atoms once: later stages only look the keys up.
     """
-    by_pred = {}
-    for a in stage.values():
-        by_pred.setdefault(a.key, []).append(a)
-    stripped = {}
+    return _proof_stage(_proof_heads(p_trans, frag), frag, atoms, stage)
+
+
+def _proof_heads(p_trans: Program, frag: GroundFragment) -> dict:
+    """``_proof_step``'s clauses by the key of their stripped head: the
+    head, the body, the renamed clause's environment, the body's split
+    into looked-up and joined atoms with the join plan (None in a fragment
+    with free variables, where it depends on the atom), the head's first
+    argument's functor and arity, and what the head gave each atom key."""
+    heads = {}
     for clause in p_trans.clauses:
         rc, env0 = rename_apart(clause, frag.env)
         head, *body = [Atom(b.pred, b.args[:-1]) for b in (rc.head, *rc.body)]
@@ -402,32 +460,62 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
         first = head.args[0] if head.args else None
         shape = ((first.functor, len(first.args))
                  if isinstance(first, Compound) else None)
-        stripped.setdefault(head.key, []).append(
-            (head, body, env0, split, shape))
+        heads.setdefault(head.key, []).append(
+            (head, body, env0, split, shape, {}))
+    return heads
+
+
+def _proof_stage(heads: dict, frag: GroundFragment, atoms: dict,
+                 stage: dict) -> dict:
+    """``_proof_step`` from its ``_proof_heads``."""
+    by_pred = {}
+    for a in stage.values():
+        by_pred.setdefault(a.key, []).append(a)
     out = {}
     for key, a in atoms.items():
         first = frag.env.walk(a.args[0]) if a.args else None
-        for head, body, env0, split, shape in stripped.get(a.key, ()):
-            if ((shape is not None and isinstance(first, Compound)
-                 and shape != (first.functor, len(first.args)))
-                    or not (frag._free or head_matches(head, a, frag.env))):
+        for head, body, env0, split, shape, seen in heads.get(a.key, ()):
+            if (shape is not None and isinstance(first, Compound)
+                    and shape != (first.functor, len(first.args))):
                 continue
-            u = unify_atoms(head, a, env0, occurs_check=False)
-            if u is None:
+            u = None
+            if key not in seen:
+                if frag._free or head_matches(head, a, frag.env):
+                    u = unify_atoms(head, a, env0, occurs_check=False)
+                seen[key] = None if u is None else _looked_up(body, split,
+                                                              u, frag)
+            if seen[key] is None:
                 continue
-            if split is None:
-                keyed, joined = [], []
-                for b in body:
-                    (keyed if _ground(b, u) else joined).append(b)
-                one = (False,) * len(joined)
-            else:
-                keyed, joined, one = split
-            if (all(frag.atom_key(b, u) in stage for b in keyed)
-                    and next(_joins(joined, one, by_pred, u), None)
-                    is not None):
-                out[key] = a
-                break
+            keys, joined, one = seen[key]
+            if not all(k in stage for k in keys):
+                continue
+            if joined:
+                if u is None:
+                    u = unify_atoms(head, a, env0, occurs_check=False)
+                if next(_joins(joined, one, by_pred, u), None) is None:
+                    continue
+            out[key] = a
+            break
     return out
+
+
+def _looked_up(body, split, u: BindingEnv, frag: GroundFragment) -> tuple:
+    """The keys under ``u`` of the body atoms looked up, the atoms joined
+    and their plan."""
+    if split is None:
+        keyed, joined = [], []
+        for b in body:
+            (keyed if _ground(b, u) else joined).append(b)
+        one = (False,) * len(joined)
+    else:
+        keyed, joined, one = split
+    return tuple(frag.atom_key(b, u) for b in keyed), joined, one
+
+
+def _proof_chain(heads: dict, n: int, frag: GroundFragment) -> FixpointTrace:
+    """The downward chain of the proof-carrying program of ``heads``."""
+    return _iterate(dict(frag.atoms), n, frag,
+                    lambda s: _proof_stage(heads, frag, s, s))
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +556,18 @@ def down_member_with_proof(p_trans: Program, a: Atom, k: int,
     ``a`` is an atom over the *original* signature, valid under the fragment
     arena.  Each call builds the chain up to stage k-1 and steps ``a`` from
     it (for a fragment atom, reading stage k); to ask about many atoms,
-    build the chain once with ``_iterate`` instead.  A non-ground ``a`` is
-    stepped as over a fragment with free variables, joining every member.
+    build the chain once with ``_proof_chain`` instead.  A non-ground ``a``
+    is stepped as over a fragment with free variables, joining every
+    member, which needs a table of its own.
     """
     if k <= 0:
         return True
-    chain = _iterate(dict(frag.atoms), k - 1, frag,
-                     lambda s: _proof_step(p_trans, frag, s, s))
+    heads = _proof_heads(p_trans, frag)
+    chain = _proof_chain(heads, k - 1, frag)
     if not _ground(a, frag.env):
         frag = replace(frag, _free=True)
-    return bool(_proof_step(p_trans, frag, {None: a}, chain.final()))
+        heads = _proof_heads(p_trans, frag)
+    return bool(_proof_stage(heads, frag, {None: a}, chain.final()))
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +613,7 @@ def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
                 "outside the plain iteration")
 
     down_orig = tp_down(p, n, frag)
-    down_trans = _iterate(dict(frag.atoms), n, frag,
-                          lambda s: _proof_step(tp.program, frag, s, s))
+    down_trans = _proof_chain(_proof_heads(tp.program, frag), n, frag)
     for k in range(n + 1):
         plain, proof_side = down_orig.sets[k], down_trans.sets[k]
         for key, atom in frag.atoms.items():

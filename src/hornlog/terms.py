@@ -579,8 +579,13 @@ def _head_targets(head: Atom, target: Atom, env: BindingEnv) -> Optional[dict]:
         t = _walk(env._b, t)
         if isinstance(p, Var):
             first = own.get(p.name, t)
-            if first is not t and not rational_equal(first, t, env, env):
-                return None  # a repeated variable, two different targets
+            # a repeated variable, two different targets (fingerprints
+            # can collide, so only differing ones decide without a walk)
+            if first is not t and (
+                    first.fp is not None and t.fp is not None
+                    and first.fp != t.fp
+                    or not rational_equal(first, t, env, env)):
+                return None
             own[p.name] = t  # the walk is right to left: leftmost wins
         elif (isinstance(t, Var) or p.functor != t.functor
               or len(p.args) != len(t.args)):

@@ -289,6 +289,17 @@ def test_rewrite_normalize_solves_ground_goal():
     assert res.steps == 2
 
 
+def test_rewrite_normalize_names_the_clause_past_the_goal():
+    # The clause's fresh names start past the goal's literal V0, so the
+    # match binds the clause's variables and leaves the goal's V0 unbound.
+    res = rewrite_normalize(parse_goal("p(a, V0)"),
+                            parse_program("p(X, Y) :- q(X, Y)."))
+    assert res.status == "normal_form" and res.steps == 1
+    assert "V0" not in res.env
+    (q,) = res.goal.atoms
+    assert [res.env.walk(t) for t in q.args] == [Compound("a"), Var("V0")]
+
+
 def test_rewrite_normalize_trace_lines():
     res = rewrite_normalize(parse_goal("subclass(a, object)"), SUBCLASS_AB,
                             collect_trace=True)

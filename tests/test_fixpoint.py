@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import random
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from hornlog.fixpoint import (
 from hornlog.syntax import atom_text, parse_goal, parse_program, parse_term
 from hornlog.terms import (
     Atom,
+    BindingEnv,
     Clause,
     Compound,
     EMPTY_ENV,
@@ -43,9 +46,8 @@ from hornlog.terms import (
 )
 from hornlog.transform import transform_program
 
-FROM = parse_program(
-    (Path(__file__).resolve().parent.parent / "samples" / "from.lp")
-    .read_text())
+ROOT = Path(__file__).resolve().parent.parent
+FROM = parse_program((ROOT / "samples" / "from.lp").read_text())
 ZEROS = parse_program("zeros(cons(0, X)) :- zeros(X).")
 ADD = parse_program("add(0, Y, Y). add(s(X), Y, s(Z)) :- add(X, Y, Z).")
 AB = parse_program("b. a :- b.")
@@ -157,6 +159,88 @@ def test_atom_product_keys_no_term_again(monkeypatch):
     frag = build_fragment(FROM, 2, 1)
     assert len(frag.atoms) == 18769
     assert len(keyed) == len(added)
+
+
+def _universe_by_brute_force(consts, constructors, d, c):
+    """The universe keys in ``build_fragment``'s order, keying every
+    candidate: finite terms by layers over every combination of older
+    terms; every system of up to c equations, each new one kept under
+    names of its own in one environment; then one constructor layer over
+    them with at least one rational argument."""
+    keys = {}  # key -> term, in the order first found
+    finite = [Compound(n) for n in consts]
+    for t in finite:
+        keys.setdefault(canon_key(t), t)
+    for _ in range(d):
+        for name, arity in constructors:
+            for combo in itertools.product(finite, repeat=arity):
+                t = Compound(name, combo)
+                keys.setdefault(canon_key(t), t)
+        finite = list(keys.values())
+    bindings, rational = {}, []
+    for m in range(1, c + 1):
+        names = [f"R${i}" for i in range(1, m + 1)]
+        leaves = [Compound(n) for n in consts] + [Var(n) for n in names]
+        bodies = [Compound(name, combo) for name, arity in constructors
+                  for combo in itertools.product(leaves, repeat=arity)]
+        for j, system in enumerate(itertools.product(bodies, repeat=m)):
+            key = canon_key(Var("R$1"), BindingEnv(dict(zip(names, system))))
+            if key in keys:
+                continue
+            own = {n: Var(f"S{m}.{j}.{n}") for n in names}
+            for n, b in zip(names, system):
+                bindings[own[n].name] = Compound(b.functor, tuple(
+                    own[x.name] if isinstance(x, Var) else x for x in b.args))
+            keys[key] = own["R$1"]
+            rational.append(own["R$1"])
+    env = BindingEnv(bindings)
+    rational_ids = {id(t) for t in rational}
+    base = list(keys.values())
+    for name, arity in constructors:
+        for combo in itertools.product(base, repeat=arity):
+            if any(id(t) in rational_ids for t in combo):
+                t = Compound(name, combo)
+                keys.setdefault(canon_key(t, env), t)
+    return list(keys)
+
+
+def test_fragment_skips_only_systems_it_has_keyed_before():
+    # build_fragment skips a system with an equation R$1 does not reach and
+    # takes finite ground terms as they are; keying every system and term
+    # finds the same universe in the same order.
+    for text, consts, constructors, d, c in (
+            ("p(cons(a, s(X))) :- p(X).", ["a"], [("cons", 2), ("s", 1)],
+             1, 2),
+            ("p(f(X)) :- p(g(X)).", ["c$0"], [("f", 1), ("g", 1)], 2, 3)):
+        frag = build_fragment(parse_program(text), d, c)
+        assert list(frag.universe) == _universe_by_brute_force(
+            consts, constructors, d, c)
+        _assert_keys_hold_in_the_arena(frag)
+
+
+def test_atom_key_is_the_key_of_each_argument(monkeypatch):
+    # Every atom that the oracle-lemmas pool of seed 1 keys, in its lemma
+    # checks and its tp_up/tp_down ops, gets one canon_key per argument.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    mods = types.SimpleNamespace(fixpoint=fixpoint, syntax=sys.modules[
+        "hornlog.syntax"], terms=sys.modules["hornlog.terms"])
+    keyed = 0
+    atom_key = GroundFragment.atom_key
+
+    def checking(self, a, env=None):
+        nonlocal keyed
+        key = atom_key(self, a, env)
+        e = env if env is not None else self.env
+        assert key == (a.pred, len(a.args)) + tuple(
+            canon_key(t, e) for t in a.args)
+        keyed += 1
+        return key
+
+    monkeypatch.setattr(GroundFragment, "atom_key", checking)
+    for op in workloads.oracle_lemmas(mods, 1, ROOT).ops:
+        assert op.run().ok, op.spec
+    assert keyed > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +378,16 @@ def test_proof_chains_leave_the_arena_fixed(monkeypatch):
     renamed = _count_calls(monkeypatch, fixpoint, "rename_apart")
     up = tp_up(p, 4, frag, ignore_last=True)
     assert up.final() and frag.env is arena and not rebased
+    # the chain renames each clause once, not once per stage
+    assert [len(s) for s in up.sets] == [0, 3, 6, 6, 6]
+    assert len(renamed) == len(p.clauses)
     renamed.clear()
     fixpoint._proof_step(p, frag, frag.atoms, frag.atoms)
     assert 0 < len(renamed) <= len(p.clauses)
+    renamed.clear()
+    down = fixpoint._proof_chain(fixpoint._proof_heads(p, frag), 4, frag)
+    assert [len(s) for s in down.sets] == [10, 7, 6, 6, 6]
+    assert len(renamed) == len(p.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +408,14 @@ def _all_branching_joins(body, one, by_pred, env):
                 stack.append((i + 1, u))
 
 
-def _chains(p, frag, n):
+def _chains(p, frag, n, proof_down):
     """Every stage of ``tp_up``, ``tp_down``, the proof-carrying ``tp_up``
-    and the proof-carrying downward chain: its keys in order, each with its
-    representative's text."""
+    and the proof-carrying downward chain, which ``proof_down(p_trans)``
+    builds: its keys in order, each with its representative's text."""
     p_trans = transform_program(p).program
     traces = (tp_up(p, n, frag), tp_down(p, n, frag),
               tp_up(p_trans, n, frag, ignore_last=True),
-              fixpoint._iterate(dict(frag.atoms), n, frag,
-                                lambda s: fixpoint._proof_step(
-                                    p_trans, frag, s, s)))
+              proof_down(p_trans))
     return [[(key, atom_text(a)) for key, a in stage.items()]
             for trace in traces for stage in trace.sets]
 
@@ -355,11 +444,17 @@ def test_joins_by_need_keep_every_stage_of_the_full_join(monkeypatch):
                   for n, d, c in ((4, 3, 2), (3, 1, 1), (4, 2, 0))]
     cases += [(p, frag, 3) for p, frag in _certificate_fragments()]
     assert sum(frag._free for _, frag, _ in cases) >= 2
+    # The chain keeps what each head gave each atom from stage to stage;
+    # the reference steps every stage afresh.
     for p, frag, n in cases:
-        got = _chains(p, frag, n)
+        got = _chains(p, frag, n, lambda pt: fixpoint._proof_chain(
+            fixpoint._proof_heads(pt, frag), n, frag))
+        free = replace(frag, _free=True)
         with monkeypatch.context() as m:
             m.setattr(fixpoint, "_joins", _all_branching_joins)
-            want = _chains(p, replace(frag, _free=True), n)
+            want = _chains(p, free, n, lambda pt: fixpoint._iterate(
+                dict(free.atoms), n, free,
+                lambda s: fixpoint._proof_step(pt, free, s, s)))
         assert got == want, [str(c) for c in p.clauses]
 
 
@@ -586,14 +681,14 @@ def test_the_referee_accepts_every_answer_of_random_programs():
 def test_proof_chain_unifies_no_head_that_cannot_match(monkeypatch):
     # On from.lp's lemma check, unifying every stripped head with every
     # atom of its predicate made 18,858 head unifications, 218 of them
-    # successful.
+    # successful; the chain unifies each (atom, clause) pair at most once.
     calls = failed = 0
     real = fixpoint.unify_atoms
 
     def counting(a1, a2, env, occurs_check=False):
         nonlocal calls, failed
         u = real(a1, a2, env, occurs_check)
-        if sys._getframe(1).f_code is fixpoint._proof_step.__code__:
+        if sys._getframe(1).f_code is fixpoint._proof_stage.__code__:
             calls += 1
             failed += u is None
         return u
@@ -601,4 +696,4 @@ def test_proof_chain_unifies_no_head_that_cannot_match(monkeypatch):
     monkeypatch.setattr(fixpoint, "unify_atoms", counting)
     report = check_transform_lemmas(FROM)
     assert (report.holds, report.stages) == (True, 4)
-    assert (calls, failed) == (218, 0)
+    assert (calls, failed) == (129, 0)
