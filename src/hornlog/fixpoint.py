@@ -325,7 +325,7 @@ def _tp_plans(p: Program, frag: GroundFragment, ignore_last: bool) -> tuple:
         one, ground = _plan(rc.body, set(), _names((trimmed,)), frag)
         plans.append((rc.body, env0, head, trimmed, one, ground))
     fragment_by_pred = {}
-    if not all(plan[-1] for plan in plans):  # some head is not ground
+    if not all(ground for *_, ground in plans):  # some head is not ground
         for key, a in frag.atoms.items():
             fragment_by_pred.setdefault(a.key, []).append((key, a))
     return plans, fragment_by_pred
