@@ -3,7 +3,8 @@
 All three engines share the same search discipline — leftmost atom, clause
 order, depth-first — and differ in how an atom may be closed or reduced:
 
-* ``sld_solve``: classic resolution, occurs check on by default.
+* ``sld_solve``: classic resolution, occurs check on by default (skipped
+  for a clause head where no variable occurs twice: it cannot fire there).
 * ``colp_solve``: occurs check off; before expanding an atom, try to close it
   against each same-predicate ancestor on the path (most recent first).
   Cyclic bindings produced this way are rational answers.
@@ -21,6 +22,11 @@ report about a branch is read off that chain: colp's ancestors (walk
 ``prev``, most recent first), the trace lines and the selected atoms of a
 certificate.  Structural resolution extends the chain only when a trace is
 asked for.
+
+A step should cost the same however long its branch.  So ``colp`` reads
+each ancestor's predicate and arity without building a key, and rejects it
+by its fingerprints before unifying; ``subst_step`` asks the atoms past the
+one it chose only whether some head still unifies.
 
 A diverging rewriting phase is evidence against universal observability and
 turns into a ``not_universally_observable`` verdict carrying the witness,
@@ -218,19 +224,20 @@ def _colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
         return [], None
     selected = atoms[0]
     rest = atoms[1:]
-    key = selected.key
+    pred, arity = selected.pred, len(selected.args)
     fps = tuple(_fp_under(env, a) for a in selected.args)
     children = []
     back = 0
     anc = last
     while anc is not None:
         back += 1
-        if anc.atom.key == key:
+        a = anc.atom
+        if a.pred == pred and len(a.args) == arity:
             for x, y in zip(anc.fps or (), fps):
                 if x != y and x is not None and y is not None:
                     break
             else:
-                u = unify_atoms(anc.atom, selected, env, occurs_check=False)
+                u = unify_atoms(a, selected, env, occurs_check=False)
                 if u is not None:
                     children.append((rest, u, "hyp", back))
         anc = anc.prev
@@ -419,7 +426,9 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
     An atom that unifies with no head can never be solved, however the rest
     of the goal instantiates it, so it fails the whole goal; else a
     derivation could keep taking substitution steps to its right and report
-    hollow partial answers for a goal that has no answers.
+    hollow partial answers for a goal that has no answers.  Past the chosen
+    atom only that liveness counts, so each later atom is unified with its
+    selected heads only until one unifies.
     """
     best: list = []
     for ai, atom in enumerate(g.atoms):
@@ -430,6 +439,8 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
             if resolved is None:
                 continue
             alive = True
+            if best:
+                break  # past the chosen atom, only liveness counts
             ren, u = resolved
             fresh = {v.name for v in ren.values()}
             # binding only fresh names, a head may still have overwritten a

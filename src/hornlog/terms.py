@@ -44,8 +44,11 @@ each for its own question:
   records the variable through which each compound is first entered and
   each back edge's target.  ``has_cycle`` and ``to_mu`` both read it.
 * ``_occurs``, the occurs check, stays apart from ``subterms``: it runs on
-  every binding when the check is on, and it never enters a ground
-  compound.
+  every binding to a compound when the check is on, and it never enters a
+  ground compound.  :func:`unify_head` turns it off for a linear clause
+  head, where no variable occurs twice: there no binding can close a cycle
+  (the NSTO argument in its docstring), so ``sld``'s check walks only the
+  bindings of heads such as ``eq(X, X)``.
 * ``_unify`` is the one pair walker that binds, with a visited-pair memo
   so that cyclic terms terminate.  ``match`` is ``_unify`` restricted to
   the pattern's variables.  It also binds a clause's own head for
@@ -64,8 +67,11 @@ and ``_rename`` (for renamed clauses and bodies and :func:`from_mu`) build
 post-order, pushing an exit marker for each compound.  The first two keep
 their own loops: they copy a node once wherever its copy cannot depend on
 the path that reaches it, so their results may share subterms and cost what
-the term graph costs.  ``_rename`` copies every occurrence.  ``canon_key``
-lists the minimal graph flat.
+the term graph costs.  ``_rename`` copies every occurrence, since
+``productivity_report`` counts functors with ``subterms`` over the head
+subterms it copies; :func:`from_mu` alone passes it a memo, so that each
+node of its ``MuTerm`` is copied once.  ``canon_key`` lists the minimal
+graph flat.
 
 A :class:`BindingEnv` may share its binding dict with the environment it was
 derived from: the private ``_wrap`` constructor takes a dict without copying
@@ -237,6 +243,12 @@ class Clause:
                     first.setdefault(v.name, v)
         return tuple(first.values())
 
+    @cached_property
+    def _linear_head(self) -> bool:
+        """No variable occurs twice in the head (see :func:`unify_head`)."""
+        names = [v.name for a in self.head.args for v in term_vars(a)]
+        return len(names) == len(set(names))
+
 
 @dataclass(frozen=True)
 class Program:
@@ -381,7 +393,15 @@ def _walk(bindings: Mapping[str, Term], t: Term) -> Term:
     A pure variable loop (``X -> Y -> X``) denotes no structure at all, so it
     collapses to its lexicographically smallest member, treated as unbound.
     """
-    chain: list = []
+    if t.__class__ is not Var:
+        return t
+    nxt = bindings.get(t.name)
+    if nxt is None:
+        return t
+    if nxt.__class__ is not Var:
+        return nxt
+    chain: list = [t.name]  # a chain of variables: walk it with loop checks
+    t = nxt
     while isinstance(t, Var):
         nxt = bindings.get(t.name)
         if nxt is None:
@@ -834,13 +854,15 @@ def to_mu(env: BindingEnv, t: Term) -> MuTerm:
 
 def from_mu(m: MuTerm, env: BindingEnv) -> tuple:
     """Embed a MuTerm into ``env``: returns ``(term, new_env)`` where the
-    equations become fresh cyclic bindings."""
+    equations become fresh cyclic bindings.  Each node of ``m`` is copied
+    once, so a shared subterm stays shared and the copy costs what ``m``'s
+    graph does."""
     if not m.equations:
         return m.root, env
     names = sorted(m.equations)
     fresh, env = env.fresh(len(names))
     root, *rhs = _rename([m.root, *(m.equations[n] for n in names)],
-                         dict(zip(names, fresh)))
+                         dict(zip(names, fresh)), {})
     bindings = dict(env._b)
     bindings.update(zip([v.name for v in fresh], rhs))
     return root, BindingEnv._wrap(bindings, env.counter)
@@ -1018,14 +1040,23 @@ def unify_head(c: Clause, atom: Atom, env: BindingEnv,
     """``(ren, env2)``, with ``env2`` what ``unify_atoms`` of the head of
     ``rename_apart(c, env)`` with ``atom`` gives, bindings in order, or
     None; the head is not copied.  ``ren`` is the renaming, for
-    :func:`rename_body`."""
+    :func:`rename_body`.
+
+    A linear head, where no variable occurs twice, is unified without the
+    occurs check, whatever ``occurs_check`` says: the problem is not subject
+    to occur-check (NSTO; Apt and Pellegrini, TOPLAS 1994).  Its fresh
+    variables occur in no goal term and no binding, and each is met once:
+    so it is unbound and unreferenced when it is bound, and a copied head
+    subterm bound to a goal variable holds only unbound fresh variables
+    that nothing else reaches.  Neither binding can close a cycle."""
     head = c.head
     if head.pred != atom.pred or len(head.args) != len(atom.args):
         return None
     ren = _renaming(c, env.counter)
     u = _unify([], BindingEnv._wrap(env._b, env.counter + len(ren)),
-               occurs_check, heads=list(zip(reversed(head.args),
-                                            reversed(atom.args))), ren=ren)
+               occurs_check and not c._linear_head,
+               heads=list(zip(reversed(head.args), reversed(atom.args))),
+               ren=ren)
     return None if u is None else (ren, u)
 
 
@@ -1051,10 +1082,13 @@ def rename_body(c: Clause, ren: Mapping[str, Var]) -> tuple:
                  for a in c.body)
 
 
-def _rename(terms, ren: Mapping[str, Var]) -> list:
+def _rename(terms, ren: Mapping[str, Var],
+            memo: Optional[dict] = None) -> list:
     """Copies of ``terms`` with each variable named in ``ren`` replaced by
     its image.  Every compound is copied with its span, and no subterm is
-    shared, ground ones included.  Post-order, as in ``resolve``."""
+    shared, ground ones included, unless a ``memo`` dict is given: then each
+    node is copied once, its copy recorded there by ``id`` and shared.
+    Post-order, as in ``resolve``."""
     out: list = []  # finished subterms, left to right
     stack = list(reversed(terms))
     while stack:
@@ -1063,13 +1097,19 @@ def _rename(terms, ren: Mapping[str, Var]) -> list:
             node = x[0]
             k = len(out) - len(node.args)
             out[k:] = [Compound(node.functor, tuple(out[k:]), node.span)]
+            if memo is not None:
+                memo[id(node)] = out[-1]
         elif isinstance(x, Var):
             out.append(ren.get(x.name, x))
+        elif memo is not None and id(x) in memo:
+            out.append(memo[id(x)])
         elif x.args:
             stack.append((x,))
             stack.extend(reversed(x.args))
         else:
             out.append(Compound(x.functor, (), x.span))
+            if memo is not None:
+                memo[id(x)] = out[-1]
     return out
 
 

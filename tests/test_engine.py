@@ -29,7 +29,14 @@ from hornlog.engine import (
     subst_step,
 )
 from hornlog.minioo import parse_classes, parse_expr
-from hornlog.syntax import parse_goal, parse_program, parse_term, print_answer, parse_trace_line
+from hornlog.syntax import (
+    parse_goal,
+    parse_program,
+    parse_term,
+    parse_trace_line,
+    print_answer,
+    term_text,
+)
 from hornlog import engine, terms
 from hornlog.terms import (
     BindingEnv,
@@ -192,6 +199,32 @@ def test_colp_step_prefers_most_recent_ancestor():
     assert children[-1][2:] == ("sld", 1)
 
 
+def test_colp_step_closes_on_ancestors_of_its_own_predicate_and_arity():
+    # A hand-built branch interleaving p/1, p/2 and q/1, root first, with no
+    # fingerprints: each selected atom closes only on the ancestors of its
+    # own predicate and arity that unify, most recent first, ``ref`` steps
+    # back.  The children are those the key-comparing step gave.
+    p = parse_program("p(a). p(X, Y) :- q(X). q(b).")
+    last = None
+    for a in parse_goal("p(A), q(A), p(A, B), p(f(C)), q(b), p(B, B), "
+                        "p(g(D)), q(E)").atoms:
+        last = Step("sld", 1, 0, a, None, last)
+    env = BindingEnv({"E": parse_term("h(B)")}, counter=5)
+    want = {
+        "p(f(Y))": [("hyp", 5, "(f(Y))"), ("hyp", 8, "(f(Y))")],
+        "p(Y, c)": [("hyp", 3, "(c, c)"), ("hyp", 6, "(Y, c)"),
+                    ("sld", 2, "(Y, c)")],
+        "q(c)": [("hyp", 7, "(c)")],
+        "q(h(c))": [("hyp", 1, "(h(c))"), ("hyp", 7, "(h(c))")],
+    }
+    for text, children in want.items():
+        atoms = parse_goal(text).atoms
+        assert [(kind, ref,
+                 term_text(resolve(env2, Compound("", atoms[0].args))))
+                for _, env2, kind, ref in colp_step(atoms, env, last, p)] \
+            == children
+
+
 # ---------------------------------------------------------------------------
 # SLD / Co-LP search
 
@@ -332,6 +365,26 @@ def test_subst_step_fails_goal_containing_dead_atom():
     p = parse_program("p(f(X)) :- p(X).")
     assert subst_step(parse_goal("dead(Z), p(Y)"), p) == []
     assert subst_step(parse_goal("p(Y), dead(Z)"), p) == []
+
+
+def test_subst_step_past_the_chosen_atom_asks_only_liveness(monkeypatch):
+    # Once p(Y) has given the options, each later atom is unified with its
+    # selected heads only until one unifies: once for q(Z) and r(b, W),
+    # whose first head unifies, twice for s(g(c)), whose first does not.
+    p = parse_program("p(f(X)) :- p(X). q(X) :- q(X). q(b). "
+                      "s(g(b)). s(X). s(g(X)). r(X, Y). r(b, c).")
+    g = parse_goal("p(Y), q(Z), s(g(c)), r(b, W)")
+    calls = []
+    real = engine.unify_head
+
+    def counting(clause, atom, env, *args):
+        calls.append(atom)
+        return real(clause, atom, env, *args)
+
+    monkeypatch.setattr(engine, "unify_head", counting)
+    options = subst_step(g, p)
+    assert [o[2:] for o in options] == [(1, 0)]
+    assert [sum(a is b for b in calls) for a in g.atoms[1:]] == [1, 2, 1]
 
 
 def test_subst_step_no_options_on_rigid_goal():

@@ -1165,6 +1165,60 @@ def test_head_resolution_gives_what_renaming_the_whole_clause_gave():
     assert min(outcomes.values()) >= 30, (triples, outcomes)
 
 
+def _replace_vars(t, draw):
+    """``t`` with each leaf, variable or constant, replaced by its own
+    ``draw()``."""
+    if isinstance(t, Var) or not t.args:
+        return draw()
+    return Compound(t.functor, tuple(_replace_vars(a, draw) for a in t.args))
+
+
+def _linear(head) -> bool:
+    names = [v.name for a in head.args for v in term_vars(a)]
+    return len(names) == len(set(names))
+
+
+def test_unify_head_skips_the_occurs_check_only_where_it_cannot_fire():
+    # unify_head with the occurs check on skips it for a linear head, where
+    # no variable occurs twice.  Against unify_atoms of the renamed head
+    # with the check, on random heads and on goals that repeat variables,
+    # under environments that may be cyclic: the same failures, and the
+    # goal's variables bound to the same rational trees.
+    rng = random.Random(1994)
+    outcomes = dict.fromkeys(["linear", "nonlinear", "unify", "rejected"], 0)
+    for seed in range(1500):
+        head = random_atom(rng, 3)
+        if seed % 2:  # every leaf a variable of two names: most repeat one
+            head = Atom("r", tuple(
+                _replace_vars(random_term(rng, 2),
+                              lambda: Var(rng.choice("XY")))
+                for _ in range(2)))
+        c = Clause(head, (random_atom(rng),), idx=1)
+        outcomes["linear" if _linear(c.head) else "nonlinear"] += 1
+        env = BindingEnv({n: random_term(rng) for n in ("X", "Y", "Z")
+                          if rng.random() < 0.3}, counter=seed % 4)
+        for k in range(4):
+            # half of the goals are the head with each leaf replaced on
+            # its own, so a repeated variable may meet both X and f(X)
+            atom = Atom(c.head.pred, tuple(
+                random_term(rng, 3) if k % 2 else
+                _replace_vars(a, lambda: random_term(rng, 1))
+                for a in c.head.args))
+            rc, env2 = rename_apart(c, env)
+            want = unify_atoms(rc.head, atom, env2, True)
+            got = unify_head(c, atom, env, True)
+            assert (got is None) == (want is None), (c, atom, env)
+            if want is None:
+                if unify_atoms(rc.head, atom, env2) is not None:
+                    outcomes["rejected"] += 1
+                    assert not _linear(c.head), (c, atom, env)
+                continue
+            outcomes["unify"] += 1
+            for v in {v.name for a in atom.args for v in term_vars(a)}:
+                assert rational_equal(Var(v), Var(v), got[1], want)
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_head_matches_checks_the_predicate_and_arity():
     a = Atom("p", (Var("X"),))
     assert head_matches(a, a, EMPTY_ENV)
@@ -1222,6 +1276,23 @@ def test_rename_apart_copies_shared_ground_subterms():
     copies = [rc.head.args[0], *rc.head.args[1].args]
     assert all(x == a and x is not a for x in copies)
     assert len({id(x) for x in copies}) == 3
+
+
+def test_from_mu_copies_each_node_of_a_shared_dag_once():
+    # X = cons(D, X) over a 16-level doubling DAG D: copied occurrence by
+    # occurrence, from_mu built 2^17 nodes and took 0.36 s.
+    d = const("a")
+    for _ in range(16):
+        d = Compound("f", (d, d))
+    m = to_mu(BindingEnv({"X": Compound("cons", (d, Var("X")))}), Var("X"))
+    start = time.perf_counter()
+    t, env = from_mu(m, EMPTY_ENV)
+    assert time.perf_counter() - start < 0.05
+    assert len(list(subterms((t,), env))) == 18  # cons, 16 f and a
+    # the same term as the copy of every occurrence
+    (name, rhs), = m.equations.items()
+    root, rhs = term_module._rename([m.root, rhs], {name: Var("V0")})
+    assert rational_equal(t, root, env, BindingEnv({"V0": rhs}))
 
 
 def test_eq_and_hash_on_deep_terms_do_not_recurse():
