@@ -85,7 +85,12 @@ Cases:
   ``len`` under each engine and ``trace/sres/from`` a traced ``from``
   prefix, each with its answers; ``resolve/<i>`` ``resolve`` of every
   variable at depths 0-3, with and without ``cut=12``, on cycles that
-  hang off long acyclic parts.
+  hang off long acyclic parts; ``exit/<name>`` the ways a search stops
+  that the cases above do not reach: ``sld`` and ``colp`` cut by
+  ``max_steps`` or ``max_depth`` after answers, and ``sres`` (with
+  ``productivity_report``) stopped by ``max_steps`` short of
+  ``max_subst_steps``, cut by a cap after answers, or diverging after
+  answers.
 * ``colp/<name>``: ancestor closure on long branches.  ``from/<d>`` is
   ``colp`` on ``from(0, X)`` at ``max_depth`` d, traced; ``chain/cli``
   and ``chain/solve`` a 12-call ``addLast`` chain of mixed element types,
@@ -1217,6 +1222,22 @@ def _hanging_cycles() -> list:
     return [(BindingEnv(b), tuple(b)) for b in (over_list, tail, twined)]
 
 
+# Where a search stops once it has answers, or on the step cap rather than
+# the substitution cap: (name, program, goal, [(engine, budget), ...]).
+_EXITS = [
+    ("steps-after-answer", "nat(z). nat(s(X)) :- nat(X).", "nat(X)",
+     [(e, Budget(max_steps=6, max_depth=100)) for e in ("sld", "colp")]),
+    ("depth-after-answer", "nat(z). nat(s(X)) :- nat(X).", "nat(X)",
+     [(e, Budget(max_depth=3)) for e in ("sld", "colp")]),
+    ("sres-steps", _LEN, "len([a, a, a, a, a, a, a, a, a, a, a, a], N)",
+     [("sres", Budget(max_steps=15))]),
+    ("sres-cap-after-answer", "p(a). p(f(X)) :- p(X).", "p(Y)",
+     [("sres", Budget(max_subst_steps=5)), ("sres", Budget(max_steps=9))]),
+    ("diverged-after-answer", "p(a). p(f(X)) :- r(X). r(X) :- r(X).", "p(Y)",
+     [("sres", Budget(max_rewrite_steps=20))]),
+]
+
+
 def observe_cases() -> dict:
     cases = {}
     samples = [("zeros", "zeros.lp", "zeros(X)"), ("from", "from.lp",
@@ -1252,6 +1273,23 @@ def observe_cases() -> dict:
                           f"{term_text(resolve(env, Var(n), depth, cut))}"
                           for n in names]
         cases[f"observe/resolve/{i}"] = "\n".join(lines)
+    for name, text, goal, runs in _EXITS:
+        lines = []
+        for engine, budget in runs:
+            p, g = parse_program(text), parse_goal(goal)
+            if engine == "sres":
+                lines += _verdict_text(engine, sres_solve(g, p, budget,
+                                                          lazy_k=None,
+                                                          trace=True))
+                report = productivity_report(g, p, budget)
+                lines.append(f"productivity {report.observable} "
+                             f"{report.liveness} "
+                             f"{sorted(report.produced.items())}")
+            else:
+                solve = sld_solve if engine == "sld" else colp_solve
+                lines += _verdict_text(engine, solve(g, p, budget, trace=True,
+                                                     certificate=True))
+        cases[f"observe/exit/{name}"] = "\n".join(lines)
     return cases
 
 
