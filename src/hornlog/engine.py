@@ -1,7 +1,10 @@
 """Derivation engines: SLD, coinductive SLD, and structural resolution.
 
-All three engines share the same search discipline — leftmost atom, clause
-order, depth-first — and differ in how an atom may be closed or reduced:
+All three engines run one depth-first search (``_search``) over nodes
+``(atoms, env, depth, last)``, leftmost atom first and clauses in order.
+It pops a node, lets the engine reduce it in place, and then records an
+answer, stops on a cap, or pushes the children the engine gives.  The
+engines differ in how an atom may be closed or reduced:
 
 * ``sld_solve``: classic resolution, occurs check on by default (skipped
   for a clause head where no variable occurs twice: it cannot fire there).
@@ -9,10 +12,11 @@ order, depth-first — and differ in how an atom may be closed or reduced:
   against each same-predicate ancestor on the path (most recent first).
   Cyclic bindings produced this way are rational answers.
 * ``sres_solve``: separates each resolution step into an exhaustive rewriting
-  phase (clause heads *match* goal atoms; goals are never instantiated) and a
-  single substitution phase (heads that unify but do not match instantiate
-  the goal in place).  After ``lazy_k`` substitution steps a branch reports a
-  partial answer.
+  phase, which reduces a node in place (clause heads *match* goal atoms;
+  goals are never instantiated), and a single substitution phase, whose
+  options are the node's children (heads that unify but do not match
+  instantiate the goal in place).  A node ``lazy_k`` substitution steps
+  deep is a partial answer.
 
 Every engine records a branch as one immutable chain of ``Step`` records,
 each linked to the step before it: its kind (``sld``, ``hyp``, ``rw`` or
@@ -20,8 +24,8 @@ each linked to the step before it: its kind (``sld``, ``hyp``, ``rw`` or
 its trace line shows, rendered when the step is taken.  What the engines
 report about a branch is read off that chain: colp's ancestors (walk
 ``prev``, most recent first), the trace lines and the selected atoms of a
-certificate.  Structural resolution extends the chain only when a trace is
-asked for.
+certificate.  So ``colp`` always extends the chain, ``sld`` only when a
+trace or a certificate is asked for, and ``sres`` only when a trace is.
 
 A step should cost the same however long its branch.  So ``colp`` reads
 each ancestor's predicate and arity without building a key, and rejects it
@@ -36,7 +40,9 @@ the goals of the phase's last steps, rendered once it has diverged.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from math import inf
 from typing import Optional
 
 from hornlog import syntax
@@ -66,10 +72,12 @@ from hornlog.terms import (
 @dataclass(frozen=True)
 class Budget:
     """Caps for the semi-decision procedures.  ``max_steps`` counts reductions
-    of any kind; ``max_rewrite_steps`` bounds one normalization phase;
-    ``max_subst_steps`` bounds substitution steps across a whole search.
-    ``max_answers`` stops the search early once that many answers exist
-    (None = keep searching until the other caps bite)."""
+    of any kind and binds every engine.  ``max_depth`` prunes a ``sld`` or
+    ``colp`` branch that many steps deep.  ``max_rewrite_steps`` bounds one
+    normalization phase and ``max_subst_steps`` the substitution steps of a
+    whole search; both bind only ``sres`` and ``productivity_report``.
+    ``max_answers`` stops a solver once that many answers exist (None = keep
+    searching until the other caps bite), never ``productivity_report``."""
 
     max_steps: int = 10000
     max_depth: int = 500
@@ -246,7 +254,7 @@ def _colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
 
 
 # ---------------------------------------------------------------------------
-# Depth-first search shared by sld_solve / colp_solve
+# The depth-first search every engine runs
 
 
 def _classify(env: BindingEnv, goal_vars: tuple) -> str:
@@ -257,74 +265,83 @@ def _classify(env: BindingEnv, goal_vars: tuple) -> str:
     return "total"
 
 
-def _answer(env: BindingEnv, goal_vars: tuple, steps: int,
-            last: Optional[Step], want_trace: bool, certificate: bool = False,
-            kind: Optional[str] = None) -> Answer:
-    bindings = env.restrict(goal_vars)
-    answer = Answer(bindings, goal_vars, kind or _classify(bindings, goal_vars),
-                    steps_used=steps,
-                    trace=_trace_lines(last) if want_trace else None)
-    if certificate:
-        answer.full_env = env
-        answer.selected = tuple(s.atom for s in _chain(last))
-    return answer
-
-
-def _verdict(answers: list, truncated: bool, steps: int) -> Verdict:
-    if answers:
-        return Verdict("answers", answers, steps_used=steps)
-    return Verdict("exhausted" if truncated else "failed", steps_used=steps)
-
-
-def _dfs_solve(g: Goal, p: Program, b: Budget, step_fn, want_trace: bool,
-               certificate: bool) -> Verdict:
-    # step_fn(atoms, env, last) gives the resolvents of atoms[0] and the
-    # Step.fps to record for it
-    env0 = bump_counter_past(EMPTY_ENV, p, g)
+def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
+            lazy_k=inf, trace: bool = False,
+            certificate: bool = False) -> Verdict:
+    """The search of the module docstring, under the caps of ``b``.
+    ``reduce(atoms, env, last)`` gives ``(atoms, env, last, steps, witness)``,
+    and a witness ends the search as not universally observable.
+    ``expand(atoms, env, depth, last)`` gives the children, first child
+    first, and the steps it took, which ``max_subst_steps`` bounds."""
     goal_vars = goal_var_names(g)
-    stack = [(g.atoms, env0, 0, None)]
+    stack = [(g.atoms, bump_counter_past(EMPTY_ENV, p, g), 0, None)]
     answers = []
-    steps = 0
-    truncated = False
+    steps = expanded = 0
+    without_answers = "failed"
     while stack:
         atoms, env, depth, last = stack.pop()
-        if not atoms:
-            answers.append(_answer(env, goal_vars, steps, last, want_trace,
-                                   certificate))
+        if reduce is not None:
+            atoms, env, last, reduced, witness = reduce(atoms, env, last)
+            steps += reduced
+            if witness is not None:
+                return Verdict("not_universally_observable", answers,
+                               witness=witness, steps_used=steps)
+        if not atoms or depth >= lazy_k:
+            bindings = env.restrict(goal_vars)
+            answers.append(Answer(
+                bindings, goal_vars,
+                "partial" if atoms else _classify(bindings, goal_vars), steps,
+                _trace_lines(last) if trace else None,
+                env if certificate else None,
+                tuple(s.atom for s in _chain(last)) if certificate else None))
             if b.max_answers and len(answers) >= b.max_answers:
                 break
             continue
-        if steps >= b.max_steps:
-            truncated = True
+        if steps >= b.max_steps or expanded >= b.max_subst_steps:
+            without_answers = "exhausted"
             break
         if depth >= b.max_depth:
-            truncated = True
+            without_answers = "exhausted"
             continue
-        steps += 1
-        children, fps = step_fn(atoms, env, last)
-        for atoms2, env2, kind, ref in reversed(children):
-            bound = _new_bindings(env2, env) if want_trace else None
-            stack.append((atoms2, env2, depth + 1,
-                          Step(kind, ref, 0, atoms[0], bound, last, fps)))
-    return _verdict(answers, truncated, steps)
+        children, taken = expand(atoms, env, depth, last)
+        steps += taken
+        expanded += taken
+        stack.extend(reversed(children))
+    return Verdict("answers" if answers else without_answers, answers,
+                   steps_used=steps)
+
+
+def _sld_search(g: Goal, p: Program, b: Budget, step, trace: bool,
+                certificate: bool, record: bool) -> Verdict:
+    """``_search`` for ``sld`` and ``colp``: ``step(atoms, env, last)`` gives
+    the resolvents of ``atoms[0]`` and its ``Step.fps``, and each child
+    records its ``Step`` when ``record`` is set."""
+    def expand(atoms, env, depth, last):
+        resolvents, fps = step(atoms, env, last)
+        return [(atoms2, env2, depth + 1,
+                 Step(kind, ref, 0, atoms[0],
+                      _new_bindings(env2, env) if trace else None, last, fps)
+                 if record else None)
+                for atoms2, env2, kind, ref in resolvents], 1
+
+    return _search(g, p, replace(b, max_subst_steps=inf), expand,
+                   trace=trace, certificate=certificate)
 
 
 def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
               occurs_check: bool = True, trace: bool = False,
               certificate: bool = False) -> Verdict:
     """Depth-first SLD resolution; collects every answer reachable in budget."""
-    return _dfs_solve(g, p, b,
-                      lambda atoms, env, last: (sld_step(atoms, env, p,
-                                                         occurs_check), None),
-                      trace, certificate)
+    return _sld_search(g, p, b, lambda atoms, env, last: (
+        sld_step(atoms, env, p, occurs_check), None), trace, certificate,
+        trace or certificate)
 
 
 def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
                trace: bool = False, certificate: bool = False) -> Verdict:
     """SLD plus the coinductive hypothesis rule; computes rational answers."""
-    return _dfs_solve(g, p, b,
-                      lambda atoms, env, last: _colp_step(atoms, env, last, p),
-                      trace, certificate)
+    return _sld_search(g, p, b, partial(_colp_step, p=p), trace, certificate,
+                       True)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +366,19 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
     literal ``V<n>`` in ``p`` and ``g``, so the renamed clauses never share
     a name with the goal.
     """
-    return _rewrite_normalize(g, p, bump_counter_past(env, p, g), b,
-                              collect_trace, consumed, observer, last)
+    atoms, env, last, steps, witness = _rewrite_normalize(
+        tuple(g.atoms), bump_counter_past(env, p, g), last, p, b,
+        collect_trace, consumed, observer)
+    return RewriteResult("normal_form" if witness is None else "diverged",
+                         Goal(atoms), env, steps, witness, last)
 
 
-def _rewrite_normalize(g: Goal, p: Program, env: BindingEnv, b: Budget,
-                       collect_trace: bool, consumed: Optional[dict],
-                       observer, last: Optional[Step]) -> RewriteResult:
+def _rewrite_normalize(atoms: tuple, env: BindingEnv, last: Optional[Step],
+                       p: Program, b: Budget, collect_trace: bool,
+                       consumed: Optional[dict], observer) -> tuple:
     """``rewrite_normalize`` with ``env``'s counter already past ``p``'s
-    and ``g``'s names."""
-    atoms = tuple(g.atoms)
+    and the goal's names, as ``(atoms, env, last, steps, witness)``; the
+    witness is None for a normal form."""
     cur_env = env
     steps = 0
     # (atoms, env) before each of the last steps; rendered on divergence.
@@ -375,13 +395,11 @@ def _rewrite_normalize(g: Goal, p: Program, env: BindingEnv, b: Budget,
                       if (matched := match_head(clause, atoms[ai], cur_env))
                       is not None), None)
         if found is None:
-            return RewriteResult("normal_form", Goal(atoms), cur_env, steps,
-                                 last=last)
+            return atoms, cur_env, last, steps, None
         if steps >= b.max_rewrite_steps:
             witness = [_goal_snapshot(a, e) for a, e in history]
             witness.append(_goal_snapshot(atoms, cur_env))
-            return RewriteResult("diverged", Goal(atoms), cur_env, steps,
-                                 witness=witness, last=last)
+            return atoms, cur_env, last, steps, witness
         ai, clause, (ren, sigma) = found
         if consumed is not None:
             stack = list(clause.head.args)  # every compound occurrence
@@ -455,48 +473,19 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
     return best
 
 
-def _structural_walk(g: Goal, p: Program, b: Budget,
-                     lazy_k: Optional[int] = None, trace: bool = False,
-                     consumed: Optional[dict] = None):
-    """Depth-first walk of the structural-resolution tree, shared by
-    ``sres_solve`` and ``productivity_report``.
+def _structural(p: Program, b: Budget, trace: bool,
+                consumed: Optional[dict] = None) -> tuple:
+    """Structural resolution as ``_search``'s ``reduce`` and ``expand``:
+    the rewriting phase, then one child per substitution option."""
+    def expand(atoms, env, depth, last):
+        options = subst_step(Goal(atoms), p, env)
+        return [(atoms, env2, depth + 1,
+                 Step("su", clause_idx, ai, atoms[ai],
+                      _new_bindings(env2, env), last) if trace else None)
+                for _, env2, clause_idx, ai in options], len(options)
 
-    Each branch normalizes by rewriting and then either ends — its normal
-    form is empty, or it has taken ``lazy_k`` substitution steps — or splits
-    into one child per substitution option.  Yields ``(rw, options, steps,
-    substs)`` for every normalized branch, with ``options`` None at a leaf
-    and at a diverged phase, which ends the walk; ``steps`` and ``substs``
-    count the walk's reductions and substitution steps so far.  When a cap
-    cuts the walk short, the last item is ``(None, None, steps, substs)``.
-    """
-    env0 = bump_counter_past(EMPTY_ENV, p, g)
-    stack = [(g.atoms, env0, 0, None)]
-    steps = 0
-    substs = 0
-    while stack:
-        atoms, env, branch_substs, last = stack.pop()
-        rw = _rewrite_normalize(Goal(atoms), p, env, b, trace, consumed,
-                                None, last)
-        steps += rw.steps
-        if rw.status == "diverged":
-            yield rw, None, steps, substs
-            return
-        if not rw.goal.atoms or (lazy_k is not None
-                                 and branch_substs >= lazy_k):
-            yield rw, None, steps, substs
-            continue
-        if steps >= b.max_steps or substs >= b.max_subst_steps:
-            yield None, None, steps, substs
-            return
-        options = subst_step(rw.goal, p, rw.env)
-        for goal2, env2, clause_idx, ai in reversed(options):
-            substs += 1
-            steps += 1
-            step = (Step("su", clause_idx, ai, goal2.atoms[ai],
-                         _new_bindings(env2, rw.env), rw.last)
-                    if trace else None)
-            stack.append((goal2.atoms, env2, branch_substs + 1, step))
-        yield rw, options, steps, substs
+    return partial(_rewrite_normalize, p=p, b=b, collect_trace=trace,
+                   consumed=consumed, observer=None), expand
 
 
 def sres_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
@@ -509,21 +498,9 @@ def sres_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
     with whatever the goal variables are bound to so far.  A diverging
     normalization aborts the whole search as not universally observable.
     """
-    goal_vars = goal_var_names(g)
-    answers = []
-    truncated = False
-    for rw, options, steps, _ in _structural_walk(g, p, b, lazy_k, trace):
-        if rw is None:
-            truncated = True
-        elif rw.status == "diverged":
-            return Verdict("not_universally_observable", answers,
-                           witness=rw.witness, steps_used=steps)
-        elif options is None:
-            answers.append(_answer(rw.env, goal_vars, steps, rw.last, trace,
-                                   kind="partial" if rw.goal.atoms else None))
-            if b.max_answers and len(answers) >= b.max_answers:
-                break
-    return _verdict(answers, truncated, steps)
+    reduce, expand = _structural(p, b, trace)
+    return _search(g, p, replace(b, max_depth=inf), expand, reduce,
+                   inf if lazy_k is None else lazy_k, trace)
 
 
 def productivity_report(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET) -> ProductivityReport:
@@ -537,20 +514,27 @@ def productivity_report(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET) -> Prod
     """
     introduced: dict = {}
     consumed: dict = {}
-    for rw, options, _, liveness in _structural_walk(g, p, b,
-                                                      consumed=consumed):
-        if rw is not None and rw.status == "diverged":
-            return ProductivityReport(False, liveness, {}, witness=rw.witness)
-        if not options:
-            continue
-        for _goal, env2, _cid, _ai in options:
-            # the goal's names, not the renamed clause's (bump_counter_past)
-            fresh = {f"V{i}" for i in range(rw.env.counter, env2.counter)}
-            for name in _bound_since(env2, rw.env):
+    liveness = 0
+    reduce, expand = _structural(p, b, False, consumed)
+
+    def counting(atoms, env, depth, last):
+        nonlocal liveness
+        children, taken = expand(atoms, env, depth, last)
+        liveness += taken
+        # the goal's names, not the renamed clause's (bump_counter_past)
+        for _, env2, _, _ in children:
+            fresh = {f"V{i}" for i in range(env.counter, env2.counter)}
+            for name in _bound_since(env2, env):
                 if name not in fresh:
                     for x in subterms((Var(name),), env2):
                         if isinstance(x, Compound):
                             introduced[x.functor] = introduced.get(x.functor, 0) + 1
+        return children, taken
+
+    verdict = _search(g, p, replace(b, max_depth=inf, max_answers=None),
+                      counting, reduce)
+    if verdict.kind == "not_universally_observable":
+        return ProductivityReport(False, liveness, {}, witness=verdict.witness)
     produced = {f: min(n, consumed.get(f, 0))
                 for f, n in introduced.items() if consumed.get(f)}
     return ProductivityReport(True, liveness, produced)
