@@ -268,7 +268,8 @@ def _classify(env: BindingEnv, goal_vars: tuple) -> str:
 def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
             lazy_k=inf, trace: bool = False,
             certificate: bool = False) -> Verdict:
-    """The search of the module docstring, under the caps of ``b``.
+    """The search of the module docstring, under the caps of ``b``; a
+    node's depth counts the expansions on its branch.
     ``reduce(atoms, env, last)`` gives ``(atoms, env, last, steps, witness)``,
     and a witness ends the search as not universally observable.
     ``expand(atoms, env, depth, last)`` gives the children, first child
