@@ -289,9 +289,9 @@ def _emit(text: str, output) -> None:
 # Argument wiring
 
 
-def _cap_flags(parser) -> None:
-    for flag in ("--max-steps", "--max-depth", "--max-rewrite-steps",
-                 "--max-subst-steps"):
+def _cap_flags(parser, flags=("--max-steps", "--max-depth",
+                               "--max-rewrite-steps", "--max-subst-steps")):
+    for flag in flags:
         parser.add_argument(flag, type=_positive)
 
 
@@ -359,7 +359,9 @@ def _build_parser() -> _Parser:
                            help="report productivity evidence for a goal")
     check.add_argument("program", help=".lp file")
     check.add_argument("goal")
-    _cap_flags(check)
+    # only the caps productivity_report keeps
+    _cap_flags(check, ("--max-steps", "--max-rewrite-steps",
+                       "--max-subst-steps"))
     check.set_defaults(fn=_cmd_check)
 
     oracle = sub.add_parser("oracle",

@@ -1,7 +1,7 @@
 """Derivation engines: SLD, coinductive SLD, and structural resolution.
 
 All three engines run one depth-first search (``_search``) over nodes
-``(atoms, env, depth, last)``, leftmost atom first and clauses in order.
+``(atoms, env, depth, at, step)``, leftmost atom first and clauses in order.
 It pops a node, lets the engine reduce it in place, and then records an
 answer, stops on a cap, or pushes the children the engine gives.  The
 engines differ in how an atom may be closed or reduced:
@@ -18,14 +18,14 @@ engines differ in how an atom may be closed or reduced:
   instantiate the goal in place).  A node ``lazy_k`` substitution steps
   deep is a partial answer.
 
-Every engine records a branch as one immutable chain of ``Step`` records,
-each linked to the step before it: its kind (``sld``, ``hyp``, ``rw`` or
-``su``), clause, selected atom and, when a trace is asked for, the bindings
-its trace line shows, rendered when the step is taken.  What the engines
-report about a branch is read off that chain: colp's ancestors (walk
-``prev``, most recent first), the trace lines and the selected atoms of a
-certificate.  So ``colp`` always extends the chain, ``sld`` only when a
-trace or a certificate is asked for, and ``sres`` only when a trace is.
+The branch of the node being searched is one list of ``Step`` records,
+``path``, root first, that ``_search`` cuts back on backtracking.  A step
+gives its kind (``sld``, ``hyp``, ``rw`` or ``su``), clause, selected atom
+and, under a trace, the bindings its line shows, rendered when taken.
+colp's ancestors (read from the end), the trace lines and a certificate's
+selected atoms are all read off ``path``.  So ``colp`` always records
+steps, ``sld`` only when a trace or a certificate is asked for, and
+``sres`` only when a trace is.
 
 A step should cost the same however long its branch.  So ``colp`` reads
 each ancestor's predicate and arity without building a key, and rejects it
@@ -91,7 +91,7 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass(frozen=True, eq=False)
 class Step:
-    """One reduction on a branch, linked to the branch's previous step.
+    """One reduction on a branch, an entry of ``_search``'s ``path``.
 
     ``ref`` is the clause index, or for a ``hyp`` step how many steps back
     the closing ancestor was selected; ``bound`` holds the ``(name, term)``
@@ -104,18 +104,7 @@ class Step:
     atom_index: int
     atom: Atom
     bound: Optional[list]
-    prev: Optional["Step"] = field(repr=False)
     fps: Optional[tuple] = field(default=None, repr=False)
-
-
-def _chain(step: Optional[Step]) -> list:
-    """The steps of the branch ending at ``step``, root first."""
-    out = []
-    while step is not None:
-        out.append(step)
-        step = step.prev
-    out.reverse()
-    return out
 
 
 @dataclass
@@ -153,12 +142,7 @@ class RewriteResult:
     env: BindingEnv
     steps: int = 0
     witness: Optional[list] = None
-    last: Optional[Step] = None  # the branch's last step
-
-    @property
-    def trace(self) -> list:
-        """Trace lines of the branch up to this result, numbered from 1."""
-        return _trace_lines(self.last)
+    trace: list = field(default_factory=list)  # numbered from 1
 
 
 @dataclass
@@ -183,9 +167,9 @@ def _new_bindings(env: BindingEnv, parent: BindingEnv) -> list:
             for name in sorted(_bound_since(env, parent))]
 
 
-def _trace_lines(step: Optional[Step]) -> list:
+def _trace_lines(path: list) -> list:
     return [syntax.trace_line(n, s.kind, s.ref, s.atom_index, s.bound)
-            for n, s in enumerate(_chain(step), start=1)]
+            for n, s in enumerate(path, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +195,17 @@ def sld_step(atoms: tuple, env: BindingEnv, p: Program,
     return children
 
 
-def colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
+def colp_step(atoms: tuple, env: BindingEnv, path: list,
               p: Program) -> list:
-    """Resolvents under the coinductive discipline, the branch ending at
-    ``last``: hypothesis closures against same-predicate ancestors (most
-    recent first, as ``(atoms, env, "hyp", steps back)``) come before clause
-    resolvents; unification runs without the occurs check."""
-    return _colp_step(atoms, env, last, p)[0]
+    """Resolvents under the coinductive discipline, on the branch whose
+    ``Step``s, root first, are ``path``: hypothesis closures against
+    same-predicate ancestors (most recent first, as ``(atoms, env, "hyp",
+    steps back)``) come before clause resolvents; unification runs without
+    the occurs check."""
+    return _colp_step(atoms, env, path, p)[0]
 
 
-def _colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
+def _colp_step(atoms: tuple, env: BindingEnv, path: list,
                p: Program) -> tuple:
     """``colp_step``'s resolvents and the selected atom's ``Step.fps``.
 
@@ -235,10 +220,7 @@ def _colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
     pred, arity = selected.pred, len(selected.args)
     fps = tuple(_fp_under(env, a) for a in selected.args)
     children = []
-    back = 0
-    anc = last
-    while anc is not None:
-        back += 1
+    for back, anc in enumerate(reversed(path), 1):
         a = anc.atom
         if a.pred == pred and len(a.args) == arity:
             for x, y in zip(anc.fps or (), fps):
@@ -248,7 +230,6 @@ def _colp_step(atoms: tuple, env: BindingEnv, last: Optional[Step],
                 u = unify_atoms(a, selected, env, occurs_check=False)
                 if u is not None:
                     children.append((rest, u, "hyp", back))
-        anc = anc.prev
     children.extend(sld_step(atoms, env, p, occurs_check=False))
     return children, fps
 
@@ -268,21 +249,29 @@ def _classify(env: BindingEnv, goal_vars: tuple) -> str:
 def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
             lazy_k=inf, trace: bool = False,
             certificate: bool = False) -> Verdict:
-    """The search of the module docstring, under the caps of ``b``; a
-    node's depth counts the expansions on its branch.
-    ``reduce(atoms, env, last)`` gives ``(atoms, env, last, steps, witness)``,
-    and a witness ends the search as not universally observable.
-    ``expand(atoms, env, depth, last)`` gives the children, first child
-    first, and the steps it took, which ``max_subst_steps`` bounds."""
+    """The search of the module docstring, under the caps of ``b``.  A
+    node is ``(atoms, env, depth, at, step)``: its depth counts the
+    expansions on its branch, and its branch is the first ``at`` entries
+    of ``path`` followed by ``step`` (None for the root, and for every node
+    of an engine that records no steps).
+    ``reduce(atoms, env, path)`` gives ``(atoms, env, steps, witness)`` and
+    may append steps to ``path``; a witness ends the search as not
+    universally observable.  ``expand(atoms, env, depth, path)`` gives the
+    child nodes, first child first, and the steps it took, which
+    ``max_subst_steps`` bounds."""
     goal_vars = goal_var_names(g)
-    stack = [(g.atoms, bump_counter_past(EMPTY_ENV, p, g), 0, None)]
+    stack = [(g.atoms, bump_counter_past(EMPTY_ENV, p, g), 0, 0, None)]
+    path = []
     answers = []
     steps = expanded = 0
     without_answers = "failed"
     while stack:
-        atoms, env, depth, last = stack.pop()
+        atoms, env, depth, at, step = stack.pop()
+        del path[at:]
+        if step is not None:
+            path.append(step)
         if reduce is not None:
-            atoms, env, last, reduced, witness = reduce(atoms, env, last)
+            atoms, env, reduced, witness = reduce(atoms, env, path)
             steps += reduced
             if witness is not None:
                 return Verdict("not_universally_observable", answers,
@@ -292,9 +281,9 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
             answers.append(Answer(
                 bindings, goal_vars,
                 "partial" if atoms else _classify(bindings, goal_vars), steps,
-                _trace_lines(last) if trace else None,
+                _trace_lines(path) if trace else None,
                 env if certificate else None,
-                tuple(s.atom for s in _chain(last)) if certificate else None))
+                tuple(s.atom for s in path) if certificate else None))
             if b.max_answers and len(answers) >= b.max_answers:
                 break
             continue
@@ -304,7 +293,7 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
         if depth >= b.max_depth:
             without_answers = "exhausted"
             continue
-        children, taken = expand(atoms, env, depth, last)
+        children, taken = expand(atoms, env, depth, path)
         steps += taken
         expanded += taken
         stack.extend(reversed(children))
@@ -314,16 +303,17 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
 
 def _sld_search(g: Goal, p: Program, b: Budget, step, trace: bool,
                 certificate: bool, record: bool) -> Verdict:
-    """``_search`` for ``sld`` and ``colp``: ``step(atoms, env, last)`` gives
+    """``_search`` for ``sld`` and ``colp``: ``step(atoms, env, path)`` gives
     the resolvents of ``atoms[0]`` and its ``Step.fps``, and each child
     records its ``Step`` when ``record`` is set."""
-    def expand(atoms, env, depth, last):
-        resolvents, fps = step(atoms, env, last)
+    def expand(atoms, env, depth, path):
+        resolvents, fps = step(atoms, env, path)
+        at = len(path)
         children = []  # a loop, not a comprehension: colp runs 2% faster
         for atoms2, env2, kind, ref in resolvents:
-            children.append((atoms2, env2, depth + 1, Step(
+            children.append((atoms2, env2, depth + 1, at, Step(
                 kind, ref, 0, atoms[0],
-                _new_bindings(env2, env) if trace else None, last, fps)
+                _new_bindings(env2, env) if trace else None, fps)
                 if record else None))
         return children, 1
 
@@ -335,7 +325,7 @@ def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
               occurs_check: bool = True, trace: bool = False,
               certificate: bool = False) -> Verdict:
     """Depth-first SLD resolution; collects every answer reachable in budget."""
-    return _sld_search(g, p, b, lambda atoms, env, last: (
+    return _sld_search(g, p, b, lambda atoms, env, path: (
         sld_step(atoms, env, p, occurs_check), None), trace, certificate,
         trace or certificate)
 
@@ -354,7 +344,7 @@ def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
 def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
                       b: Budget = DEFAULT_BUDGET, collect_trace: bool = False,
                       consumed: Optional[dict] = None,
-                      observer=None, last: Optional[Step] = None) -> RewriteResult:
+                      observer=None) -> RewriteResult:
     """Apply the rewriting reduction until no clause head matches any atom.
 
     One step replaces the leftmost matching atom by the clause body under the
@@ -362,26 +352,27 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
     deterministic, answer-preserving half of a resolution step.  A clause's
     own, unrenamed head is matched, and only the body is copied.  Exceeding
     ``max_rewrite_steps`` reports divergence with the recent goal history.
-    With ``collect_trace`` every step extends the branch that ends at
-    ``last``, and the result's ``last`` ends the extended branch.
+    With ``collect_trace`` the result's ``trace`` has a line per step.
     ``observer(atoms, env)`` is called after every step, which lets callers
     watch termination measures shrink.  Fresh names start past every
     literal ``V<n>`` in ``p`` and ``g``, so the renamed clauses never share
     a name with the goal.
     """
-    atoms, env, last, steps, witness = _rewrite_normalize(
-        tuple(g.atoms), bump_counter_past(env, p, g), last, p, b,
+    path = []
+    atoms, env, steps, witness = _rewrite_normalize(
+        tuple(g.atoms), bump_counter_past(env, p, g), path, p, b,
         collect_trace, consumed, observer)
     return RewriteResult("normal_form" if witness is None else "diverged",
-                         Goal(atoms), env, steps, witness, last)
+                         Goal(atoms), env, steps, witness, _trace_lines(path))
 
 
-def _rewrite_normalize(atoms: tuple, env: BindingEnv, last: Optional[Step],
+def _rewrite_normalize(atoms: tuple, env: BindingEnv, path: list,
                        p: Program, b: Budget, collect_trace: bool,
                        consumed: Optional[dict], observer) -> tuple:
     """``rewrite_normalize`` with ``env``'s counter already past ``p``'s
-    and the goal's names, as ``(atoms, env, last, steps, witness)``; the
-    witness is None for a normal form."""
+    and the goal's names, as ``(atoms, env, steps, witness)``; the witness
+    is None for a normal form.  With ``collect_trace`` each step is
+    appended to ``path``."""
     cur_env = env
     steps = 0
     # (atoms, env) before each of the last steps; rendered on divergence.
@@ -398,11 +389,11 @@ def _rewrite_normalize(atoms: tuple, env: BindingEnv, last: Optional[Step],
                       if (matched := match_head(clause, atoms[ai], cur_env))
                       is not None), None)
         if found is None:
-            return atoms, cur_env, last, steps, None
+            return atoms, cur_env, steps, None
         if steps >= b.max_rewrite_steps:
             witness = [_goal_snapshot(a, e) for a, e in history]
             witness.append(_goal_snapshot(atoms, cur_env))
-            return atoms, cur_env, last, steps, witness
+            return atoms, cur_env, steps, witness
         ai, clause, (ren, sigma) = found
         if consumed is not None:
             stack = list(clause.head.args)  # every compound occurrence
@@ -412,8 +403,8 @@ def _rewrite_normalize(atoms: tuple, env: BindingEnv, last: Optional[Step],
                     consumed[x.functor] = consumed.get(x.functor, 0) + 1
                     stack.extend(x.args)
         if collect_trace:
-            last = Step("rw", clause.idx, ai, atoms[ai],
-                        _new_bindings(sigma, cur_env), last)
+            path.append(Step("rw", clause.idx, ai, atoms[ai],
+                             _new_bindings(sigma, cur_env)))
         history.append((atoms, cur_env))
         atoms = atoms[:ai] + rename_body(clause, ren) + atoms[ai + 1:]
         cur_env = sigma
@@ -480,11 +471,12 @@ def _structural(p: Program, b: Budget, trace: bool,
                 consumed: Optional[dict] = None) -> tuple:
     """Structural resolution as ``_search``'s ``reduce`` and ``expand``:
     the rewriting phase, then one child per substitution option."""
-    def expand(atoms, env, depth, last):
+    def expand(atoms, env, depth, path):
         options = subst_step(Goal(atoms), p, env)
-        return [(atoms, env2, depth + 1,
+        at = len(path)
+        return [(atoms, env2, depth + 1, at,
                  Step("su", clause_idx, ai, atoms[ai],
-                      _new_bindings(env2, env), last) if trace else None)
+                      _new_bindings(env2, env)) if trace else None)
                 for _, env2, clause_idx, ai in options], len(options)
 
     return partial(_rewrite_normalize, p=p, b=b, collect_trace=trace,
@@ -520,12 +512,12 @@ def productivity_report(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET) -> Prod
     liveness = 0
     reduce, expand = _structural(p, b, False, consumed)
 
-    def counting(atoms, env, depth, last):
+    def counting(atoms, env, depth, path):
         nonlocal liveness
-        children, taken = expand(atoms, env, depth, last)
+        children, taken = expand(atoms, env, depth, path)
         liveness += taken
         # the goal's names, not the renamed clause's (bump_counter_past)
-        for _, env2, _, _ in children:
+        for _, env2, _, _, _ in children:
             fresh = {f"V{i}" for i in range(env.counter, env2.counter)}
             for name in _bound_since(env2, env):
                 if name not in fresh:

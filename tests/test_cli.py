@@ -520,6 +520,15 @@ def test_check_q_fails_with_witness(capsys):
     assert "q(X)" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-depth", "--max-answers"])
+def test_check_refuses_the_caps_it_would_ignore(capsys, flag):
+    # productivity_report explores without a depth or an answer cap
+    code, out, err = run(capsys, "check", ZEROS, "zeros(X)", flag, "1")
+    assert code == 3
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 1" in err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

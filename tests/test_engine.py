@@ -189,12 +189,12 @@ def test_sld_step_dead_end_is_empty_list():
 
 def test_colp_step_prefers_most_recent_ancestor():
     p = parse_program("g(s(X)) :- g(X).")
-    atoms, env, last = parse_goal("g(A)").atoms, EMPTY_ENV, None
+    atoms, env, path = parse_goal("g(A)").atoms, EMPTY_ENV, []
     for occurs_check in (True, False):
         atoms2, env, kind, ref = sld_step(atoms, env, p, occurs_check)[0]
-        last = Step(kind, ref, 0, atoms[0], None, last)
+        path.append(Step(kind, ref, 0, atoms[0], None))
         atoms = atoms2
-    children = colp_step(atoms, env, last, p)
+    children = colp_step(atoms, env, path, p)
     assert [c[2:] for c in children[:2]] == [("hyp", 1), ("hyp", 2)]
     assert children[-1][2:] == ("sld", 1)
 
@@ -205,10 +205,9 @@ def test_colp_step_closes_on_ancestors_of_its_own_predicate_and_arity():
     # own predicate and arity that unify, most recent first, ``ref`` steps
     # back.  The children are those the key-comparing step gave.
     p = parse_program("p(a). p(X, Y) :- q(X). q(b).")
-    last = None
-    for a in parse_goal("p(A), q(A), p(A, B), p(f(C)), q(b), p(B, B), "
-                        "p(g(D)), q(E)").atoms:
-        last = Step("sld", 1, 0, a, None, last)
+    path = [Step("sld", 1, 0, a, None)
+            for a in parse_goal("p(A), q(A), p(A, B), p(f(C)), q(b), p(B, B), "
+                                "p(g(D)), q(E)").atoms]
     env = BindingEnv({"E": parse_term("h(B)")}, counter=5)
     want = {
         "p(f(Y))": [("hyp", 5, "(f(Y))"), ("hyp", 8, "(f(Y))")],
@@ -221,7 +220,7 @@ def test_colp_step_closes_on_ancestors_of_its_own_predicate_and_arity():
         atoms = parse_goal(text).atoms
         assert [(kind, ref,
                  term_text(resolve(env2, Compound("", atoms[0].args))))
-                for _, env2, kind, ref in colp_step(atoms, env, last, p)] \
+                for _, env2, kind, ref in colp_step(atoms, env, path, p)] \
             == children
 
 
@@ -740,7 +739,7 @@ def test_colp_call_chain_unifies_no_ancestor_that_cannot_close_it(
     assert _failed_ancestor_unifications(monkeypatch, solve) == 0
 
 
-def _unfiltered_colp_step(atoms, env, last, p):
+def _unfiltered_colp_step(atoms, env, path, p):
     """``colp_step`` as it was before fingerprints: it unifies against
     every same-predicate ancestor."""
     if not atoms:
@@ -748,15 +747,11 @@ def _unfiltered_colp_step(atoms, env, last, p):
     selected = atoms[0]
     rest = atoms[1:]
     children = []
-    back = 0
-    anc = last
-    while anc is not None:
-        back += 1
+    for back, anc in enumerate(reversed(path), 1):
         if anc.atom.key == selected.key:
             u = engine.unify_atoms(anc.atom, selected, env, occurs_check=False)
             if u is not None:
                 children.append((rest, u, "hyp", back))
-        anc = anc.prev
     children.extend(sld_step(atoms, env, p, occurs_check=False))
     return children
 
@@ -797,10 +792,10 @@ def test_colp_skips_only_ancestors_that_cannot_unify(monkeypatch):
     skipping, calls = calls, 0
     swapped = 0
 
-    def unfiltered(atoms, env, last, p):
+    def unfiltered(atoms, env, path, p):
         nonlocal swapped
         swapped += 1
-        return _unfiltered_colp_step(atoms, env, last, p), None
+        return _unfiltered_colp_step(atoms, env, path, p), None
 
     monkeypatch.setattr(engine, "_colp_step", unfiltered)
     for (p, g), text in zip(cases, texts):
@@ -810,3 +805,32 @@ def test_colp_skips_only_ancestors_that_cannot_unify(monkeypatch):
                          "this test compares the filtered step with itself")
     assert sum(any(" hyp " in line for line in t) for t in texts) >= 15
     assert skipping < calls - 1000
+
+
+def test_every_answer_reads_its_own_branch():
+    # The swap test's programs, traced with certificates: an answer's trace
+    # and selected atoms come from one branch, and a hyp line closes on an
+    # earlier step of that branch with the same predicate and arity.
+    budget = Budget(max_steps=300, max_depth=40, max_answers=20)
+    rng = random.Random(2006)
+    cases = [(random_program(rng), Goal((random_atom(rng),)))
+             for _ in range(400)]
+    answers = hyps = 0
+    for solve in (colp_solve, sld_solve):
+        for p, g in cases:
+            verdict = solve(g, p, budget, trace=True, certificate=True)
+            for answer in verdict.answers:
+                answers += 1
+                selected = answer.selected
+                assert len(answer.trace) == len(selected)
+                for i, line in enumerate(answer.trace, 1):
+                    _, kind, _, k = line.split(" ", 4)[:4]  # #i hyp clause k
+                    if kind != "hyp":
+                        continue
+                    hyps += 1
+                    k = int(k)
+                    assert 1 <= k < i
+                    anc, atom = selected[i - 1 - k], selected[i - 1]
+                    assert (anc.pred, len(anc.args)) == \
+                        (atom.pred, len(atom.args))
+    assert answers >= 450 and hyps >= 750
