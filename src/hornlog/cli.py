@@ -107,6 +107,14 @@ def _budget(args) -> Budget:
     return Budget(**overrides)
 
 
+def _note_ignored_caps(args) -> None:
+    for name in (("max_depth",) if args.engine == "sres"
+                 else ("max_rewrite_steps", "max_subst_steps")):
+        if getattr(args, name) is not None:
+            print(f"note: --{name.replace('_', '-')} does not bind "
+                  f"{args.engine}", file=sys.stderr)
+
+
 def _auto_style(answer) -> str:
     return {"partial": "lazy", "rational": "mu"}.get(answer.kind, "flat")
 
@@ -161,6 +169,7 @@ def _cmd_solve(args) -> int:
     if args.occurs_check is not None and args.engine != "sld":
         print(f"note: --occurs-check is fixed off for {args.engine}",
               file=sys.stderr)
+    _note_ignored_caps(args)
     if args.transform:
         transformed = transform_program(program)
         program, goal = transformed.program, transform_goal(goal)
@@ -198,6 +207,7 @@ def _cmd_infer(args) -> int:
         if not eq or not name:
             raise _UsageError(f"--assume wants NAME=TYPE, got {item!r}")
         assumptions[name.lower()] = parse_term(value)
+    _note_ignored_caps(args)
     verdict = infer(table, expr, engine=args.engine, budget=_budget(args),
                     assumptions=assumptions or None, lazy_k=args.lazy_k)
     return _report_verdict(verdict, args)

@@ -3,8 +3,8 @@
 All three engines run one depth-first search (``_search``) over nodes
 ``(atoms, env, depth, at, step)``, leftmost atom first and clauses in order.
 It pops a node, lets the engine reduce it in place, and then records an
-answer, stops on a cap, or pushes the children the engine gives.  The
-engines differ in how an atom may be closed or reduced:
+answer, stops on a cap, or pushes a child for each resolvent the engine
+gives.  The engines differ in how an atom may be closed or reduced:
 
 * ``sld_solve``: classic resolution, occurs check on by default (skipped
   for a clause head where no variable occurs twice: it cannot fire there).
@@ -23,9 +23,9 @@ The branch of the node being searched is one list of ``Step`` records,
 gives its kind (``sld``, ``hyp``, ``rw`` or ``su``), clause, selected atom
 and, under a trace, the bindings its line shows, rendered when taken.
 colp's ancestors (read from the end), the trace lines and a certificate's
-selected atoms are all read off ``path``.  So ``colp`` always records
-steps, ``sld`` only when a trace or a certificate is asked for, and
-``sres`` only when a trace is.
+selected atoms are all read off ``path``.  So ``_search`` builds a child's
+step only when a trace or a certificate asks for it, or when the engine
+gives the selected atom's fingerprints, as ``colp`` does.
 
 A step should cost the same however long its branch.  So ``colp`` reads
 each ancestor's predicate and arity without building a key, and rejects it
@@ -96,7 +96,7 @@ class Step:
     ``ref`` is the clause index, or for a ``hyp`` step how many steps back
     the closing ancestor was selected; ``bound`` holds the ``(name, term)``
     pairs of the step's trace line, or None when no trace is asked for.
-    ``colp`` fills ``fps`` with ``atom``'s per-argument ground fingerprints
+    A ``colp`` step's ``fps`` are ``atom``'s per-argument ground fingerprints
     under the environment it was selected in (``None`` where not ground)."""
 
     kind: str  # sld | hyp | rw | su
@@ -253,12 +253,13 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
     node is ``(atoms, env, depth, at, step)``: its depth counts the
     expansions on its branch, and its branch is the first ``at`` entries
     of ``path`` followed by ``step`` (None for the root, and for every node
-    of an engine that records no steps).
+    whose step nobody reads).
     ``reduce(atoms, env, path)`` gives ``(atoms, env, steps, witness)`` and
     may append steps to ``path``; a witness ends the search as not
-    universally observable.  ``expand(atoms, env, depth, path)`` gives the
-    child nodes, first child first, and the steps it took, which
-    ``max_subst_steps`` bounds."""
+    universally observable.  ``expand(atoms, env, path)`` gives
+    ``(resolvents, ai, fps, taken)``: resolvents ``(atoms, env, kind,
+    ref)`` of ``atoms[ai]``, first child first, the ``Step.fps`` of that
+    atom or None, and the steps taken, which ``max_subst_steps`` bounds."""
     goal_vars = goal_var_names(g)
     stack = [(g.atoms, bump_counter_past(EMPTY_ENV, p, g), 0, 0, None)]
     path = []
@@ -293,48 +294,42 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
         if depth >= b.max_depth:
             without_answers = "exhausted"
             continue
-        children, taken = expand(atoms, env, depth, path)
+        resolvents, ai, fps, taken = expand(atoms, env, path)
         steps += taken
         expanded += taken
-        stack.extend(reversed(children))
-    return Verdict("answers" if answers else without_answers, answers,
-                   steps_used=steps)
-
-
-def _sld_search(g: Goal, p: Program, b: Budget, step, trace: bool,
-                certificate: bool, record: bool) -> Verdict:
-    """``_search`` for ``sld`` and ``colp``: ``step(atoms, env, path)`` gives
-    the resolvents of ``atoms[0]`` and its ``Step.fps``, and each child
-    records its ``Step`` when ``record`` is set."""
-    def expand(atoms, env, depth, path):
-        resolvents, fps = step(atoms, env, path)
         at = len(path)
-        children = []  # a loop, not a comprehension: colp runs 2% faster
-        for atoms2, env2, kind, ref in resolvents:
-            children.append((atoms2, env2, depth + 1, at, Step(
-                kind, ref, 0, atoms[0],
+        record = trace or certificate or fps is not None
+        for atoms2, env2, kind, ref in reversed(resolvents):
+            # a loop, not a comprehension: colp runs 2% faster
+            stack.append((atoms2, env2, depth + 1, at, Step(
+                kind, ref, ai, atoms[ai],
                 _new_bindings(env2, env) if trace else None, fps)
                 if record else None))
-        return children, 1
-
-    return _search(g, p, replace(b, max_subst_steps=inf), expand,
-                   trace=trace, certificate=certificate)
+    return Verdict("answers" if answers else without_answers, answers,
+                   steps_used=steps)
 
 
 def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
               occurs_check: bool = True, trace: bool = False,
               certificate: bool = False) -> Verdict:
     """Depth-first SLD resolution; collects every answer reachable in budget."""
-    return _sld_search(g, p, b, lambda atoms, env, path: (
-        sld_step(atoms, env, p, occurs_check), None), trace, certificate,
-        trace or certificate)
+    return _search(g, p, replace(b, max_subst_steps=inf),
+                   lambda atoms, env, path: (
+                       sld_step(atoms, env, p, occurs_check), 0, None, 1),
+                   trace=trace, certificate=certificate)
 
 
 def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
                trace: bool = False, certificate: bool = False) -> Verdict:
     """SLD plus the coinductive hypothesis rule; computes rational answers."""
-    return _sld_search(g, p, b, partial(_colp_step, p=p), trace, certificate,
-                       True)
+    step = partial(_colp_step, p=p)
+
+    def expand(atoms, env, path):
+        resolvents, fps = step(atoms, env, path)
+        return resolvents, 0, fps, 1
+
+    return _search(g, p, replace(b, max_subst_steps=inf), expand,
+                   trace=trace, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +465,11 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
 def _structural(p: Program, b: Budget, trace: bool,
                 consumed: Optional[dict] = None) -> tuple:
     """Structural resolution as ``_search``'s ``reduce`` and ``expand``:
-    the rewriting phase, then one child per substitution option."""
-    def expand(atoms, env, depth, path):
+    the rewriting phase, then one ``su`` resolvent per substitution option."""
+    def expand(atoms, env, path):
         options = subst_step(Goal(atoms), p, env)
-        at = len(path)
-        return [(atoms, env2, depth + 1, at,
-                 Step("su", clause_idx, ai, atoms[ai],
-                      _new_bindings(env2, env)) if trace else None)
-                for _, env2, clause_idx, ai in options], len(options)
+        return ([(atoms, env2, "su", idx) for _, env2, idx, _ in options],
+                options[0][3] if options else 0, None, len(options))
 
     return partial(_rewrite_normalize, p=p, b=b, collect_trace=trace,
                    consumed=consumed, observer=None), expand
@@ -512,19 +504,19 @@ def productivity_report(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET) -> Prod
     liveness = 0
     reduce, expand = _structural(p, b, False, consumed)
 
-    def counting(atoms, env, depth, path):
+    def counting(atoms, env, path):
         nonlocal liveness
-        children, taken = expand(atoms, env, depth, path)
+        resolvents, ai, fps, taken = expand(atoms, env, path)
         liveness += taken
         # the goal's names, not the renamed clause's (bump_counter_past)
-        for _, env2, _, _, _ in children:
+        for _, env2, _, _ in resolvents:
             fresh = {f"V{i}" for i in range(env.counter, env2.counter)}
             for name in _bound_since(env2, env):
                 if name not in fresh:
                     for x in subterms((Var(name),), env2):
                         if isinstance(x, Compound):
                             introduced[x.functor] = introduced.get(x.functor, 0) + 1
-        return children, taken
+        return resolvents, ai, fps, taken
 
     verdict = _search(g, p, replace(b, max_depth=inf, max_answers=None),
                       counting, reduce)

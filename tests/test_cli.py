@@ -148,6 +148,24 @@ def test_solve_occurs_check_note_for_colp(capsys):
     assert "fixed off" in err
 
 
+@pytest.mark.parametrize("argv, flag, engine", [
+    (["solve", FROM, "from(0, X)", "--engine", "sres", "--lazy-k", "3"],
+     "--max-depth", "sres"),
+    (["solve", ZEROS, "zeros(X)", "--engine", "colp"],
+     "--max-subst-steps", "colp"),
+    (["infer", LISTS, "new EList().addLast(i)", "--assume", "i=int"],
+     "--max-depth", "sres"),
+    (["infer", LISTS, "new EList().addLast(i)", "--assume", "i=int",
+      "--engine", "sld"], "--max-rewrite-steps", "sld"),
+], ids=["solve-sres", "solve-colp", "infer-sres", "infer-sld"])
+def test_a_cap_the_engine_ignores_is_noted(capsys, argv, flag, engine):
+    # the cap changes nothing: same answers and exit code, one note
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv, flag, "1") == (
+        code, out, f"note: {flag} does not bind {engine}\n")
+
+
 def test_solve_prints_a_deep_answer(capsys, tmp_path):
     program = tmp_path / "len.lp"
     program.write_text("len([], z).\nlen([_|T], s(N)) :- len(T, N).\n")

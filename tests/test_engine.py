@@ -551,6 +551,35 @@ def test_steps_hold_no_environments(solve, n, options, limit_mb):
     assert peak < limit_mb * 1e6
 
 
+def test_a_step_is_built_only_when_something_reads_it(monkeypatch):
+    # Observability costs nothing when off: without a trace or a
+    # certificate, only colp, which reads its ancestors off the branch,
+    # builds steps.
+    n = 50
+    p = parse_program("len([], z). len([_|T], s(N)) :- len(T, N).")
+    g = parse_goal("len([" + ", ".join(["a"] * n) + "], N)")
+    built = 0
+
+    def counting(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return Step(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "Step", counting)
+
+    def steps(solve, **options):
+        nonlocal built
+        built = 0
+        verdict = solve(g, p, Budget(max_answers=1), **options)
+        assert verdict.kind == "answers"
+        return built
+
+    assert steps(sld_solve) == 0
+    assert steps(sres_solve, lazy_k=None) == 0
+    assert steps(colp_solve) >= n + 1
+    assert steps(sld_solve, certificate=True) >= n + 1
+
+
 # ---------------------------------------------------------------------------
 # Unification on generated programs, and the cost of colp's ancestor checks
 
