@@ -109,7 +109,7 @@ def _budget(args) -> Budget:
 
 def _note_ignored_caps(args) -> None:
     for name in (("max_depth",) if args.engine == "sres"
-                 else ("max_rewrite_steps", "max_subst_steps")):
+                 else ("max_rewrite_steps", "max_subst_steps", "lazy_k")):
         if getattr(args, name) is not None:
             print(f"note: --{name.replace('_', '-')} does not bind "
                   f"{args.engine}", file=sys.stderr)
@@ -171,8 +171,7 @@ def _cmd_solve(args) -> int:
               file=sys.stderr)
     _note_ignored_caps(args)
     if args.transform:
-        transformed = transform_program(program)
-        program, goal = transformed.program, transform_goal(goal)
+        program, goal = transform_program(program).program, transform_goal(goal)
     if args.engine == "sld":
         occurs = args.occurs_check != "off"
         verdict = sld_solve(goal, program, budget, occurs_check=occurs,
@@ -180,10 +179,10 @@ def _cmd_solve(args) -> int:
     elif args.engine == "colp":
         verdict = colp_solve(goal, program, budget, trace=args.trace)
     else:
-        verdict = sres_solve(goal, program, budget, lazy_k=args.lazy_k,
+        verdict = sres_solve(goal, program, budget, lazy_k=args.lazy_k or 3,
                              trace=args.trace)
     if args.transform:
-        verdict = strip_verdict(verdict, transformed)
+        verdict = strip_verdict(verdict)
     return _report_verdict(verdict, args)
 
 
@@ -209,7 +208,8 @@ def _cmd_infer(args) -> int:
         assumptions[name.lower()] = parse_term(value)
     _note_ignored_caps(args)
     verdict = infer(table, expr, engine=args.engine, budget=_budget(args),
-                    assumptions=assumptions or None, lazy_k=args.lazy_k)
+                    assumptions=assumptions or None,
+                    lazy_k=args.lazy_k or 3)
     return _report_verdict(verdict, args)
 
 
@@ -310,8 +310,9 @@ def _solver_flags(parser) -> None:
                         help="answer rendering (default: picked per answer)")
     parser.add_argument("--unfold", type=_positive, default=3,
                         help="cycle unfoldings in the lazy style")
-    parser.add_argument("--lazy-k", type=_positive, default=3,
-                        help="substitution steps before a partial answer")
+    parser.add_argument("--lazy-k", type=_positive,
+                        help="substitution steps before a partial answer "
+                             "(default 3)")
     _cap_flags(parser)
     parser.add_argument("--max-answers", type=_positive, default=10,
                         help="stop the search after this many answers "

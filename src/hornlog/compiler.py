@@ -279,5 +279,5 @@ def infer(ct: moo.ClassTable, e: moo.Expr, engine: str = "sres",
         t = transform_program(unit.program)
         verdict = sres_solve(transform_goal(goal), t.program, budget,
                              lazy_k=lazy_k)
-        return strip_verdict(verdict, t)
+        return strip_verdict(verdict)
     raise ValueError(f"unknown engine {engine!r}")

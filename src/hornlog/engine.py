@@ -338,7 +338,6 @@ def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
 
 def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
                       b: Budget = DEFAULT_BUDGET, collect_trace: bool = False,
-                      consumed: Optional[dict] = None,
                       observer=None) -> RewriteResult:
     """Apply the rewriting reduction until no clause head matches any atom.
 
@@ -356,7 +355,7 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
     path = []
     atoms, env, steps, witness = _rewrite_normalize(
         tuple(g.atoms), bump_counter_past(env, p, g), path, p, b,
-        collect_trace, consumed, observer)
+        collect_trace, None, observer)
     return RewriteResult("normal_form" if witness is None else "diverged",
                          Goal(atoms), env, steps, witness, _trace_lines(path))
 

@@ -68,7 +68,7 @@ from hornlog.terms import (
 )
 from hornlog.transform import transform_program
 
-DEFAULT_CAP = 10 ** 6
+CAP = 10 ** 6  # most terms, atoms or stage atoms one fragment holds
 INJECTED_CONSTANT = "c$0"
 
 
@@ -85,7 +85,6 @@ class GroundFragment:
     universe: dict = field(default_factory=dict)  # canon term key -> term
     atoms: dict = field(default_factory=dict)  # canon atom key -> Atom
     env: BindingEnv = EMPTY_ENV
-    cap: int = DEFAULT_CAP
     _free: bool = False  # does a member hold a free variable?
     # finite ground member -> its key; equal terms hash alike (``fp``)
     _ground_keys: dict = field(default_factory=dict, repr=False)
@@ -105,8 +104,8 @@ class GroundFragment:
         key = canon_key(t, env)
         if key in self.universe:
             return None
-        if len(self.universe) >= self.cap:
-            raise FragmentError(f"fragment cap {self.cap} exceeded")
+        if len(self.universe) >= CAP:
+            raise FragmentError(f"fragment cap {CAP} exceeded")
         if t.fp is None:
             t, self.env = from_mu(to_mu(env, t), self.env)
         else:
@@ -117,8 +116,8 @@ class GroundFragment:
     def add_atom(self, key, atom: Atom) -> None:
         """Add ``atom``, whose arguments are arena terms, under ``key``."""
         if key not in self.atoms:
-            if len(self.atoms) >= self.cap:
-                raise FragmentError(f"fragment cap {self.cap} exceeded")
+            if len(self.atoms) >= CAP:
+                raise FragmentError(f"fragment cap {CAP} exceeded")
             self.atoms[key] = atom
 
 
@@ -135,8 +134,7 @@ def _signature(p: Program):
 
 
 def build_fragment(p: Program, d: int = 2, c: int = 0, *,
-                   seed_atoms=(), atom_products: bool = True,
-                   cap: int = DEFAULT_CAP) -> GroundFragment:
+                   seed_atoms=(), atom_products: bool = True) -> GroundFragment:
     """Enumerate a finite, deterministic fragment of the ground base.
 
     ``seed_atoms`` are ``(atom, env)`` pairs taken into the fragment
@@ -159,7 +157,7 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
 
     top = max((bump_counter_past(env, a).counter for a, env in seed_atoms),
               default=0)
-    frag = GroundFragment(env=EMPTY_ENV.with_counter(top), cap=cap)
+    frag = GroundFragment(env=EMPTY_ENV.with_counter(top))
 
     # Finite terms, by depth layers.  A combination of older terms only was
     # tried in an earlier layer, so each layer tries those with at least one
@@ -224,9 +222,9 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
 
     if atom_products:
         for pred, arity in sorted(preds):
-            if len(frag.universe) ** arity > frag.cap:
+            if len(frag.universe) ** arity > CAP:
                 raise FragmentError(
-                    f"atom product for {pred}/{arity} exceeds cap {frag.cap}")
+                    f"atom product for {pred}/{arity} exceeds cap {CAP}")
             for keys in itertools.product(frag.universe, repeat=arity):
                 frag.add_atom((pred, arity) + keys, Atom(pred, tuple(
                     frag.universe[k] for k in keys)))
@@ -358,7 +356,7 @@ def _tp_stage(plans: tuple, s: dict, frag: GroundFragment,
             for key, envf in matches:
                 if key in out:
                     continue
-                if len(out) > frag.cap:
+                if len(out) > CAP:
                     raise FragmentError("consequence set exceeds cap")
                 atom = frag.atoms[key]
                 if ignore_last:
@@ -372,7 +370,6 @@ def _tp_stage(plans: tuple, s: dict, frag: GroundFragment,
 class FixpointTrace:
     sets: list      # n+1 dicts of canon key -> Atom
     fixed_point: bool
-    frag: GroundFragment
 
     def final(self) -> dict:
         return self.sets[-1]
@@ -382,19 +379,17 @@ def tp_up(p: Program, n: int, frag: GroundFragment,
           ignore_last: bool = False) -> FixpointTrace:
     """Iterate upward from the empty set: n+1 increasing sets."""
     plans = _tp_plans(p, frag, ignore_last)
-    return _iterate({}, n, frag,
-                    lambda s: _tp_stage(plans, s, frag, ignore_last))
+    return _iterate({}, n, lambda s: _tp_stage(plans, s, frag, ignore_last))
 
 
 def tp_down(p: Program, n: int, frag: GroundFragment) -> FixpointTrace:
     """Iterate downward from the whole fragment: n+1 decreasing sets."""
     plans = _tp_plans(p, frag, False)
-    return _iterate(dict(frag.atoms), n, frag, lambda s: {
+    return _iterate(dict(frag.atoms), n, lambda s: {
         k: a for k, a in _tp_stage(plans, s, frag, False).items() if k in s})
 
 
-def _iterate(first: dict, n: int, frag: GroundFragment,
-             step) -> FixpointTrace:
+def _iterate(first: dict, n: int, step) -> FixpointTrace:
     """``first`` and n applications of ``step``; once a set repeats, the
     rest repeat it without calling ``step``."""
     sets = [first]
@@ -406,7 +401,7 @@ def _iterate(first: dict, n: int, frag: GroundFragment,
         nxt = step(sets[-1])
         fixed = nxt.keys() == sets[-1].keys()
         sets.append(nxt)
-    return FixpointTrace(sets, fixed, frag)
+    return FixpointTrace(sets, fixed)
 
 
 def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
@@ -514,7 +509,7 @@ def _looked_up(body, split, u: BindingEnv, frag: GroundFragment) -> tuple:
 
 def _proof_chain(heads: dict, n: int, frag: GroundFragment) -> FixpointTrace:
     """The downward chain of the proof-carrying program of ``heads``."""
-    return _iterate(dict(frag.atoms), n, frag,
+    return _iterate(dict(frag.atoms), n,
                     lambda s: _proof_stage(heads, frag, s, s))
 
 
@@ -585,13 +580,13 @@ class LemmaReport:
         return not self.counterexamples
 
 
-def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
-                           cap: int = DEFAULT_CAP) -> LemmaReport:
+def check_transform_lemmas(p: Program, n: int = 4, d: int = 2,
+                           c: int = 1) -> LemmaReport:
     """Check, atom by atom over a finite fragment, that adding proof
     arguments changes neither the upward nor the downward iteration:
     an atom is in stage k exactly when some proof-carrying version of it is.
     """
-    frag = build_fragment(p, d, c, cap=cap)
+    frag = build_fragment(p, d, c)
     tp = transform_program(p)
     counterexamples = []
 
@@ -631,7 +626,7 @@ def check_transform_lemmas(p: Program, n: int = 4, d: int = 2, c: int = 1, *,
 # Answer certificates
 
 
-def certificate_fragment(p: Program, answer, *, cap: int = DEFAULT_CAP) -> GroundFragment:
+def certificate_fragment(p: Program, answer) -> GroundFragment:
     """Fragment seeded with everything a certificate answer touched.
 
     The answer must have been produced with ``certificate=True``; its
@@ -643,5 +638,4 @@ def certificate_fragment(p: Program, answer, *, cap: int = DEFAULT_CAP) -> Groun
         raise ValueError("answer carries no certificate "
                          "(solve with certificate=True)")
     seeds = [(atom, answer.full_env) for atom in answer.selected]
-    return build_fragment(p, 0, 0, seed_atoms=seeds, atom_products=False,
-                          cap=cap)
+    return build_fragment(p, 0, 0, seed_atoms=seeds, atom_products=False)

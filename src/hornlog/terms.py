@@ -340,9 +340,6 @@ class BindingEnv:
     def __len__(self) -> int:
         return len(self._b)
 
-    def lookup(self, name: str) -> Optional[Term]:
-        return self._b.get(name)
-
     def walk(self, t: Term) -> Term:
         return _walk(self._b, t)
 
@@ -880,18 +877,13 @@ def _as_pair(x, env: Optional[BindingEnv]):
 
 
 def rational_equal(a, b, env_a: Optional[BindingEnv] = None,
-                   env_b: Optional[BindingEnv] = None,
-                   alpha: bool = False) -> bool:
-    """Bisimilarity of two rational terms.
+                   env_b: Optional[BindingEnv] = None) -> bool:
+    """Bisimilarity of two rational terms; free variables compare by name.
 
     Accepts :class:`MuTerm` values or plain terms with their environments.
-    With ``alpha`` set, free variables are compared up to consistent renaming
-    (useful for comparing answers from independent derivations).
     """
     t1, e1 = _as_pair(a, env_a)
     t2, e2 = _as_pair(b, env_b)
-    fwd: dict = {}
-    bwd: dict = {}
     seen: set = set()
     stack = [(t1, t2)]
     while stack:
@@ -899,13 +891,8 @@ def rational_equal(a, b, env_a: Optional[BindingEnv] = None,
         x = e1.walk(x)
         y = e2.walk(y)
         if isinstance(x, Var) or isinstance(y, Var):
-            if not (isinstance(x, Var) and isinstance(y, Var)):
-                return False
-            if alpha:
-                if (fwd.setdefault(x.name, y.name) != y.name
-                        or bwd.setdefault(y.name, x.name) != x.name):
-                    return False
-            elif x.name != y.name:
+            if not (isinstance(x, Var) and isinstance(y, Var)
+                    and x.name == y.name):
                 return False
             continue
         if x.functor != y.functor or len(x.args) != len(y.args):

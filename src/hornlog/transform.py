@@ -119,7 +119,7 @@ def proof_vars(g: Goal) -> tuple:
     return tuple(names)
 
 
-def strip_answer(answer, t: TransformedProgram):
+def strip_answer(answer):
     """Copy of ``answer`` with the proof bindings dropped.
 
     The answer's class is whatever the engine produced; only ``bindings``,
@@ -135,10 +135,9 @@ def strip_answer(answer, t: TransformedProgram):
                         steps_used=answer.steps_used, trace=answer.trace)
 
 
-def strip_verdict(verdict, t: TransformedProgram):
+def strip_verdict(verdict):
     """Copy of ``verdict`` with ``strip_answer`` applied to every answer."""
-    return replace(verdict, answers=[strip_answer(a, t)
-                                     for a in verdict.answers])
+    return replace(verdict, answers=[strip_answer(a) for a in verdict.answers])
 
 
 def proof_measure(atoms, env: BindingEnv = EMPTY_ENV) -> int:

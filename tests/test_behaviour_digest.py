@@ -1147,7 +1147,7 @@ def _chains(p, frag) -> list:
         ("down", lambda: tp_down(p, n, frag)),
         ("proof-up", lambda: tp_up(proof_side, n, frag, ignore_last=True)),
         ("proof-down", lambda: fixpoint._iterate(
-            dict(frag.atoms), n, frag,
+            dict(frag.atoms), n,
             lambda s: fixpoint._proof_step(proof_side, frag, s, s))),
     ]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hornlog import cli
+from hornlog import cli, fixpoint
 from hornlog.cli import main
 from hornlog.syntax import parse_program, parse_trace_line
 
@@ -153,17 +153,27 @@ def test_solve_occurs_check_note_for_colp(capsys):
      "--max-depth", "sres"),
     (["solve", ZEROS, "zeros(X)", "--engine", "colp"],
      "--max-subst-steps", "colp"),
+    (["solve", ZEROS, "zeros(X)", "--engine", "colp"], "--lazy-k", "colp"),
     (["infer", LISTS, "new EList().addLast(i)", "--assume", "i=int"],
      "--max-depth", "sres"),
     (["infer", LISTS, "new EList().addLast(i)", "--assume", "i=int",
       "--engine", "sld"], "--max-rewrite-steps", "sld"),
-], ids=["solve-sres", "solve-colp", "infer-sres", "infer-sld"])
+    (["infer", LISTS, "new EList().addLast(i)", "--assume", "i=int",
+      "--engine", "sld"], "--lazy-k", "sld"),
+], ids=["solve-sres", "solve-colp", "solve-colp-lazy-k", "infer-sres",
+        "infer-sld", "infer-sld-lazy-k"])
 def test_a_cap_the_engine_ignores_is_noted(capsys, argv, flag, engine):
     # the cap changes nothing: same answers and exit code, one note
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert run(capsys, *argv, flag, "1") == (
         code, out, f"note: {flag} does not bind {engine}\n")
+
+
+def test_a_fragment_over_its_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(fixpoint, "CAP", 3)
+    assert run(capsys, "oracle", ZEROS, "up", "-d", "2", "-c", "1") == (
+        2, "", "error: fragment cap 3 exceeded\n")
 
 
 def test_solve_prints_a_deep_answer(capsys, tmp_path):

@@ -105,9 +105,10 @@ def test_fragment_zeros_includes_rational_atom():
                          EMPTY_ENV) in frag.atoms
 
 
-def test_fragment_cap_enforced():
+def test_fragment_cap_enforced(monkeypatch):
+    monkeypatch.setattr(fixpoint, "CAP", 10)
     with pytest.raises(FragmentError):
-        build_fragment(ADD, 3, 0, cap=10)
+        build_fragment(ADD, 3, 0)
 
 
 def test_fragment_seeding_brings_subterms():
@@ -453,7 +454,7 @@ def test_joins_by_need_keep_every_stage_of_the_full_join(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(fixpoint, "_joins", _all_branching_joins)
             want = _chains(p, free, n, lambda pt: fixpoint._iterate(
-                dict(free.atoms), n, free,
+                dict(free.atoms), n,
                 lambda s: fixpoint._proof_step(pt, free, s, s)))
         assert got == want, [str(c) for c in p.clauses]
 
@@ -558,12 +559,13 @@ def test_lemmas_vacuous_on_empty_program():
     assert report.fragment_atoms == 0
 
 
-def test_lemma_check_caps_leftover_instantiations():
+def test_lemma_check_caps_leftover_instantiations(monkeypatch):
     # The proof side binds X, Y and Z by joining the stage, not by a product
     # over the 4-term universe (64 choices), so the fragment's own cap is
     # the only one.
     p = parse_program("p(a) :- q(X), q(Y), q(Z). q(f(X)) :- q(X). q(a).")
-    report = check_transform_lemmas(p, n=2, d=3, c=0, cap=8)
+    monkeypatch.setattr(fixpoint, "CAP", 8)
+    report = check_transform_lemmas(p, n=2, d=3, c=0)
     assert report.holds, report.counterexamples
     assert report.fragment_atoms == 8
 

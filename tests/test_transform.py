@@ -133,7 +133,7 @@ def test_strip_answer_drops_proof_bindings():
     goal = transform_goal(parse_goal("subclass(a, T)"))
     verdict = sres_solve(goal, tp.program, lazy_k=6)
     first = verdict.answers[0]
-    stripped = strip_answer(first, tp)
+    stripped = strip_answer(first)
     assert stripped.goal_vars == ("T",)
     assert "K$1" not in stripped.bindings
     assert resolve(stripped.bindings, Var("T")) == parse_term("a")
@@ -143,7 +143,7 @@ def test_strip_transformed_zeros_equals_plain_coinductive_answer():
     tp = transform_program(ZEROS)
     goal = transform_goal(parse_goal("zeros(X)"))
     verdict = colp_solve(goal, tp.program, Budget(max_answers=1))
-    stripped = strip_answer(verdict.answers[0], tp)
+    stripped = strip_answer(verdict.answers[0])
     assert stripped.kind == "rational"
     plain = colp_solve(parse_goal("zeros(X)"), ZEROS,
                        Budget(max_answers=1)).answers[0]
