@@ -18,7 +18,7 @@ import functools
 import sys
 from pathlib import Path
 
-from hornlog.compiler import compile_class_table, infer
+from hornlog.compiler import compile_class_table, infer, runtime_clauses
 from hornlog.engine import (
     Budget,
     Verdict,
@@ -83,18 +83,27 @@ def _positive(text: str) -> int:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise _UsageError(f"cannot read {path}: "
+                          f"{getattr(exc, 'strerror', None) or exc}")
 
 
 def _write(path, text: str) -> None:
     try:
         Path(path).write_text(text)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise _UsageError(f"cannot write {path}: "
+                          f"{getattr(exc, 'strerror', None) or exc}")
 
 
 def _budget(args) -> Budget:
@@ -189,10 +198,9 @@ def _cmd_solve(args) -> int:
 def _cmd_compile(args) -> int:
     table = parse_classes(_read(args.source), args.source)
     unit = compile_class_table(table)
-    lines = []
-    for clause in unit.program.clauses:
-        lines.append(f"% provenance: {unit.provenance[clause.idx]}")
-        lines.append(clause_text(clause))
+    n_runtime = len(runtime_clauses().clauses)
+    lines = [f"% provenance: {'runtime' if i < n_runtime else c.span}\n"
+             f"{clause_text(c)}" for i, c in enumerate(unit.program.clauses)]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -216,10 +224,8 @@ def _cmd_infer(args) -> int:
 def _cmd_transform(args) -> int:
     transformed = transform_program(parse_program(_read(args.program),
                                                   args.program))
-    table = []
-    for clause in transformed.program.clauses:
-        kappa = transformed.kappa_of(clause.idx)
-        table.append(f"{kappa} -> {atom_text(transformed.back_map[kappa].head)}")
+    table = [f"{kappa} -> {atom_text(clause.head)}"
+             for kappa, clause in transformed.back_map.items()]
     body = program_text(transformed.program)
     if args.output:
         _write(args.output, body + "\n")
@@ -381,9 +387,9 @@ def _build_parser() -> _Parser:
     oracle.add_argument("mode", choices=("up", "down", "lemmas"))
     oracle.add_argument("-n", type=_positive, default=4,
                         help="iteration stages")
-    oracle.add_argument("-d", type=int, default=2,
+    oracle.add_argument("-d", type=_nonnegative, default=2,
                         help="term depth bound of the fragment")
-    oracle.add_argument("-c", type=int, default=1,
+    oracle.add_argument("-c", type=_nonnegative, default=1,
                         help="cycle bound (rational atoms admitted if >= 1)")
     oracle.set_defaults(fn=_cmd_oracle)
 
@@ -398,7 +404,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, TransformError, PrintError, ValueError) as exc:
+    except (ParseError, TransformError, PrintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FragmentError as exc:

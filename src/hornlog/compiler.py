@@ -39,7 +39,6 @@ from hornlog.terms import (
     FIELD_FUNCTOR,
     Goal,
     Program,
-    SourceSpan,
     Term,
     UNION_FUNCTOR,
     Var,
@@ -92,9 +91,9 @@ def runtime_clauses() -> Program:
 
 @dataclass(frozen=True)
 class CompiledUnit:
+    """The runtime clauses, then each declaration's clauses; a generated
+    clause's span is the span of the declaration it comes from."""
     program: Program
-    #: clause idx -> source span of the declaration, or "runtime"
-    provenance: dict
 
 
 class _Names:
@@ -238,24 +237,17 @@ def _method_clause(decl: moo.ClassDecl, m: moo.MethodDecl, idx: int) -> Clause:
 
 
 def compile_class_table(ct: moo.ClassTable) -> CompiledUnit:
-    runtime = runtime_clauses()
-    clauses = list(runtime.clauses)
-    provenance: dict = {c.idx: "runtime" for c in clauses}
-
-    def emit(clause: Clause, span):
-        clauses.append(clause)
-        provenance[clause.idx] = span
-
+    clauses = list(runtime_clauses().clauses)
     for decl in ct.classes.values():
         nxt = len(clauses) + 1
-        emit(Clause(Atom("class", (const(decl.name),)), (), nxt, decl.span),
-             decl.span)
-        emit(Clause(Atom("extends", (const(decl.name), const(decl.parent))),
-                    (), nxt + 1, decl.span), decl.span)
-        emit(_ctor_clause(ct, decl, nxt + 2), decl.ctor.span)
+        clauses += [
+            Clause(Atom("class", (const(decl.name),)), (), nxt, decl.span),
+            Clause(Atom("extends", (const(decl.name), const(decl.parent))),
+                   (), nxt + 1, decl.span),
+            _ctor_clause(ct, decl, nxt + 2)]
         for m in decl.methods.values():
-            emit(_method_clause(decl, m, len(clauses) + 1), m.span)
-    return CompiledUnit(Program(tuple(clauses)), provenance)
+            clauses.append(_method_clause(decl, m, len(clauses) + 1))
+    return CompiledUnit(Program(tuple(clauses)))
 
 
 def infer(ct: moo.ClassTable, e: moo.Expr, engine: str = "sres",

@@ -196,18 +196,12 @@ def sld_step(atoms: tuple, env: BindingEnv, p: Program,
 
 
 def colp_step(atoms: tuple, env: BindingEnv, path: list,
-              p: Program) -> list:
+              p: Program) -> tuple:
     """Resolvents under the coinductive discipline, on the branch whose
-    ``Step``s, root first, are ``path``: hypothesis closures against
-    same-predicate ancestors (most recent first, as ``(atoms, env, "hyp",
-    steps back)``) come before clause resolvents; unification runs without
-    the occurs check."""
-    return _colp_step(atoms, env, path, p)[0]
-
-
-def _colp_step(atoms: tuple, env: BindingEnv, path: list,
-               p: Program) -> tuple:
-    """``colp_step``'s resolvents and the selected atom's ``Step.fps``.
+    ``Step``s, root first, are ``path``, and the selected atom's
+    ``Step.fps``: hypothesis closures against same-predicate ancestors
+    (most recent first, as ``(atoms, env, "hyp", steps back)``) come before
+    clause resolvents; unification runs without the occurs check.
 
     An ancestor whose ``fps`` differ from the selected atom's at a position
     where both are set is skipped without unifying: bindings only grow along
@@ -322,7 +316,7 @@ def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
 def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
                trace: bool = False, certificate: bool = False) -> Verdict:
     """SLD plus the coinductive hypothesis rule; computes rational answers."""
-    step = partial(_colp_step, p=p)
+    step = partial(colp_step, p=p)
 
     def expand(atoms, env, path):
         resolvents, fps = step(atoms, env, path)

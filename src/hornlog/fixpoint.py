@@ -68,7 +68,7 @@ from hornlog.terms import (
 )
 from hornlog.transform import transform_program
 
-CAP = 10 ** 6  # most terms, atoms or stage atoms one fragment holds
+CAP = 10 ** 6  # most terms or atoms one fragment (so one stage) holds
 INJECTED_CONSTANT = "c$0"
 
 
@@ -356,8 +356,6 @@ def _tp_stage(plans: tuple, s: dict, frag: GroundFragment,
             for key, envf in matches:
                 if key in out:
                     continue
-                if len(out) > CAP:
-                    raise FragmentError("consequence set exceeds cap")
                 atom = frag.atoms[key]
                 if ignore_last:
                     atom = Atom(atom.pred, atom.args

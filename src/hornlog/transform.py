@@ -48,9 +48,6 @@ class TransformedProgram:
     program: Program
     back_map: dict = field(default_factory=dict)  # kappa functor -> source Clause
 
-    def kappa_of(self, clause_idx: int) -> str:
-        return f"{KAPPA_PREFIX}{clause_idx}"
-
 
 def _reserved(name: str) -> bool:
     return name.startswith((KAPPA_PREFIX, PROOF_VAR_PREFIX, CLAUSE_VAR_PREFIX))

@@ -621,6 +621,8 @@ def test_lp_parse_error_reports_span(capsys, tmp_path):
     ("frobnicate",),
     ("solve", "x.lp", "?- a.", "--max-steps", "-3"),
     (),
+    ("oracle", ZEROS, "up", "-d", "-1"),
+    ("oracle", ZEROS, "up", "-c", "-1"),
 ])
 def test_bad_usage_exits_3(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -639,6 +641,28 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     assert err.splitlines() == [
         "error: internal error: RecursionError: "
         "maximum recursion depth exceeded"]
+
+
+def test_an_internal_value_error_exits_4(capsys, monkeypatch):
+    # No command-line input reaches a ValueError inside hornlog, so one that
+    # escapes is hornlog's own failure, not a usage error.
+    def crash(*args, **kwargs):
+        raise ValueError("x")
+
+    monkeypatch.setattr("hornlog.cli.sld_solve", crash)
+    code, out, err = run(capsys, "solve", ZEROS, "?- zeros(X).")
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["error: internal error: ValueError: x"]
+
+
+def test_a_nul_byte_in_a_path_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", ZEROS + "\0", "zeros(X)")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot read")
+    code, out, err = run(capsys, "transform", ZEROS,
+                         "-o", str(tmp_path / "out.lp") + "\0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot write")
 
 
 def test_solve_reads_a_deep_goal(capsys, tmp_path):

@@ -130,19 +130,18 @@ def test_ctor_and_facts():
 def test_one_hasmeth_clause_per_method():
     ct = parse_classes(BUILDLIST_SRC)
     unit = compile_class_table(ct)
-    generated = [c for c in unit.program.clauses
-                 if c.head.pred == "hasmeth" and unit.provenance[c.idx] != "runtime"]
+    n_runtime = len(runtime_clauses().clauses)
+    generated = [c for c in unit.program.clauses[n_runtime:]
+                 if c.head.pred == "hasmeth"]
     assert len(generated) == sum(len(d.methods) for d in ct.classes.values())
 
 
 def test_runtime_clauses_precede_generated():
     unit = compile_class_table(parse_classes(LISTS_SRC))
-    kinds = [unit.provenance[c.idx] for c in unit.program.clauses]
     n_runtime = len(runtime_clauses().clauses)
-    assert all(k == "runtime" for k in kinds[:n_runtime])
-    assert all(k != "runtime" for k in kinds[n_runtime:])
-    spans = [unit.provenance[c.idx] for c in unit.program.clauses[n_runtime:]]
-    assert all(s.line >= 1 for s in spans)
+    assert unit.program.clauses[:n_runtime] == runtime_clauses().clauses
+    spans = [c.span for c in unit.program.clauses[n_runtime:]]
+    assert all(s.file != "<runtime>" and s.line >= 1 for s in spans)
 
 
 def test_inherited_fields_flow_through_super_record():

@@ -194,7 +194,7 @@ def test_colp_step_prefers_most_recent_ancestor():
         atoms2, env, kind, ref = sld_step(atoms, env, p, occurs_check)[0]
         path.append(Step(kind, ref, 0, atoms[0], None))
         atoms = atoms2
-    children = colp_step(atoms, env, path, p)
+    children = colp_step(atoms, env, path, p)[0]
     assert [c[2:] for c in children[:2]] == [("hyp", 1), ("hyp", 2)]
     assert children[-1][2:] == ("sld", 1)
 
@@ -220,7 +220,7 @@ def test_colp_step_closes_on_ancestors_of_its_own_predicate_and_arity():
         atoms = parse_goal(text).atoms
         assert [(kind, ref,
                  term_text(resolve(env2, Compound("", atoms[0].args))))
-                for _, env2, kind, ref in colp_step(atoms, env, path, p)] \
+                for _, env2, kind, ref in colp_step(atoms, env, path, p)[0]] \
             == children
 
 
@@ -826,11 +826,11 @@ def test_colp_skips_only_ancestors_that_cannot_unify(monkeypatch):
         swapped += 1
         return _unfiltered_colp_step(atoms, env, path, p), None
 
-    monkeypatch.setattr(engine, "_colp_step", unfiltered)
+    monkeypatch.setattr(engine, "colp_step", unfiltered)
     for (p, g), text in zip(cases, texts):
         assert _colp_text(colp_solve(g, p, budget, trace=True,
                                      certificate=True)) == text
-    assert swapped > 0, ("colp_solve no longer calls engine._colp_step, so "
+    assert swapped > 0, ("colp_solve no longer calls engine.colp_step, so "
                          "this test compares the filtered step with itself")
     assert sum(any(" hyp " in line for line in t) for t in texts) >= 15
     assert skipping < calls - 1000

@@ -459,6 +459,29 @@ def test_joins_by_need_keep_every_stage_of_the_full_join(monkeypatch):
         assert got == want, [str(c) for c in p.clauses]
 
 
+def test_every_stage_holds_only_fragment_atoms():
+    # A consequence is keyed by the fragment atom it instantiates, so no
+    # stage outgrows the fragment, and the fragment's own cap (checked as
+    # atoms enter it) bounds every stage as well.
+    rng = random.Random(0x10E7)
+    cases = []
+    for _ in range(40):
+        p = random_lemma_program(rng)
+        cases += [(p, build_fragment(p, d, c), n)
+                  for n, d, c in ((4, 3, 2), (3, 1, 1), (4, 2, 0))]
+    cases += [(p, frag, 3) for p, frag in _certificate_fragments()]
+    seen = 0
+    for p, frag, n in cases:
+        for trace in (tp_up(p, n, frag), tp_down(p, n, frag),
+                      tp_up(transform_program(p).program, n, frag,
+                            ignore_last=True)):
+            for stage in trace.sets:
+                assert stage.keys() <= frag.atoms.keys(), \
+                    [str(c) for c in p.clauses]
+                seen += len(stage)
+    assert seen > 1000
+
+
 def test_down_member_with_proof_of_a_non_ground_atom_joins_its_body():
     # Z is free, so the head leaves q(X) open: q(X) joins the stage, as in
     # a fragment with free variables, instead of being looked up by key.
