@@ -90,11 +90,15 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+# C0 and C1 control characters, each escaped as repr writes it (\x00)
+_CONTROLS = {c: repr(chr(c))[1:-1] for c in (*range(32), *range(127, 160))}
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise _UsageError(f"cannot read {path}: "
+        raise _UsageError(f"cannot read {path.translate(_CONTROLS)}: "
                           f"{getattr(exc, 'strerror', None) or exc}")
 
 
@@ -102,7 +106,7 @@ def _write(path, text: str) -> None:
     try:
         Path(path).write_text(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise _UsageError(f"cannot write {path}: "
+        raise _UsageError(f"cannot write {str(path).translate(_CONTROLS)}: "
                           f"{getattr(exc, 'strerror', None) or exc}")
 
 
@@ -137,12 +141,16 @@ def _report_verdict(verdict: Verdict, args) -> int:
         return EXIT_BUDGET
     trace = getattr(args, "trace", False)
     seen = set()
+    last = (None, None)  # the previous answer's bindings and kind
     for answer in verdict.answers:
         # Backtracking revisits the same rational answer at every unrolling
         # depth; print each answer once up to bisimulation (a lone answer
         # needs no key).  The goal variables share one term graph, so key
         # them together: two wrappers are bisimilar exactly when their
         # children are.
+        if answer.bindings is last[0] and answer.kind == last[1]:
+            continue  # the previous answer's key, in ``seen`` already
+        last = answer.bindings, answer.kind
         if len(verdict.answers) > 1:
             goal = Compound("", tuple(Var(n) for n in answer.goal_vars))
             key = (answer.kind, canon_key(goal, answer.bindings))

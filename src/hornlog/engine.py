@@ -30,7 +30,11 @@ gives the selected atom's fingerprints, as ``colp`` does.
 A step should cost the same however long its branch.  So ``colp`` reads
 each ancestor's predicate and arity without building a key, and rejects it
 by its fingerprints before unifying; ``subst_step`` asks the atoms past the
-one it chose only whether some head still unifies.
+one it chose only whether some head still unifies.  ``colp_solve`` keeps
+one ``_fp_under`` table for the branch (see ``terms``), so a step walks
+only what its ancestors had not found ground.  What an expansion at branch
+length L added is dropped at the next expansion at length L or less, where
+``_search`` has cut the branch back past it.
 
 A diverging rewriting phase is evidence against universal observability and
 turns into a ``not_universally_observable`` verdict carrying the witness,
@@ -196,7 +200,7 @@ def sld_step(atoms: tuple, env: BindingEnv, p: Program,
 
 
 def colp_step(atoms: tuple, env: BindingEnv, path: list,
-              p: Program) -> tuple:
+              p: Program, table: Optional[dict] = None) -> tuple:
     """Resolvents under the coinductive discipline, on the branch whose
     ``Step``s, root first, are ``path``, and the selected atom's
     ``Step.fps``: hypothesis closures against same-predicate ancestors
@@ -206,13 +210,15 @@ def colp_step(atoms: tuple, env: BindingEnv, path: list,
     An ancestor whose ``fps`` differ from the selected atom's at a position
     where both are set is skipped without unifying: bindings only grow along
     a branch, so a term ground under the ancestor's environment is the same
-    tree under ``env``, and two different ground trees never unify."""
+    tree under ``env``, and two different ground trees never unify.
+    ``table`` is the branch's ``_fp_under`` table (a fresh one if None)."""
     if not atoms:
         return [], None
+    table = {} if table is None else table
     selected = atoms[0]
     rest = atoms[1:]
     pred, arity = selected.pred, len(selected.args)
-    fps = tuple(_fp_under(env, a) for a in selected.args)
+    fps = tuple(_fp_under(env, a, table) for a in selected.args)
     children = []
     for back, anc in enumerate(reversed(path), 1):
         a = anc.atom
@@ -260,6 +266,7 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
     answers = []
     steps = expanded = 0
     without_answers = "failed"
+    done_env = None  # the previous answer's env, if it was not partial
     while stack:
         atoms, env, depth, at, step = stack.pop()
         del path[at:]
@@ -272,10 +279,16 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
                 return Verdict("not_universally_observable", answers,
                                witness=witness, steps_used=steps)
         if not atoms or depth >= lazy_k:
-            bindings = env.restrict(goal_vars)
+            if atoms:
+                done_env, bindings = None, env.restrict(goal_vars)
+                kind = "partial"
+            elif env is not done_env:
+                done_env, bindings = env, env.restrict(goal_vars)
+                kind = _classify(bindings, goal_vars)
+            # else colp closed sibling branches in one env, binding nothing:
+            # the previous answer's bindings and kind stand
             answers.append(Answer(
-                bindings, goal_vars,
-                "partial" if atoms else _classify(bindings, goal_vars), steps,
+                bindings, goal_vars, kind, steps,
                 _trace_lines(path) if trace else None,
                 env if certificate else None,
                 tuple(s.atom for s in path) if certificate else None))
@@ -316,9 +329,16 @@ def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
 def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
                trace: bool = False, certificate: bool = False) -> Verdict:
     """SLD plus the coinductive hypothesis rule; computes rational answers."""
-    step = partial(colp_step, p=p)
+    table = {}  # the branch's _fp_under table, in the order entries came
+    log = []  # (len(path), len(table)) before each expansion on the branch
+    step = partial(colp_step, p=p, table=table)
 
     def expand(atoms, env, path):
+        # what expansions this long or longer added is off the branch now
+        while log and log[-1][0] >= len(path):
+            for _ in range(len(table) - log.pop()[1]):
+                table.popitem()
+        log.append((len(path), len(table)))
         resolvents, fps = step(atoms, env, path)
         return resolvents, 0, fps, 1
 

@@ -26,7 +26,11 @@ environment's bindings: it reuses every ``fp`` it meets, visits each other
 node once, and gives ``None`` at an unbound variable or a cycle.  Bindings
 only grow along a derivation, so a term ground under one environment is the
 same tree, with the same fingerprint, under every environment derived from
-it; ``colp`` rejects an ancestor by comparing such fingerprints.
+it; ``colp`` rejects an ancestor by comparing such fingerprints.  For the
+same reason ``colp`` passes every walk one table, ``id(node) -> (node,
+fp)``, of the compounds found ground on its branch, and drops an entry when
+it backtracks past the step that added it.  An entry holds its node, so
+the id is not reused while the entry lives.
 
 The walks that read a term under an environment are few and iterative,
 each for its own question:
@@ -154,11 +158,19 @@ class Compound:
 _set_fp = Compound.fp.__set__
 
 
-def _fp_under(env: "BindingEnv", t) -> Optional[int]:
+def _fp_under(env: "BindingEnv", t, table: Optional[dict] = None
+              ) -> Optional[int]:
     """``t``'s ground fingerprint under ``env``, in ``Compound.fp``'s scheme,
-    or ``None`` if the walk reaches an unbound variable or a cycle."""
+    or ``None`` if the walk reaches an unbound variable or a cycle.
+
+    ``table`` maps ``id(node)`` to ``(node, fp)`` for compounds found ground
+    under ``env`` or under an environment ``env`` was derived from; the walk
+    reads it and adds every compound it finishes.  Without one it starts
+    from an empty table."""
+    if table is None:
+        table = {}
     bindings = env._b
-    memo: dict = {}  # id -> fingerprint, or None while open on the path
+    opened: set = set()  # ids of compounds open on the path
     out: list = []  # finished fingerprints, left to right
     stack: list = [t]
     while stack:
@@ -170,7 +182,7 @@ def _fp_under(env: "BindingEnv", t) -> Optional[int]:
             for a in out[k:]:
                 fp = hash((fp, a))
             out[k:] = [fp]
-            memo[id(node)] = fp
+            table[id(node)] = (node, fp)
             continue
         if x.__class__ is Var:
             x = _walk(bindings, x)
@@ -179,13 +191,13 @@ def _fp_under(env: "BindingEnv", t) -> Optional[int]:
         if x.fp is not None:
             out.append(x.fp)
             continue
-        fp = memo.get(id(x), x)
-        if fp is None:
-            return None  # open: a cycle closes here
-        if fp is not x:
-            out.append(fp)
+        found = table.get(id(x))
+        if found is not None:
+            out.append(found[1])
             continue
-        memo[id(x)] = None
+        if id(x) in opened:
+            return None  # a cycle closes here
+        opened.add(id(x))
         stack.append((x,))
         stack.extend(reversed(x.args))
     return out[0]

@@ -451,6 +451,31 @@ def test_infer_replicate_colp_rational(capsys):
             in out)
 
 
+def test_colp_keys_one_answer_environment_once(capsys, monkeypatch):
+    # The 8-call chain under colp ends in ten equal answers, nine of them
+    # on one branch whose last atom closes on several ancestors binding
+    # nothing; the CLI keyed all ten to print one.
+    calls = 0
+    real = cli.canon_key
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(cli, "canon_key", counting)
+    code, out, err = run(capsys, "infer", LISTS,
+                         "new EList()" + ".addLast(1)" * 8,
+                         "--engine", "colp")
+    types = ["obj(elist, [])"]
+    for _ in range(8):
+        types.append(f"obj(nelist, [head:int, tail:{types[-1]}])")
+    names = ["R", "T"] + [f"T{i}" for i in range(2, 9)]
+    assert (code, err) == (0, "")
+    assert out == ", ".join(f"{n} = {t}" for n, t in zip(names, types)) + "\n"
+    assert calls <= 3
+
+
 def test_infer_default_engine_is_sres(capsys):
     code, out, err = run(capsys, "infer", LISTS, "new EList().addLast(i)",
                          "--assume", "i=int", "--lazy-k", "64",
@@ -658,11 +683,13 @@ def test_an_internal_value_error_exits_4(capsys, monkeypatch):
 def test_a_nul_byte_in_a_path_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "solve", ZEROS + "\0", "zeros(X)")
     assert (code, out) == (3, "")
-    assert err.startswith("error: cannot read")
+    assert err.startswith(f"error: cannot read {ZEROS}\\x00: ")
+    assert "\0" not in err
     code, out, err = run(capsys, "transform", ZEROS,
                          "-o", str(tmp_path / "out.lp") + "\0")
     assert (code, out) == (3, "")
-    assert err.startswith("error: cannot write")
+    assert err.startswith(f"error: cannot write {tmp_path}/out.lp\\x00: ")
+    assert "\0" not in err
 
 
 def test_solve_reads_a_deep_goal(capsys, tmp_path):

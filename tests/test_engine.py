@@ -8,6 +8,7 @@ engine's answers on inductive programs must agree with it.
 
 import random
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -821,7 +822,7 @@ def test_colp_skips_only_ancestors_that_cannot_unify(monkeypatch):
     skipping, calls = calls, 0
     swapped = 0
 
-    def unfiltered(atoms, env, path, p):
+    def unfiltered(atoms, env, path, p, table):
         nonlocal swapped
         swapped += 1
         return _unfiltered_colp_step(atoms, env, path, p), None
@@ -834,6 +835,104 @@ def test_colp_skips_only_ancestors_that_cannot_unify(monkeypatch):
                          "this test compares the filtered step with itself")
     assert sum(any(" hyp " in line for line in t) for t in texts) >= 15
     assert skipping < calls - 1000
+
+
+# ---------------------------------------------------------------------------
+# colp: the branch's fingerprint table
+
+
+def _build_list(max_steps: int):
+    """colp on the paper's irrational type, ``buildList`` on lists.moo,
+    which no hypothesis closes: the run ends at ``max_steps``."""
+    source = (Path(__file__).resolve().parent.parent / "samples"
+              / "lists.moo").read_text()
+    unit = compile_class_table(parse_classes(source))
+    goal, _ = compile_expr(parse_expr("new ListFact().buildList(n, "
+                                      "new EList())"),
+                           {"n": parse_term("int")})
+    return colp_solve(goal, unit.program, Budget(max_steps=max_steps))
+
+
+def _fp_walk_per_step(monkeypatch, solve) -> float:
+    """Nodes ``_fp_under`` walks (pops off its stack) per step of the
+    ``colp`` run ``solve`` gives, counted by profiling each call."""
+    real = engine._fp_under
+    pops = 0
+
+    def profiler(frame, event, arg):
+        nonlocal pops
+        if (event == "c_call" and frame.f_code is real.__code__
+                and arg.__name__ == "pop"):
+            pops += 1
+
+    def counting(*args):
+        outer = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            return real(*args)
+        finally:
+            sys.setprofile(outer)
+
+    monkeypatch.setattr(engine, "_fp_under", counting)
+    verdict = solve()
+    monkeypatch.setattr(engine, "_fp_under", real)
+    assert verdict.kind == "exhausted"
+    return pops / verdict.steps_used
+
+
+def test_fp_under_walks_per_colp_step_stay_flat(monkeypatch):
+    # A step walks what its ancestors had not found ground: on from(0, X),
+    # 401 and 1,601 nodes a step at depth 400 and 1,600 without the table;
+    # on buildList, 721 and 864 at 2,500 and 10,000 steps.
+    small, large = (_fp_walk_per_step(monkeypatch, lambda: colp_solve(
+        parse_goal("from(0, X)"), FROM, Budget(max_depth=depth)))
+        for depth in (400, 1600))
+    assert large <= 1.25 * small
+    small, large = (_fp_walk_per_step(monkeypatch, lambda: _build_list(cap))
+                    for cap in (2500, 10000))
+    assert large <= 1.25 * small
+    assert large <= 16
+
+
+def test_tabled_fingerprints_equal_fresh_ones(monkeypatch):
+    # Every fingerprint colp_step reads off the branch's table equals a
+    # fresh walk under the step's env, and so does every entry the table
+    # holds when the step is taken: on the swap test's programs (cyclic
+    # answers among them), on buildList, and on a program whose sibling
+    # branches ground one term of their common ancestor differently.
+    real = engine._fp_under
+    reads = checked = 0
+    entries = True  # check every live entry too
+
+    def checking(env, t, table):
+        nonlocal reads, checked
+        reads += bool(table)
+        if entries:
+            for node, fp in table.values():
+                assert real(env, node) == fp
+            checked += len(table)
+        fp = real(env, t, table)
+        assert fp == real(env, t)
+        return fp
+
+    monkeypatch.setattr(engine, "_fp_under", checking)
+    budget = Budget(max_steps=300, max_depth=40, max_answers=20)
+    cases = [(ZEROS, parse_goal("zeros(X)")), (EX3, parse_goal("p(X)")),
+             (FROM, parse_goal("from(0, X)")),
+             (ADD, parse_goal("add(X, Y, s(s(s(0))))")),
+             (SUBCLASS_AB, parse_goal("subclass(X, Y)")),
+             (parse_program("pick(a). pick(b). q(X) :- pick(X), s(f(X)). "
+                            "s(f(a)). s(f(b))."), parse_goal("q(X)"))]
+    rng = random.Random(2006)
+    cases += [(random_program(rng), Goal((random_atom(rng),)))
+              for _ in range(400)]
+    kinds = [a.kind for p, g in cases
+             for a in colp_solve(g, p, budget).answers]
+    assert kinds.count("rational") >= 20 and reads > 500 and checked > 2000
+    # buildList's table grows with its accumulator: check what is read
+    entries, reads = False, 0
+    assert _build_list(1000).kind == "exhausted"
+    assert reads > 900
 
 
 def test_every_answer_reads_its_own_branch():
