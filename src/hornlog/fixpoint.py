@@ -14,7 +14,12 @@ programs whose full fragment would be astronomically large.
 All fragment terms live in one shared "arena" environment.  A finite
 ground term is the same under every environment and enters it as it is;
 any other term is rebased into it, through its canonical equation form,
-only while ``build_fragment`` builds the fragment.  After that the arena is
+only while the universe is built.  A seedless universe depends only on
+the constants, constructors, ``d``, ``c`` and ``CAP``, so it is built once
+per such signature in a process (``_universe``); its terms, ground-key
+table and arena are then shared by every fragment of that signature, the
+tables as read-only mappings, and each fragment adds only its own atoms.
+A seeded fragment builds its universe afresh.  After that the arena is
 fixed, and every step renames clauses apart from the same ``frag.env``: a
 chain (``tp_up``, ``tp_down``, the proof-carrying downward chain) renames
 and plans each clause once and hands the result to every stage.
@@ -43,8 +48,10 @@ to tell what is ground.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Optional
 
 from hornlog.syntax import atom_text
@@ -69,6 +76,7 @@ from hornlog.terms import (
 from hornlog.transform import transform_program
 
 CAP = 10 ** 6  # most terms or atoms one fragment (so one stage) holds
+UNIVERSES = 64  # most seedless universes ``_universe`` keeps
 INJECTED_CONSTANT = "c$0"
 
 
@@ -80,7 +88,10 @@ class FragmentError(Exception):
 class GroundFragment:
     """The term universe and the atoms of a fragment, all valid under the
     arena ``env``.  ``build_fragment`` fills it; after that the fragment
-    is read-only, so the arena and every atom taken from it stay fixed."""
+    is read-only, so the arena and every atom taken from it stay fixed.
+    A seedless fragment shares its universe and ground-key table with the
+    others of its signature as read-only mappings, so ``add_term`` on it
+    raises ``TypeError`` for a new term."""
 
     universe: dict = field(default_factory=dict)  # canon term key -> term
     atoms: dict = field(default_factory=dict)  # canon atom key -> Atom
@@ -137,28 +148,76 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
                    seed_atoms=(), atom_products: bool = True) -> GroundFragment:
     """Enumerate a finite, deterministic fragment of the ground base.
 
-    ``seed_atoms`` are ``(atom, env)`` pairs taken into the fragment
-    together with all their subterms.  A seed's free variables stay free
-    in the arena, whose fresh names start past every seed environment's
-    counter and every ``V<n>`` name in a seed atom.  With
-    ``atom_products`` the atom set is the full product of predicates over
-    the term universe; switched off, only seeded atoms are present (useful
-    when the product would dwarf the cap but a known atom set is being
-    checked).  A candidate term is keyed once and, if new, stored as it is
-    when finite and ground, else rebased onto the arena; a rational system
-    that another system tried before must denote is not keyed at all.
+    The term universe depends only on the program's constants and
+    constructors, ``d``, ``c`` and ``CAP``.  Without seeds it is built
+    once per such signature in a process (``_universe``) and shared,
+    with its ground-key table, as read-only mappings: each call builds
+    only its own atoms.  ``seed_atoms`` are ``(atom, env)`` pairs taken
+    into the fragment together with all their subterms.  A seed's free
+    variables stay free in the arena, whose fresh names start past every
+    seed environment's counter and every ``V<n>`` name in a seed atom, so
+    a seeded fragment builds its universe afresh.  With ``atom_products``
+    the atom set is the full product of predicates over the term
+    universe; switched off, only seeded atoms are present (useful when
+    the product would dwarf the cap but a known atom set is being
+    checked).
     """
     funcs, preds = _signature(p)
-    consts = sorted(n for n, a in funcs if a == 0)
-    if not consts:
-        consts = [INJECTED_CONSTANT]
-        funcs.add((INJECTED_CONSTANT, 0))
+    consts = sorted(n for n, a in funcs if a == 0) or [INJECTED_CONSTANT]
     constructors = sorted((n, a) for n, a in funcs if a > 0)
 
-    top = max((bump_counter_past(env, a).counter for a, env in seed_atoms),
-              default=0)
-    frag = GroundFragment(env=EMPTY_ENV.with_counter(top))
+    if seed_atoms:
+        top = max(bump_counter_past(env, a).counter for a, env in seed_atoms)
+        frag = GroundFragment(env=EMPTY_ENV.with_counter(top))
+        _enumerate(frag, consts, constructors, d, c)
+        for a, env in seed_atoms:
+            for sub in subterms(a.args, env):
+                if isinstance(sub, Compound):
+                    frag.add_term(sub, env)
+                else:
+                    frag._free = True
+    else:
+        universe, ground_keys, env = _universe(
+            tuple(consts), tuple(constructors), d, c, CAP)
+        frag = GroundFragment(universe, {}, env, _ground_keys=ground_keys)
 
+    if atom_products:
+        for pred, arity in sorted(preds):
+            if len(frag.universe) ** arity > CAP:
+                raise FragmentError(
+                    f"atom product for {pred}/{arity} exceeds cap {CAP}")
+            for keys in itertools.product(frag.universe, repeat=arity):
+                frag.add_atom((pred, arity) + keys, Atom(pred, tuple(
+                    frag.universe[k] for k in keys)))
+
+    # A seed argument is a universe term, or a free variable keyed by name.
+    for a, env in seed_atoms:
+        keys = tuple(canon_key(t, env) for t in a.args)
+        frag.add_atom((a.pred, len(keys)) + keys, Atom(a.pred, tuple(
+            Var(k[1]) if k[0] == "v" else frag.universe[k] for k in keys)))
+
+    return frag
+
+
+@functools.lru_cache(maxsize=UNIVERSES)
+def _universe(consts: tuple, constructors: tuple, d: int, c: int,
+              cap: int) -> tuple:
+    """The seedless universe of a signature under ``cap`` (``CAP`` when
+    called): the universe, its ground-key table, both read-only, and the
+    arena they are valid under."""
+    frag = GroundFragment()
+    _enumerate(frag, consts, constructors, d, c)
+    return (MappingProxyType(frag.universe),
+            MappingProxyType(frag._ground_keys), frag.env)
+
+
+def _enumerate(frag: GroundFragment, consts, constructors, d: int,
+               c: int) -> None:
+    """Add the finite terms up to depth ``d`` and the rational terms of up
+    to ``c`` equations to ``frag``'s universe.  A candidate term is keyed
+    once and, if new, stored as it is when finite and ground, else rebased
+    onto the arena; a rational system that another system tried before
+    must denote is not keyed at all."""
     # Finite terms, by depth layers.  A combination of older terms only was
     # tried in an earlier layer, so each layer tries those with at least one
     # argument from the newest layer.
@@ -212,30 +271,6 @@ def build_fragment(p: Program, d: int = 2, c: int = 0, *,
                 if not any(id(t) in rational_ids for t in combo):
                     continue
                 frag.add_term(Compound(name, combo), frag.env)
-
-    for a, env in seed_atoms:
-        for sub in subterms(a.args, env):
-            if isinstance(sub, Compound):
-                frag.add_term(sub, env)
-            else:
-                frag._free = True
-
-    if atom_products:
-        for pred, arity in sorted(preds):
-            if len(frag.universe) ** arity > CAP:
-                raise FragmentError(
-                    f"atom product for {pred}/{arity} exceeds cap {CAP}")
-            for keys in itertools.product(frag.universe, repeat=arity):
-                frag.add_atom((pred, arity) + keys, Atom(pred, tuple(
-                    frag.universe[k] for k in keys)))
-
-    # A seed argument is a universe term, or a free variable keyed by name.
-    for a, env in seed_atoms:
-        keys = tuple(canon_key(t, env) for t in a.args)
-        frag.add_atom((a.pred, len(keys)) + keys, Atom(a.pred, tuple(
-            Var(k[1]) if k[0] == "v" else frag.universe[k] for k in keys)))
-
-    return frag
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +349,11 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
 def _tp_plans(p: Program, frag: GroundFragment, ignore_last: bool) -> tuple:
     """What every ``tp_step`` of ``p`` over ``frag`` reads: each clause
     renamed apart from the arena, with its head, its keyed head and its
-    join plan; and the fragment's atoms by predicate key, with their keys."""
+    join plan; and the fragment's atoms by predicate key, with their keys,
+    as the whole list and in buckets by the functor and arity of their
+    first argument (as ``Program.select`` picks clauses).  An atom whose
+    first argument is free is in every bucket, and the ``None`` bucket
+    holds those atoms alone; each bucket keeps fragment order."""
     plans = []
     for clause in p.clauses:
         rc, env0 = rename_apart(clause, frag.env)
@@ -324,9 +363,24 @@ def _tp_plans(p: Program, frag: GroundFragment, ignore_last: bool) -> tuple:
         plans.append((rc.body, env0, head, trimmed, one, ground))
     fragment_by_pred = {}
     if not all(ground for *_, ground in plans):  # some head is not ground
+        by_pred = {}
         for key, a in frag.atoms.items():
-            fragment_by_pred.setdefault(a.key, []).append((key, a))
+            by_pred.setdefault(a.key, []).append((key, a))
+        for pred, members in by_pred.items():
+            shapes = [_shape(a, frag.env) for _, a in members]
+            fragment_by_pred[pred] = members, {
+                s: [m for m, s2 in zip(members, shapes) if s2 in (None, s)]
+                for s in {None, *shapes}}
     return plans, fragment_by_pred
+
+
+def _shape(a: Atom, env: BindingEnv):
+    """The functor and arity of ``a``'s first argument under ``env``; None
+    when it has none or it is free."""
+    first = env.walk(a.args[0]) if a.args else None
+    if isinstance(first, Compound):
+        return first.functor, len(first.args)
+    return None
 
 
 def _tp_stage(plans: tuple, s: dict, frag: GroundFragment,
@@ -348,8 +402,13 @@ def _tp_stage(plans: tuple, s: dict, frag: GroundFragment,
                 key = frag.atom_key(trimmed, env)
                 matches = [(key, env)] if key in frag.atoms else []
             else:
+                members, buckets = fragment_by_pred.get(trimmed.key,
+                                                        ((), {None: ()}))
+                shape = _shape(trimmed, env)
+                if shape is not None:
+                    members = buckets.get(shape, buckets[None])
                 matches = []
-                for key, cand in fragment_by_pred.get(trimmed.key, ()):
+                for key, cand in members:
                     u = unify_atoms(trimmed, cand, env, occurs_check=False)
                     if u is not None:
                         matches.append((key, u))
@@ -450,11 +509,8 @@ def _proof_heads(p_trans: Program, frag: GroundFragment) -> dict:
             for b in body:
                 (keyed if _names((b,)) <= bound else joined).append(b)
             split = keyed, joined, _plan(joined, bound, set(), frag)[0]
-        first = head.args[0] if head.args else None
-        shape = ((first.functor, len(first.args))
-                 if isinstance(first, Compound) else None)
         heads.setdefault(head.key, []).append(
-            (head, body, env0, split, shape, {}))
+            (head, body, env0, split, _shape(head, env0), {}))
     return heads
 
 
@@ -466,10 +522,9 @@ def _proof_stage(heads: dict, frag: GroundFragment, atoms: dict,
         by_pred.setdefault(a.key, []).append(a)
     out = {}
     for key, a in atoms.items():
-        first = frag.env.walk(a.args[0]) if a.args else None
+        first = _shape(a, frag.env)
         for head, body, env0, split, shape, seen in heads.get(a.key, ()):
-            if (shape is not None and isinstance(first, Compound)
-                    and shape != (first.functor, len(first.args))):
+            if shape is not None and first is not None and shape != first:
                 continue
             u = None
             if key not in seen:

@@ -176,6 +176,17 @@ def test_a_fragment_over_its_cap_exits_2(capsys, monkeypatch):
         2, "", "error: fragment cap 3 exceeded\n")
 
 
+def test_a_universe_built_under_another_cap_is_not_reused(capsys,
+                                                          monkeypatch):
+    # The universe of zeros.lp at (2, 1) is built under the default cap
+    # first; under a cap of 3 the oracle must build, and refuse, its own.
+    program = parse_program(Path(ZEROS).read_text())
+    assert len(fixpoint.build_fragment(program, 2, 1).universe) > 3
+    monkeypatch.setattr(fixpoint, "CAP", 3)
+    assert run(capsys, "oracle", ZEROS, "up", "-d", "2", "-c", "1") == (
+        2, "", "error: fragment cap 3 exceeded\n")
+
+
 def test_solve_prints_a_deep_answer(capsys, tmp_path):
     program = tmp_path / "len.lp"
     program.write_text("len([], z).\nlen([_|T], s(N)) :- len(T, N).\n")

@@ -154,12 +154,14 @@ def test_fragment_keys_hold_in_the_arena():
 
 def test_atom_product_keys_no_term_again(monkeypatch):
     # Each universe term is keyed once, when it is added; the atoms of the
-    # product take their keys from the universe.
+    # product take their keys from the universe.  The universe is built
+    # cold, so both counts are of a real build.
+    fixpoint._universe.cache_clear()
     keyed = _count_calls(monkeypatch, fixpoint, "canon_key")
     added = _count_calls(monkeypatch, GroundFragment, "add_term")
     frag = build_fragment(FROM, 2, 1)
     assert len(frag.atoms) == 18769
-    assert len(keyed) == len(added)
+    assert len(keyed) == len(added) > 0
 
 
 def _universe_by_brute_force(consts, constructors, d, c):
@@ -242,6 +244,102 @@ def test_atom_key_is_the_key_of_each_argument(monkeypatch):
     for op in workloads.oracle_lemmas(mods, 1, ROOT).ops:
         assert op.run().ok, op.spec
     assert keyed > 1000
+
+
+def _lemma_report(p, n, d, c):
+    report = check_transform_lemmas(p, n=n, d=d, c=c)
+    return report.stages, report.fragment_atoms, report.counterexamples
+
+
+def test_a_warm_universe_builds_the_cold_fragment():
+    # A seedless universe is built once per signature and shared; a
+    # fragment built on a shared universe must equal one built cold, key
+    # for key and in order, and so must every lemma check run on it.
+    rng = random.Random(0x5EED)
+    cases = [(p, n, d, c) for p in (random_lemma_program(rng)
+                                    for _ in range(25))
+             for n, d, c in ((4, 3, 2), (3, 1, 1), (4, 2, 0))]
+    cases += [(parse_program(path.read_text()), 3, d, c)
+              for path in sorted((ROOT / "samples").glob("*.lp"))
+              for d, c in ((0, 0), (1, 1), (2, 1))]
+    cold = []
+    for p, n, d, c in cases:
+        fixpoint._universe.cache_clear()
+        frag = build_fragment(p, d, c)
+        fixpoint._universe.cache_clear()
+        cold.append((list(frag.universe), list(frag.atoms),
+                     _lemma_report(p, n, d, c)))
+    fixpoint._universe.cache_clear()
+    for _ in range(2):
+        for (p, n, d, c), (universe, atoms, report) in zip(cases, cold):
+            frag = build_fragment(p, d, c)
+            where = [str(clause) for clause in p.clauses]
+            assert list(frag.universe) == universe, where
+            assert list(frag.atoms) == atoms, where
+            _assert_keys_hold_in_the_arena(frag)
+            assert _lemma_report(p, n, d, c) == report
+    assert fixpoint._universe.cache_info().hits >= 3 * len(cases)
+
+
+def test_a_shared_universe_stays_as_it_was_built():
+    # A seeded fragment of the same signature builds a universe of its
+    # own, and a stray add_term on a shared fragment raises instead of
+    # growing what later fragments read.
+    p = parse_program("p(cons(X, Y)) :- p(Y).")
+    shared = build_fragment(p, 0, 0)
+    universe, arena = list(shared.universe), shared.env
+    goal = parse_goal("p(Z)")
+    ans = colp_solve(goal, p, Budget(max_answers=1),
+                     certificate=True).answers[0]
+    frag = certificate_fragment(p, ans)
+    _assert_keys_hold_in_the_arena(frag)
+    assert frag.atom_key(goal.atoms[0], ans.full_env) in frag.atoms
+    assert "V0" not in frag.env
+    assert frag.universe is not shared.universe
+    with pytest.raises(TypeError):
+        shared.add_term(parse_term("cons(a, a)"), EMPTY_ENV)
+    again = build_fragment(p, 0, 0)
+    assert again.universe is shared.universe
+    assert (list(again.universe), again.env) == (universe, arena)
+    _assert_keys_hold_in_the_arena(again)
+
+
+def test_a_second_lemma_check_of_a_signature_adds_no_term(monkeypatch):
+    # Two programs over the same constants and constructors share one
+    # universe: the second check enumerates nothing.
+    fixpoint._universe.cache_clear()
+    added = _count_calls(monkeypatch, GroundFragment, "add_term")
+    first = check_transform_lemmas(ZEROS, n=3, d=2, c=1)
+    assert first.holds and len(added) > 0
+    added.clear()
+    other = parse_program("ones(cons(0, cons(0, X))) :- ones(X).\n"
+                          "ones(cons(0, 0)).")
+    second = check_transform_lemmas(other, n=3, d=2, c=1)
+    assert second.holds and second.fragment_atoms == first.fragment_atoms
+    assert len(added) == 0
+
+
+def test_open_heads_scan_only_matching_first_arguments(monkeypatch):
+    # On the oracle-lemmas pool of seed 1, _tp_stage unified 10,066 open
+    # heads with fragment atoms, 3,213 of which failed on a first-argument
+    # clash; first-argument buckets leave none of those.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    mods = types.SimpleNamespace(fixpoint=fixpoint, syntax=sys.modules[
+        "hornlog.syntax"], terms=sys.modules["hornlog.terms"])
+    calls = 0
+    real = fixpoint.unify_atoms
+
+    def counting(a1, a2, env, occurs_check=False):
+        nonlocal calls
+        if sys._getframe(1).f_code is fixpoint._tp_stage.__code__:
+            calls += 1
+        return real(a1, a2, env, occurs_check)
+
+    monkeypatch.setattr(fixpoint, "unify_atoms", counting)
+    for op in workloads.oracle_lemmas(mods, 1, ROOT).ops:
+        assert op.run().ok, op.spec
+    assert 0 < calls <= 6853
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +557,36 @@ def test_joins_by_need_keep_every_stage_of_the_full_join(monkeypatch):
         assert got == want, [str(c) for c in p.clauses]
 
 
+def test_first_argument_buckets_keep_every_stage(monkeypatch):
+    # An open head scans only the atoms whose first argument can match its
+    # own, and an atom whose first argument is free can match any; every
+    # stage keeps the keys, order and representatives of a scan of all.
+    rng = random.Random(0xB0C)
+    cases = [(p, build_fragment(p, d, c), n)
+             for p in (random_lemma_program(rng) for _ in range(30))
+             for n, d, c in ((4, 3, 2), (3, 1, 1))]
+    cases += [(p, frag, 3) for p, frag in _certificate_fragments()]
+    p = parse_program("p(f(X)) :- q(Y). q(a). q(f(a)). r(g(X)) :- p(X).")
+    seeds = [(Atom("p", (Var("W"),)), EMPTY_ENV),
+             (Atom("r", (Var("U"),)), EMPTY_ENV)]
+    cases.append((p, build_fragment(p, 1, 0, seed_atoms=seeds), 3))
+    real = fixpoint._tp_plans
+
+    def unbucketed(p, frag, ignore_last):
+        plans, by_pred = real(p, frag, ignore_last)
+        return plans, {k: (members, {None: members})
+                       for k, (members, _) in by_pred.items()}
+
+    for p, frag, n in cases:
+        got = _chains(p, frag, n, lambda pt: fixpoint._proof_chain(
+            fixpoint._proof_heads(pt, frag), n, frag))
+        with monkeypatch.context() as m:
+            m.setattr(fixpoint, "_tp_plans", unbucketed)
+            want = _chains(p, frag, n, lambda pt: fixpoint._proof_chain(
+                fixpoint._proof_heads(pt, frag), n, frag))
+        assert got == want, [str(c) for c in p.clauses]
+
+
 def test_every_stage_holds_only_fragment_atoms():
     # A consequence is keyed by the fragment atom it instantiates, so no
     # stage outgrows the fragment, and the fragment's own cap (checked as
@@ -595,7 +723,8 @@ def test_lemma_check_caps_leftover_instantiations(monkeypatch):
 
 def test_lemma_check_keys_no_fragment_atom_again(monkeypatch):
     # Keys once: the checker holds each fragment atom's key from
-    # ``frag.atoms`` and never asks for it again.
+    # ``frag.atoms`` and never asks for it again, its universe built cold.
+    fixpoint._universe.cache_clear()
     frags = []
     keyed = []
     build = fixpoint.build_fragment
