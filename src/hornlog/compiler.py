@@ -19,6 +19,7 @@ branch bodies, and the union of the branch results.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,15 +79,11 @@ sub(int, int, int).
 eq(X, X).
 """
 
-_RUNTIME: Optional[Program] = None
 
-
+@functools.cache  # parsed once: every call returns the same Program
 def runtime_clauses() -> Program:
     """The fixed support clauses every compiled unit starts with."""
-    global _RUNTIME
-    if _RUNTIME is None:
-        _RUNTIME = parse_program(_RUNTIME_SRC, "<runtime>")
-    return _RUNTIME
+    return parse_program(_RUNTIME_SRC, "<runtime>")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,10 @@ finite ground members before it keys one.  The loops below carry the keys
 of the atoms they hold (from ``frag.atoms`` or from a stage set) instead of
 keying them again.  ``tp_step`` and ``_proof_step`` join clause bodies
 against a stage with one generator, ``_joins``, which scans members and
-keys none.
+keys none.  Candidates are picked by first argument through the one index
+that ``Program.select`` reads too (``first_index`` and ``first_pick`` in
+``hornlog.terms``): an open head's fragment atoms, from an index each
+fragment builds once, on first use, and the proof chain's heads.
 
 The join follows a plan read off each clause (``_plan``).  A body atom is
 *existential* when every variable it shares with the head or a later atom
@@ -64,6 +67,8 @@ from hornlog.terms import (
     Var,
     bump_counter_past,
     canon_key,
+    first_index,
+    first_pick,
     from_mu,
     head_matches,
     rename_apart,
@@ -130,6 +135,13 @@ class GroundFragment:
             if len(self.atoms) >= CAP:
                 raise FragmentError(f"fragment cap {CAP} exceeded")
             self.atoms[key] = atom
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        """``first_index`` of the ``(key, atom)`` members under the arena,
+        built on first use, so once per fragment."""
+        return first_index(((a, (key, a)) for key, a in self.atoms.items()),
+                           self.env)
 
 
 def _signature(p: Program):
@@ -346,14 +358,12 @@ def tp_step(p: Program, s: dict, frag: GroundFragment,
     return _tp_stage(_tp_plans(p, frag, ignore_last), s, frag, ignore_last)
 
 
-def _tp_plans(p: Program, frag: GroundFragment, ignore_last: bool) -> tuple:
+def _tp_plans(p: Program, frag: GroundFragment, ignore_last: bool) -> list:
     """What every ``tp_step`` of ``p`` over ``frag`` reads: each clause
     renamed apart from the arena, with its head, its keyed head and its
-    join plan; and the fragment's atoms by predicate key, with their keys,
-    as the whole list and in buckets by the functor and arity of their
-    first argument (as ``Program.select`` picks clauses).  An atom whose
-    first argument is free is in every bucket, and the ``None`` bucket
-    holds those atoms alone; each bucket keeps fragment order."""
+    join plan.  An open head unifies only with the fragment atoms that the
+    fragment's first-argument index (``first_pick``, as ``Program.select``
+    picks clauses) does not rule out."""
     plans = []
     for clause in p.clauses:
         rc, env0 = rename_apart(clause, frag.env)
@@ -361,37 +371,17 @@ def _tp_plans(p: Program, frag: GroundFragment, ignore_last: bool) -> tuple:
         trimmed = Atom(head.pred, head.args[:-1]) if ignore_last else head
         one, ground = _plan(rc.body, set(), _names((trimmed,)), frag)
         plans.append((rc.body, env0, head, trimmed, one, ground))
-    fragment_by_pred = {}
-    if not all(ground for *_, ground in plans):  # some head is not ground
-        by_pred = {}
-        for key, a in frag.atoms.items():
-            by_pred.setdefault(a.key, []).append((key, a))
-        for pred, members in by_pred.items():
-            shapes = [_shape(a, frag.env) for _, a in members]
-            fragment_by_pred[pred] = members, {
-                s: [m for m, s2 in zip(members, shapes) if s2 in (None, s)]
-                for s in {None, *shapes}}
-    return plans, fragment_by_pred
+    return plans
 
 
-def _shape(a: Atom, env: BindingEnv):
-    """The functor and arity of ``a``'s first argument under ``env``; None
-    when it has none or it is free."""
-    first = env.walk(a.args[0]) if a.args else None
-    if isinstance(first, Compound):
-        return first.functor, len(first.args)
-    return None
-
-
-def _tp_stage(plans: tuple, s: dict, frag: GroundFragment,
+def _tp_stage(plans: list, s: dict, frag: GroundFragment,
               ignore_last: bool) -> dict:
     """``tp_step`` from its ``_tp_plans``."""
-    clauses, fragment_by_pred = plans
     by_pred = {}
     for a in s.values():
         by_pred.setdefault(a.key, []).append(a)
     out = {}
-    for body, env0, head, trimmed, one, ground in clauses:
+    for body, env0, head, trimmed, one, ground in plans:
         for env in _joins(body, one, by_pred, env0):
             # Every admissible ground instance of the head *is* a fragment
             # atom, so unifying with those finds exactly what a product over
@@ -402,13 +392,8 @@ def _tp_stage(plans: tuple, s: dict, frag: GroundFragment,
                 key = frag.atom_key(trimmed, env)
                 matches = [(key, env)] if key in frag.atoms else []
             else:
-                members, buckets = fragment_by_pred.get(trimmed.key,
-                                                        ((), {None: ()}))
-                shape = _shape(trimmed, env)
-                if shape is not None:
-                    members = buckets.get(shape, buckets[None])
                 matches = []
-                for key, cand in members:
+                for key, cand in first_pick(frag._index, trimmed, env):
                     u = unify_atoms(trimmed, cand, env, occurs_check=False)
                     if u is not None:
                         matches.append((key, u))
@@ -484,7 +469,8 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
     a join exists is asked, and one member leaves that unchanged.
 
     A head is unified with an atom only if their first arguments do not
-    clash in functor or arity (as in ``Program.select``) and, for ground
+    clash in functor or arity (``first_pick``, the one first-argument
+    index that ``Program.select`` reads too) and, for ground
     atoms, ``head_matches`` says it will succeed; that binds nothing, so a
     failing head copies no arena.  A chain builds the table of heads once
     and steps with ``_proof_stage``, which keys each (atom, clause) pair's
@@ -494,12 +480,12 @@ def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
 
 
 def _proof_heads(p_trans: Program, frag: GroundFragment) -> dict:
-    """``_proof_step``'s clauses by the key of their stripped head: the
-    head, the body, the renamed clause's environment, the body's split
+    """``first_index`` of ``_proof_step``'s clauses by their stripped head:
+    the head, the body, the renamed clause's environment, the body's split
     into looked-up and joined atoms with the join plan (None in a fragment
-    with free variables, where it depends on the atom), the head's first
-    argument's functor and arity, and what the head gave each atom key."""
-    heads = {}
+    with free variables, where it depends on the atom), and what the head
+    gave each atom key."""
+    heads = []
     for clause in p_trans.clauses:
         rc, env0 = rename_apart(clause, frag.env)
         head, *body = [Atom(b.pred, b.args[:-1]) for b in (rc.head, *rc.body)]
@@ -509,9 +495,8 @@ def _proof_heads(p_trans: Program, frag: GroundFragment) -> dict:
             for b in body:
                 (keyed if _names((b,)) <= bound else joined).append(b)
             split = keyed, joined, _plan(joined, bound, set(), frag)[0]
-        heads.setdefault(head.key, []).append(
-            (head, body, env0, split, _shape(head, env0), {}))
-    return heads
+        heads.append((head, (head, body, env0, split, {})))
+    return first_index(heads, frag.env)
 
 
 def _proof_stage(heads: dict, frag: GroundFragment, atoms: dict,
@@ -522,10 +507,7 @@ def _proof_stage(heads: dict, frag: GroundFragment, atoms: dict,
         by_pred.setdefault(a.key, []).append(a)
     out = {}
     for key, a in atoms.items():
-        first = _shape(a, frag.env)
-        for head, body, env0, split, shape, seen in heads.get(a.key, ()):
-            if shape is not None and first is not None and shape != first:
-                continue
+        for head, body, env0, split, seen in first_pick(heads, a, frag.env):
             u = None
             if key not in seen:
                 if frag._free or head_matches(head, a, frag.env):

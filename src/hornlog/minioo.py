@@ -393,11 +393,9 @@ class _MooParser(_Cursor):
             self.expect("=")
             rhs = self.expr()
             self.expect(";")
-            assigns.append((fld_tok.text, rhs, fld_tok.span))
+            assigns.append((fld_tok.text, rhs))
         self.expect("}")
-        return Constructor(params, super_args,
-                           tuple((f, e) for f, e, _ in assigns),
-                           name_tok.span)
+        return Constructor(params, super_args, tuple(assigns), name_tok.span)
 
     def class_table(self) -> ClassTable:
         classes: dict = {}

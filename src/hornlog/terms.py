@@ -262,43 +262,57 @@ class Clause:
         return len(names) == len(set(names))
 
 
+def first_index(pairs, env: BindingEnv) -> dict:
+    """First-argument indexing (WAM ``switch_on_term``) of ``(atom, item)``
+    pairs: per ``atom.key``, every item, and the items by the functor and
+    arity of the atom's first argument under ``env``, all in entry order.
+    An item whose atom's first argument is free is in every bucket, and the
+    ``None`` bucket holds those items alone."""
+    rows: dict = {}
+    for atom, item in pairs:
+        first = _walk(env._b, atom.args[0]) if atom.args else None
+        shape = ((first.functor, len(first.args))
+                 if first.__class__ is Compound else None)
+        rows.setdefault(atom.key, []).append((item, shape))
+    index = {}
+    for key, row in rows.items():
+        index[key] = tuple(item for item, _ in row), {
+            s: tuple(item for item, s2 in row if s2 in (None, s))
+            for s in {None, *(s for _, s in row)}}
+    return index
+
+
+def first_pick(index: dict, atom: Atom, env: BindingEnv) -> tuple:
+    """The items of ``first_index`` under ``atom.key`` whose first argument
+    does not clash with ``atom``'s under ``env``; all of them when that
+    one is free."""
+    entry = index.get(atom.key)
+    if entry is None:
+        return ()
+    first = _walk(env._b, atom.args[0]) if atom.args else None
+    if first.__class__ is not Compound:
+        return entry[0]
+    buckets = entry[1]
+    return buckets.get((first.functor, len(first.args)), buckets[None])
+
+
 @dataclass(frozen=True)
 class Program:
     clauses: tuple = ()
 
     def clauses_for(self, key: tuple) -> tuple:
-        return self._index.get(key, ())
+        return self._index.get(key, ((),))[0]
 
     def select(self, atom: Atom, env: BindingEnv) -> tuple:
         """``clauses_for`` less each clause whose head's first argument
-        clashes with ``atom``'s under ``env`` (WAM ``switch_on_term``)."""
-        first = _walk(env._b, atom.args[0]) if atom.args else None
-        buckets = self._first_index.get(atom.key)
-        if first.__class__ is not Compound or buckets is None:
-            return self.clauses_for(atom.key)
-        return buckets.get((first.functor, len(first.args)), buckets[None])
+        clashes with ``atom``'s under ``env``, read off the one
+        first-argument index (``first_pick``)."""
+        return first_pick(self._index, atom, env)
 
     @cached_property
     def _index(self) -> dict:
-        """Clauses by head ``(pred, arity)``, each in program order."""
-        index: dict = {}
-        for c in self.clauses:
-            index.setdefault(c.head.key, []).append(c)
-        return {k: tuple(cs) for k, cs in index.items()}
-
-    @cached_property
-    def _first_index(self) -> dict:
-        """Per head key, the clauses by the functor and arity of their first
-        argument, in program order.  A clause with a variable there is in
-        every bucket, and the ``None`` bucket holds those clauses alone."""
-        index: dict = {}
-        for key, cs in self._index.items():
-            shapes = [None if isinstance(h, Var) else (h.functor, len(h.args))
-                      for h in (c.head.args[0] for c in cs if key[1])]
-            index[key] = {s: tuple(c for c, s2 in zip(cs, shapes)
-                                   if s2 in (None, s))
-                          for s in {None, *shapes}}
-        return index
+        """``first_index`` of the clauses by head, in program order."""
+        return first_index(((c.head, c) for c in self.clauses), EMPTY_ENV)
 
     @cached_property
     def var_ceiling(self) -> int:

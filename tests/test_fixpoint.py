@@ -342,6 +342,34 @@ def test_open_heads_scan_only_matching_first_arguments(monkeypatch):
     assert 0 < calls <= 6853
 
 
+def test_a_lemma_check_buckets_its_fragment_once(monkeypatch):
+    # p's head is left open after the join, so tp_up of p and of its
+    # transform and tp_down each scan the fragment's q atoms by first
+    # argument; the fragment's one index serves all three chains.
+    frags = []
+    real_build = fixpoint.build_fragment
+
+    def build(*args, **kwargs):
+        frags.append(real_build(*args, **kwargs))
+        return frags[-1]
+
+    indexed = []
+    real_index = fixpoint.first_index
+
+    def index(pairs, env):
+        pairs = list(pairs)
+        indexed.append([item for _, item in pairs])
+        return real_index(pairs, env)
+
+    monkeypatch.setattr(fixpoint, "build_fragment", build)
+    monkeypatch.setattr(fixpoint, "first_index", index)
+    p = parse_program("p(f(X)) :- q(Y). q(a).")
+    report = check_transform_lemmas(p, n=3, d=1, c=0)
+    assert report.holds and len(frags) == 1
+    members = list(frags[0].atoms.items())
+    assert sum(items == members for items in indexed) == 1
+
+
 # ---------------------------------------------------------------------------
 # One step
 
@@ -559,7 +587,8 @@ def test_joins_by_need_keep_every_stage_of_the_full_join(monkeypatch):
 
 def test_first_argument_buckets_keep_every_stage(monkeypatch):
     # An open head scans only the atoms whose first argument can match its
-    # own, and an atom whose first argument is free can match any; every
+    # own, and the proof chain tries only the heads whose first argument
+    # can match its atom's; a free first argument can match any.  Every
     # stage keeps the keys, order and representatives of a scan of all.
     rng = random.Random(0xB0C)
     cases = [(p, build_fragment(p, d, c), n)
@@ -570,18 +599,15 @@ def test_first_argument_buckets_keep_every_stage(monkeypatch):
     seeds = [(Atom("p", (Var("W"),)), EMPTY_ENV),
              (Atom("r", (Var("U"),)), EMPTY_ENV)]
     cases.append((p, build_fragment(p, 1, 0, seed_atoms=seeds), 3))
-    real = fixpoint._tp_plans
 
-    def unbucketed(p, frag, ignore_last):
-        plans, by_pred = real(p, frag, ignore_last)
-        return plans, {k: (members, {None: members})
-                       for k, (members, _) in by_pred.items()}
+    def unbucketed(index, atom, env):
+        return index.get(atom.key, ((),))[0]
 
     for p, frag, n in cases:
         got = _chains(p, frag, n, lambda pt: fixpoint._proof_chain(
             fixpoint._proof_heads(pt, frag), n, frag))
         with monkeypatch.context() as m:
-            m.setattr(fixpoint, "_tp_plans", unbucketed)
+            m.setattr(fixpoint, "first_pick", unbucketed)
             want = _chains(p, frag, n, lambda pt: fixpoint._proof_chain(
                 fixpoint._proof_heads(pt, frag), n, frag))
         assert got == want, [str(c) for c in p.clauses]
