@@ -29,7 +29,11 @@ Cases:
   clause text, the counter after it, and each renamed variable's span.
 * ``parse/<i>``: ``program_text`` of every ``.lp`` sample, every node and
   span of a few well-formed terms, and the ``ParseError`` text of a fixed
-  list of malformed programs, goals and terms.
+  list of malformed programs, goals and terms.  ``parse/lines/<i>``: every
+  clause, atom and term node with its span, or the error and its span, of
+  multi-line programs, goals and terms with CRLF line ends, tabs, comments
+  mid-line and at the end of input, other characters that ``\s`` matches
+  (form feed, U+0085, U+00A0, ...) and a bad character on a later line.
 * ``cli/<i>``: ``solve``, ``infer``, ``check``, ``transform`` and
   ``compile`` on the samples and ``lists.moo``, exit code and both
   streams, with the checkout path cut from them.
@@ -37,7 +41,9 @@ Cases:
   ``lists.moo`` and of a source with inheritance (``class_table_text``,
   each declaration's ``repr`` and every expression node with its span);
   nodes and spans of fixed expressions; the ``MooError`` text and span of
-  malformed sources and expressions; and seeded random expressions,
+  malformed sources and expressions; ``moo/lines/<i>``, the same for
+  multi-line sources and expressions written as ``parse/lines/<i>``'s
+  inputs are; and seeded random expressions,
   printed with ``expr_text``, parsed back and compiled with
   ``compile_expr`` (the goal, the result and the type environment).
 * ``referee/<name>``: the fixpoint referee on the ``.lp`` samples with
@@ -547,6 +553,56 @@ def _nodes_text(t) -> str:
     return "\n".join(lines)
 
 
+# Multi-line inputs: CRLF line ends, tabs, comments mid-line and at the end
+# of input with no newline, and the characters ``\s`` matches besides the
+# usual ones (form feed, vertical tab, U+0085, U+00A0, U+2028, U+3000).
+# Only ``\n`` starts a line, so every other one counts as a column.
+_LINES = [
+    ("program", "p(a).\r\n% note\r\n\tp(b) :- q(X), % tail\r\n  r(X).\r\n"),
+    ("program", "p(a).\r\n% note\r\n\tp(b) :- q(X), % tail\r\n  r(X) ? .\r\n"),
+    ("program", "p(X) :- q(X). % end, no newline"),
+    ("program", "p(a).\f\n q(b)\x85.\xa0r(c).\v\n\u2028s(\u3000d)."),
+    ("program", "p(\n  f(X,\tY),\r\n  [a, b|T]\n).  % c\n\n\tq :- p(_, _, _).%x"),
+    ("program", "p(a).\n\n  q(b) :-\n\t r(c) & s.\n"),
+    ("program", "p(a).\r\n\tq(b\r\n%c\r\n"),
+    ("program", "p(a).\xa0\x85\f\v$"),
+    ("program", "p(a).\n\tq(\xe9)."),
+    ("program", "% only\r\n% comments\r\n"),
+    ("program", "p :-\r\n\tq,\r\n\tr.\r\n% last"),
+    ("goal", "?- p(X),\r\n\tq(Y) % c\r\n."),
+    ("goal", "p(a"),
+    ("goal", "p(X)\r\n\t\r\n  ,% c\n q(X) r"),
+    ("term", "f(\n\ta \\/\n\tb:c\r\n)"),
+    ("term", "[\ta,\r\n\tb\x85|\xa0T\f]"),
+    ("term", "p(\u0663)"),
+    ("term", "f(a,\n\n\n    \t  @)"),
+    ("term", "g(X) % trailing"),
+]
+
+
+def _parsed_nodes_text(parsed) -> str:
+    """Every clause, atom and term node of a parsed program, goal or term,
+    with its span, in the style of ``_nodes_text``."""
+    if isinstance(parsed, (Var, Compound)):
+        return _nodes_text(parsed)
+    if isinstance(parsed, Goal):
+        clauses = [(None, a) for a in parsed.atoms]
+    else:
+        clauses = [(c, a) for c in parsed.clauses for a in (c.head, *c.body)]
+    lines, seen = [], None
+    for c, a in clauses:
+        if c is not None and c is not seen:
+            seen = c
+            s = c.span
+            lines.append(f"clause {c.idx} {(s.line, s.column, s.length)}")
+        s = a.span
+        lines.append(f" atom {a.pred}/{len(a.args)} "
+                     f"{(s.line, s.column, s.length)}")
+        for t in a.args:
+            lines += ["  " + line for line in _nodes_text(t).split("\n")]
+    return "\n".join(lines)
+
+
 def parse_cases() -> dict:
     cases = {}
     for sample in sorted(SAMPLES.glob("*.lp")):
@@ -563,6 +619,14 @@ def parse_cases() -> dict:
         else:
             out = _nodes_text(parsed) if kind == "term" else repr(parsed)
         cases[f"parse/{i}"] = f"{kind} {text!r}\n{out}"
+    for i, (kind, text) in enumerate(_LINES):
+        try:
+            parsed = parsers[kind](text, "lines.lp")
+        except ParseError as exc:
+            out = f"ParseError {exc} span {exc.span!r}"
+        else:
+            out = _parsed_nodes_text(parsed)
+        cases[f"parse/lines/{i}"] = f"{kind} {text!r}\n{out}"
     return cases
 
 
@@ -747,6 +811,26 @@ _MOO_MALFORMED = [
     ("source", "class A { A() { super(); } A() { super(); } }"),
 ]
 
+# Multi-line sources and expressions, with the whitespace and comments of
+# ``_LINES``.
+_MOO_LINES = [
+    ("source", "class A extends Object {\r\n\tf; // field\r\n\tA(x) {\r\n"
+               "\t\tsuper();\r\n\t\tthis.f = x;\r\n\t}\r\n"
+               "\tm() { this.f }\r\n} // end"),
+    ("source", "class A {\n// c\n  A() { super(); } #\n}"),
+    ("source", "class\xa0A\x85{\f m() {\v1 }\u2028}\u3000"),
+    ("source", "CLASS Foo {\r\n\tBAR;\r\n\tFoo(B) { super(); this.bar = B; }"
+               "\r\n}\r\n// tail"),
+    ("source", "class A {\r\n\tm() { x }\r\n"),
+    ("source", "class A {\n\tm(x) {\n\t\tx.f(\t// c\n\t\t  1 - \xe9)\n\t}\n}"),
+    ("expr", "x\r\n\t.m(y, // c\r\n  z) + 1"),
+    ("expr", "new A(\n\t1,\r\n\tx.f)"),
+    ("expr", "x // only a comment at the end"),
+    ("expr", "x\n  / y"),
+    ("expr", "if (a\f<=\x85b)\n\tc\r\nelse\xa0d"),
+    ("expr", "\n\n\t"),
+]
+
 _MOO_LABELS = ("name", "value", "cls", "fld", "method", "op")
 
 
@@ -842,6 +926,15 @@ def moo_cases() -> dict:
         except MooError as exc:
             out = f"MooError {exc} span {exc.span!r}"
         cases[f"moo/error/{i}"] = f"{kind} {text!r}\n{out}"
+    for i, (kind, text) in enumerate(_MOO_LINES):
+        try:
+            if kind == "expr":
+                out = _moo_nodes_text(parse_expr(text, "lines.moo"))
+            else:
+                out = _class_table_cases("lines.moo", text)
+        except MooError as exc:
+            out = f"MooError {exc} span {exc.span!r}"
+        cases[f"moo/lines/{i}"] = f"{kind} {text!r}\n{out}"
     rng = random.Random(20174)
     for i in range(RANDOM_EXPRS):
         text = moo.expr_text(_random_expr(rng, 6))
