@@ -405,6 +405,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # A character that the output encoding lacks (``σ`` in a trace line
+    # under latin-1) is written as a backslash escape instead of failing.
+    for stream in (sys.stdout, sys.stderr):
+        reconfigure = getattr(stream, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(errors="backslashreplace")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -180,12 +180,15 @@ _KEYWORDS = frozenset(
     ["class", "extends", "new", "this", "super", "if", "else",
      "true", "false", "null"])
 
+# One match per lexeme, as ``syntax._TOKEN_RE``: skip whitespace and
+# comments, then the lexeme, ``eof`` or one ``bad`` character.
 _MOO_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*)
-      | (?P<int>\d+)
+    r"""(?:\s+|//[^\n]*)*
+    (?: (?P<int>\d+)
       | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
       | (?P<punct><=|[{}();,.=\-])
+      | (?P<eof>\Z)
+      | (?P<bad>.) )
     """,
     re.VERBOSE,
 )
@@ -196,7 +199,7 @@ def _parser(text: str, filename: str) -> "_MooParser":
     toks = _tokenize(text, filename, _MOO_TOKEN_RE, MooError)
     for t in toks:
         if t.kind == "ident":
-            t.text = t.text.lower()
+            t.text = t.text.lower()  # ASCII, so a span's length stays
             t.kind = "keyword" if t.text in _KEYWORDS else "ident"
     return _MooParser(toks)
 

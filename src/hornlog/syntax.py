@@ -8,6 +8,12 @@ The clause format is Prolog-like::
 plus two infix operators: ``\\/`` (union, right-associative) and ``:``
 (field-record entry, binding tighter than union, internal functor ``fld``).
 ``%`` starts a comment.  Every parsed node carries a 1-based source span.
+
+The tokenizer makes one regex match per lexeme: the match skips the
+whitespace and comments before it, and lines are counted in what it
+skipped.  A token holds its position, not a span: its ``span`` is built
+when a parser reads it, so punctuation that no node keeps builds none.
+``minioo`` tokenizes with the same loop and its own regex.
 """
 
 from __future__ import annotations
@@ -51,50 +57,68 @@ class PrintError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# One match per lexeme: a prefix skips whitespace and comments, then one
+# alternative names the lexeme.  ``eof`` matches at the end of the input and
+# ``bad`` at any character that starts no lexeme.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<turnstile>:-)
+    r"""(?:\s+|%[^\n]*)*
+    (?: (?P<turnstile>:-)
       | (?P<query>\?-)
       | (?P<union>\\/)
       | (?P<int>\d+)
       | (?P<name>[a-z][A-Za-z0-9_$]*)
       | (?P<var>[A-Z_][A-Za-z0-9_$]*)
       | (?P<punct>[()\[\],|.:])
+      | (?P<eof>\Z)
+      | (?P<bad>.) )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass
 class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+    """A lexeme: its kind, its text and where it starts.  ``span`` is built
+    when a parser reads it, so a token that no node keeps builds none."""
+
+    __slots__ = ("kind", "text", "file", "line", "column")
+
+    def __init__(self, kind: str, text: str, file: str, line: int,
+                 column: int):
+        self.kind = kind
+        self.text = text
+        self.file = file
+        self.line = line
+        self.column = column
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.file, self.line, self.column, len(self.text))
 
 
 def _tokenize(text: str, filename: str, token_re=_TOKEN_RE,
               error=ParseError) -> list:
-    """The tokens of ``text`` under ``token_re``, then ``eof``; ``error`` on an
-    unknown character.  ``minioo`` passes its own regex and error class."""
+    """The tokens of ``text`` under ``token_re``, ending with ``eof``;
+    ``error`` at a ``bad`` character.  ``minioo`` passes its own regex and
+    error class.  A lexeme holds no newline, so lines are counted in the
+    skipped prefixes alone."""
     out = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = token_re.match(text, pos)
-        if m is None:
-            raise error(f"unexpected character {text[pos]!r}",
-                        SourceSpan(filename, line, col, 1))
-        kind, tok = m.lastgroup, m.group()
-        if kind not in ("ws", "comment"):
-            out.append(_Token(kind, tok, SourceSpan(filename, line, col, len(tok))))
-        newlines = tok.count("\n")
-        if newlines:
-            line += newlines
-            col = len(tok) - tok.rfind("\n")
-        else:
-            col += len(tok)
-        pos = m.end()
-    out.append(_Token("eof", "", SourceSpan(filename, line, col, 0)))
+    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's start
+    for m in token_re.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, start) + 1
+        if kind == "bad":
+            raise error(f"unexpected character {text[start]!r}",
+                        SourceSpan(filename, line, start - line_start + 1, 1))
+        out.append(_Token(kind, text[start:end], filename, line,
+                          start - line_start + 1))
+        if kind == "eof":  # else an empty ``eof`` follows one after a prefix
+            break
+        pos = end
     return out
 
 

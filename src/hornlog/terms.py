@@ -9,6 +9,16 @@ pair of nodes, which is what makes unification on rational trees terminate.
 A :class:`MuTerm` is the exportable face of a rational term: a finite root
 plus a set of contractive equations, suitable for printing and comparison.
 
+:class:`Compound`, :class:`Var` and :class:`SourceSpan` are frozen slotted
+dataclasses whose ``__init__`` is written by hand: it stores each field
+through the slot's own descriptor setter (``_set_functor`` and the like),
+which costs a fraction of what a generated frozen ``__init__`` and
+``object.__setattr__`` cost.  Every parser, renaming, resolve and print
+builds nodes, so that cost is paid per node.  Fields, ``==``, ``hash``,
+``repr``, ``dataclasses.replace``, copying and pickling are the
+dataclass's, and assigning or deleting a field still raises
+``FrozenInstanceError``.
+
 Every :class:`Compound` carries a ground fingerprint ``fp``, computed once
 when the node is built from its functor and its arguments' fingerprints.
 It is ``None`` exactly when a :class:`Var` occurs in the term, and two
@@ -94,7 +104,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SourceSpan:
     """Location of a parsed node: 1-based line/column plus length."""
 
@@ -103,11 +113,17 @@ class SourceSpan:
     column: int
     length: int = 0
 
+    def __init__(self, file: str, line: int, column: int, length: int = 0):
+        _set_file(self, file)
+        _set_line(self, line)
+        _set_column(self, column)
+        _set_length(self, length)
+
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Var:
     name: str
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
@@ -115,8 +131,12 @@ class Var:
     #: A variable is never ground (see ``Compound.fp``).
     fp = None
 
+    def __init__(self, name: str, span: Optional[SourceSpan] = None):
+        _set_name(self, name)
+        _set_var_span(self, span)
 
-@dataclass(frozen=True, slots=True, eq=False)
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Compound:
     """A functor applied to zero or more terms; constants are 0-ary.
 
@@ -129,9 +149,13 @@ class Compound:
     span: Optional[SourceSpan] = field(default=None, repr=False)
     fp: Optional[int] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        fp = hash(self.functor)
-        for a in self.args:
+    def __init__(self, functor: str, args: tuple = (),
+                 span: Optional[SourceSpan] = None):
+        _set_functor(self, functor)
+        _set_args(self, args)
+        _set_span(self, span)
+        fp = hash(functor)
+        for a in args:
             if a.fp is None:
                 fp = None
                 break
@@ -153,8 +177,17 @@ class Compound:
             for a in self.args]))
 
 
-# Compound is frozen, so __post_init__ writes ``fp`` through the slot's own
-# descriptor, which is cheaper than ``object.__setattr__`` on every node.
+# The nodes are frozen, so their constructors write each field through the
+# slot's own descriptor, which is cheaper than ``object.__setattr__``.
+_set_file = SourceSpan.file.__set__
+_set_line = SourceSpan.line.__set__
+_set_column = SourceSpan.column.__set__
+_set_length = SourceSpan.length.__set__
+_set_name = Var.name.__set__
+_set_var_span = Var.span.__set__
+_set_functor = Compound.functor.__set__
+_set_args = Compound.args.__set__
+_set_span = Compound.span.__set__
 _set_fp = Compound.fp.__set__
 
 

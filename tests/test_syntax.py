@@ -203,14 +203,14 @@ def test_lazy_print_of_a_long_stream_prefix_costs_its_graph(monkeypatch):
                          Budget(max_answers=1), lazy_k=k)
     [answer] = verdict.answers
     built = []
-    original = Compound.__post_init__
+    original = Compound.__init__
 
-    def counting(self):
+    def counting(self, *args):
         built.append(None)
         assert len(built) <= 3 * k, "the unfolding is being built"
-        original(self)
+        original(self, *args)
 
-    monkeypatch.setattr(Compound, "__post_init__", counting)
+    monkeypatch.setattr(Compound, "__init__", counting)
     cells = "".join(f"[{'s(' * i}0{')' * i}|" for i in range(k))
     assert print_answer(answer, "lazy") == f"X = {cells}V{4 * k - 3}?{']' * k}"
     built.clear()
