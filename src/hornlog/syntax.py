@@ -19,7 +19,6 @@ when a parser reads it, so punctuation that no node keeps builds none.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from hornlog.terms import (
@@ -57,9 +56,8 @@ class PrintError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# One match per lexeme: a prefix skips whitespace and comments, then one
-# alternative names the lexeme.  ``eof`` matches at the end of the input and
-# ``bad`` at any character that starts no lexeme.
+# A prefix skips whitespace and comments; then ``eof`` matches at the end
+# of the input and ``bad`` at a character that starts no lexeme.
 _TOKEN_RE = re.compile(
     r"""(?:\s+|%[^\n]*)*
     (?: (?P<turnstile>:-)

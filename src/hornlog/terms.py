@@ -177,8 +177,7 @@ class Compound:
             for a in self.args]))
 
 
-# The nodes are frozen, so their constructors write each field through the
-# slot's own descriptor, which is cheaper than ``object.__setattr__``.
+# The slots' descriptor setters that the nodes' constructors write through.
 _set_file = SourceSpan.file.__set__
 _set_line = SourceSpan.line.__set__
 _set_column = SourceSpan.column.__set__

@@ -5,7 +5,10 @@ streams stay observable.  The golden outputs here are part of the
 interface: scripts are expected to parse them.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -712,3 +715,32 @@ def test_solve_reads_a_deep_goal(capsys, tmp_path):
                          "--max-depth", "2000", "--max-answers", "1")
     assert code == 0, err
     assert out.startswith("L = [") and out.count(",") == n - 1
+
+
+def _solve_traced_zeros(encoding: str) -> subprocess.CompletedProcess:
+    """``hornlog solve zeros.lp "zeros(X)" --engine colp --trace`` in a
+    child process whose standard streams use ``encoding``."""
+    root = SAMPLES.parent
+    env = {**os.environ, "PYTHONIOENCODING": encoding,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "hornlog.cli", "solve", ZEROS, "zeros(X)",
+         "--engine", "colp", "--trace"],
+        env=env, capture_output=True, timeout=60)
+
+
+def test_a_trace_escapes_what_the_output_encoding_lacks():
+    # latin-1 has no sigma: it is written as a backslash escape, not a crash.
+    done = _solve_traced_zeros("latin-1")
+    assert (done.returncode, done.stderr) == (0, b"")
+    lines = done.stdout.decode("latin-1").splitlines()
+    assert lines[0] == "#1 sld clause 1 atom 0 \\u03c3={X=cons(0, V0)}"
+    assert lines[-1] == "X = cons(0, X)"
+    # UTF-8 output is what it was.
+    done = _solve_traced_zeros("utf-8")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (
+        "#1 sld clause 1 atom 0 σ={X=cons(0, V0)}\n"
+        "#2 hyp clause 1 atom 0 σ={V0=cons(0, cons(0, V0))}\n"
+        "X = cons(0, X)\n").encode("utf-8")
