@@ -684,6 +684,28 @@ def test_to_mu_mutual_cycle_is_minimal():
     assert rational_equal(t, Var("X"), env2, env)
 
 
+def test_to_mu_names_a_cycle_entered_through_no_variable():
+    # N is entered as a literal term and closed through its own argument,
+    # so no variable names its entry: it is called Mu<n>, counted in order.
+    n = Compound("f", (Var("Y"),))
+    m = Compound("h", (Var("Z"),))
+    env = BindingEnv({"Y": Compound("g", (n,)), "Z": Compound("k", (m,))})
+    mu = to_mu(env, n)
+    assert mu.root == Var("Mu0")
+    assert mu.equations == {
+        "Mu0": Compound("f", (Compound("g", (Var("Mu0"),)),))}
+    mu = to_mu(env, Compound("p", (n, m)))
+    assert mu.root == Compound("p", (Var("Mu0"), Var("Mu1")))
+    assert list(mu.equations.items()) == [
+        ("Mu0", Compound("f", (Compound("g", (Var("Mu0"),)),))),
+        ("Mu1", Compound("h", (Compound("k", (Var("Mu1"),)),)))]
+    # entered through Y, the same cycle takes Y's name
+    mu = to_mu(env, Var("Y"))
+    assert mu.root == Var("Y")
+    assert mu.equations == {
+        "Y": Compound("g", (Compound("f", (Var("Y"),)),))}
+
+
 def test_mu_requires_contractive_equations():
     with pytest.raises(UnificationError):
         MuTerm(Var("X"), {"X": Var("Y")})
