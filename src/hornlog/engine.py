@@ -422,11 +422,11 @@ def _rewrite_normalize(atoms: tuple, env: BindingEnv, path: list,
             observer(atoms, cur_env)
 
 
-def _goal_snapshot(atoms, env: BindingEnv, limit: int = 6) -> str:
+def _goal_snapshot(atoms, env: BindingEnv) -> str:
     shown = [syntax.term_text(resolve(env, Compound(a.pred, a.args), 2,
                                       cut=12))
-             for a in atoms[:limit]]
-    if len(atoms) > limit:
+             for a in atoms[:6]]
+    if len(atoms) > len(shown):
         shown.append("...")
     return ", ".join(shown) if shown else "<empty>"
 

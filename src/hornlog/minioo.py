@@ -463,11 +463,11 @@ def parse_expr(text: str, filename: str = "<expr>") -> Expr:
 #
 # Precedence levels for parenthesization: if (0) < <= (1) < - (2) < postfix.
 
-def expr_text(e: Expr, prec: int = 0) -> str:
+def expr_text(e: Expr) -> str:
     """Render an expression, of any depth: an explicit stack holds the text
     still to come, as in ``syntax.term_text``."""
     pieces: list = []
-    stack: list = [(e, prec)]  # text pieces and (expr, precedence) items
+    stack: list = [(e, 0)]  # text pieces and (expr, precedence) items
     while stack:
         x = stack.pop()
         if x.__class__ is str:

@@ -54,9 +54,9 @@ each for its own question:
 * ``_on_cycles`` finds every compound that lies on a cycle, in one pass
   of Tarjan's strongly connected components.  ``resolve`` runs it only at
   depth 0: deeper, it cuts only nodes open on the path, all on a cycle.
-* ``_cycle_scan`` finds where cycles close: a path-marking walk that
-  records the variable through which each compound is first entered and
-  each back edge's target.  ``has_cycle`` and ``to_mu`` both read it.
+* ``has_cycle`` and ``to_mu`` each mark the compounds on the path of a
+  walk of their own: one met again while on it is a back edge, where a
+  cycle closes.  ``has_cycle`` returns at the first; ``to_mu`` copies.
 * ``_occurs``, the occurs check, stays apart from ``subterms``: it runs on
   every binding to a compound when the check is on, and it never enters a
   ground compound.  :func:`unify_head` turns it off for a linear clause
@@ -74,7 +74,8 @@ each for its own question:
   variables live in a dict of their own.  The targets it finds are the
   matcher, which :func:`match_head` binds to the variables' fresh names.
 * :meth:`BindingEnv.restrict` walks binding chains without dereferencing
-  them, because it keeps every raw binding it passes.
+  them, because it keeps every raw binding it passes.  It expands a
+  compound once, unless a cycle reaches it again before it is done.
 
 No builder in this module recurses on term depth.  ``resolve``, ``to_mu``
 and ``_rename`` (for renamed clauses and bodies and :func:`from_mu`) build
@@ -417,13 +418,19 @@ class BindingEnv:
         return BindingEnv._wrap(self._b, max(self.counter, counter))
 
     def restrict(self, names) -> "BindingEnv":
-        """Keep only bindings reachable from ``names`` (cycles preserved)."""
+        """Keep only bindings reachable from ``names`` (cycles preserved),
+        in depth-first order.  A compound is expanded again only where a
+        cycle reaches it before its arguments are done, which keeps that
+        order; a shared term costs its graph, not its unfolding."""
         keep: dict = {}
         work = [Var(n) for n in names]
-        seen = set()
+        seen = set()  # variable names
+        done = set()  # ids of compounds whose arguments were all walked
         while work:
             t = work.pop()
-            if isinstance(t, Var):
+            if t.__class__ is tuple:  # (node,): node's arguments are done
+                done.add(id(t[0]))
+            elif isinstance(t, Var):
                 if t.name in seen:
                     continue
                 seen.add(t.name)
@@ -431,7 +438,8 @@ class BindingEnv:
                 if bound is not None:
                     keep[t.name] = bound
                     work.append(bound)
-            else:
+            elif id(t) not in done:
+                work.append((t,))
                 work.extend(t.args)
         return BindingEnv._wrap(keep, self.counter)
 
@@ -789,42 +797,29 @@ def _on_cycles(env: BindingEnv, t: Term) -> set:
     return out
 
 
-def _cycle_scan(env: BindingEnv, t: Term) -> tuple:
-    """Depth-first walk of ``t`` under ``env``, left to right, marking the
-    compounds on the current path.  Returns ``(first_via, back_via)``: for
-    every compound reached, the variable through which it was first entered
-    (``None`` when reached as a literal argument), and for every compound
-    reached again while still on the path (a back edge, so a cycle entry),
-    the variable of its first such re-entry."""
+def has_cycle(env: BindingEnv, t: Term) -> bool:
+    """True if ``t`` under ``env`` denotes an infinite (rational) tree: a
+    walk marking the compounds on its path stops at the first one it meets
+    again while on it (a back edge)."""
     bindings = env._b
     on_path: dict = {}  # id -> True while on the path, False once left
-    first_via: dict = {}
-    back_via: dict = {}
     stack: list = [t]
     while stack:
         x = stack.pop()
         if x.__class__ is tuple:  # (node,): every argument of node is done
             on_path[id(x[0])] = False
             continue
-        via = x.name if isinstance(x, Var) else None
         x = _walk(bindings, x)
-        if isinstance(x, Var):
+        if x.__class__ is Var:
             continue
-        nid = id(x)
-        mark = on_path.get(nid)
+        mark = on_path.get(id(x))
         if mark:
-            back_via.setdefault(nid, via)
-        elif mark is None:
-            first_via[nid] = via
-            on_path[nid] = True
+            return True
+        if mark is None:
+            on_path[id(x)] = True
             stack.append((x,))
             stack.extend(reversed(x.args))
-    return first_via, back_via
-
-
-def has_cycle(env: BindingEnv, t: Term) -> bool:
-    """True if ``t`` under ``env`` denotes an infinite (rational) tree."""
-    return bool(_cycle_scan(env, t)[1])
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -860,49 +855,52 @@ class MuTerm:
 def to_mu(env: BindingEnv, t: Term) -> MuTerm:
     """Convert ``t`` under ``env`` to an equivalent :class:`MuTerm`.
 
-    Minimal in the sense of one equation per distinct cycle entry; acyclic
-    bindings are inlined.  Equation variables reuse the name of the first
-    variable through which the cycle is reached.  A node that is no cycle
-    entry is copied once and shared, so the result costs what its graph does.
+    One depth-first walk copies ``t`` and marks the compounds on its path.
+    A compound met again on the path is a cycle entry; its copy is its
+    equation's right side.  The equation is named at the first back edge:
+    by the variable the entry was entered through, else the back edge's,
+    else ``Mu<n>`` in order (``N = f(Y)``, ``Y -> g(N)`` closes through
+    ``N``'s argument).  Acyclic bindings are inlined.  Any other node is
+    copied once and shared, so the result costs what its graph does.
     """
-    # Nodes with a back edge are the cycle entries; cycles always re-enter
-    # through a variable binding, whose name the equation takes.
-    first_via, back_via = _cycle_scan(env, t)
-
-    synth = itertools.count()
-    names = {nid: first_via.get(nid) or via or f"Mu{next(synth)}"
-             for nid, via in back_via.items()}
-
     bindings = env._b
-    # Post-order, so an equation is added when its compound is finished.
-    equations: dict = {}
-    # id -> the copy of a node: its equation's variable for a cycle entry
-    copies: dict = {}
+    synth = itertools.count()
+    # id -> a node on the path: the name of the variable it was entered
+    # through (or None), or its equation's variable once it is an entry
+    opened: dict = {}
+    copies: dict = {}  # id -> a finished node's copy, or its entry's variable
+    equations: dict = {}  # in post-order: added as each entry is finished
     out: list = []  # finished subterms, left to right
     stack: list = [t]
     while stack:
         x = stack.pop()
-        if x.__class__ is tuple:  # (node, name): node's arguments are built
-            node, name = x
+        if x.__class__ is tuple:  # (node,): node's arguments are built
+            node = x[0]
             k = len(out) - len(node.args)
             built = Compound(node.functor, tuple(out[k:]))
             del out[k:]
-            if name is None:
-                out.append(built)
-                copies[id(node)] = built
-            else:
-                equations[name] = built
+            v = opened.pop(id(node))
+            if v.__class__ is Var:
+                equations[v.name] = built
+                built = v
+            copies[id(node)] = built
+            out.append(built)
             continue
+        via = x.name if x.__class__ is Var else None
         x = _walk(bindings, x)
-        hit = x if isinstance(x, Var) else copies.get(id(x))
+        hit = x if x.__class__ is Var else copies.get(id(x))
         if hit is not None:
             out.append(hit)
             continue
-        name = names.get(id(x))
-        if name is not None:
-            out.append(Var(name))
-            copies[id(x)] = out[-1]
-        stack.append((x, name))
+        nid = id(x)
+        if nid in opened:  # a back edge: x is a cycle entry
+            v = opened[nid]
+            if v.__class__ is not Var:  # its first: name the entry
+                v = opened[nid] = Var(v or via or f"Mu{next(synth)}")
+            out.append(v)
+            continue
+        opened[nid] = via
+        stack.append((x,))
         stack.extend(reversed(x.args))
     return MuTerm(out[0], equations)
 

@@ -32,7 +32,7 @@ Cases:
   list of malformed programs, goals and terms.  ``parse/lines/<i>``: every
   clause, atom and term node with its span, or the error and its span, of
   multi-line programs, goals and terms with CRLF line ends, tabs, comments
-  mid-line and at the end of input, other characters that ``\s`` matches
+  mid-line and at the end of input, other characters that ``\\s`` matches
   (form feed, U+0085, U+00A0, ...) and a bad character on a later line.
 * ``cli/<i>``: ``solve``, ``infer``, ``check``, ``transform`` and
   ``compile`` on the samples and ``lists.moo``, exit code and both

@@ -423,6 +423,42 @@ def test_has_cycle_on_deep_terms_does_not_recurse():
     assert has_cycle(ring, Var("X0"))
 
 
+def _count_walks(monkeypatch):
+    """The list that grows by one entry per ``terms._walk`` call."""
+    walks = []
+    real = term_module._walk
+    monkeypatch.setattr(term_module, "_walk",
+                        lambda b, t: walks.append(t) or real(b, t))
+    return walks
+
+
+def test_has_cycle_returns_at_the_first_back_edge(monkeypatch):
+    # X's first argument closes the cycle: the long list after it is never
+    # walked
+    n = 10 ** 4
+    env = BindingEnv({"X": Compound("f", (Var("X"),
+                                          mklist([const("a")] * n)))})
+    walks = _count_walks(monkeypatch)
+    assert has_cycle(env, Var("X"))
+    assert len(walks) <= 3
+
+
+def test_to_mu_walks_each_term_it_pushes_once(monkeypatch):
+    # one walk finds the cycles and copies: at most one _walk per term
+    # pushed
+    n = 1000
+    walks = _count_walks(monkeypatch)
+    m = to_mu(EMPTY_ENV, mklist([const("a")] * n))
+    assert len(walks) <= 2 * n + 1  # n cells, n elements and []
+    assert not m.equations and m.root == mklist([const("a")] * n)
+    ring = BindingEnv({f"X{i}": Compound("f", (Var(f"X{(i + 1) % n}"),))
+                       for i in range(n)})
+    walks.clear()
+    m = to_mu(ring, Var("X0"))
+    assert len(walks) <= n + 1  # X0 to X999, then X0 again
+    assert m.root == Var("X0") and list(m.equations) == ["X0"]
+
+
 def ref_capped(t, depth):
     """Copy of a resolved ``t`` with every compound ``depth`` levels down
     replaced by ``_``: the cut as displays made it after a full resolve."""
@@ -651,6 +687,63 @@ def test_resolve_and_to_mu_of_a_doubling_dag_cost_its_graph(monkeypatch):
                       "X": Compound("cons", (Var("Y0"), Var("X")))})
     m = to_mu(cyc, Var("X"))
     assert m.root == Var("X") and _compounds(m.equations["X"]) == 22
+
+
+def _unfolding_restrict(env, names):
+    """``restrict``'s bindings as a walk of the unfolding finds them: each
+    variable is expanded once, every occurrence of a compound again."""
+    keep, seen, work = {}, set(), [Var(n) for n in names]
+    while work:
+        t = work.pop()
+        if isinstance(t, Compound):
+            work.extend(t.args)
+        elif t.name not in seen:
+            seen.add(t.name)
+            if t.name in env.bindings:
+                keep[t.name] = env.bindings[t.name]
+                work.append(keep[t.name])
+    return keep
+
+
+def test_restrict_expands_a_shared_compound_once():
+    # X -> t, where t is 20 levels of f(t, t): the unfolding has 2^20 - 1
+    # compounds, the graph 20 (a read of ``args`` is an expansion)
+    reads = []
+
+    class Counted(Compound):
+        __slots__ = ()
+
+        @property
+        def args(self):
+            reads.append(None)
+            assert len(reads) <= 100, "a shared compound expanded again"
+            return Compound.args.__get__(self)
+
+    t = const("a")
+    for _ in range(20):
+        t = Counted("f", (t, t))
+    env = BindingEnv({"X": t, "Y": const("b")})
+    kept = env.restrict(["X"])
+    assert len(reads) == 20
+    assert dict(kept.bindings) == {"X": t} and kept.bindings["X"] is t
+
+
+def test_restrict_keeps_what_the_unfolding_keeps_in_its_order():
+    # R is reached again through V before its argument W is walked; a walk
+    # that skipped it there would keep U before W
+    r = Compound("g", (Var("W"), Var("Y")))
+    env = BindingEnv({"X": r, "Y": Compound("k", (Var("U"), Var("V"))),
+                      "V": r, "W": const("a"), "U": const("b")})
+    assert list(env.restrict(["X"]).bindings) == ["X", "Y", "V", "W", "U"]
+    rng = random.Random(30)
+    for _ in range(1500):
+        env, t = _shared_env(rng)
+        env = BindingEnv({**env.bindings, "T": t})
+        names = rng.sample([*_SHARE_VARS, "T"], rng.randint(1, 4))
+        kept = env.restrict(names).bindings
+        want = _unfolding_restrict(env, names)
+        assert list(kept.items()) == list(want.items())
+        assert all(kept[n] is want[n] for n in kept)
 
 
 # ---------------------------------------------------------------------------
