@@ -225,6 +225,51 @@ def test_colp_step_closes_on_ancestors_of_its_own_predicate_and_arity():
             == children
 
 
+def _loop_children(children) -> list:
+    return [(ref, env2.counter,
+             [(name, term_text(t)) for name, t in env2.bindings.items()])
+            for ref, env2 in children]
+
+
+def test_siblings_start_from_the_variable_loop_their_parent_had():
+    # X -> Y -> X is a loop, collapsed to X, so X counts as unbound: each
+    # head of p overwrites X in its own child, and the next child starts
+    # from the loop again, X first, as the parent holds it.
+    p = parse_program("p(a). p(f(Z)). p(b).")
+    env = BindingEnv({"X": Var("Y"), "Y": Var("X")})
+    want = [(ref, counter, [("X", text), ("Y", "X")])
+            for ref, counter, text in [(1, 0, "a"), (2, 1, "f(V0)"),
+                                       (3, 0, "b")]]
+    g = parse_goal("p(X)")
+    assert _loop_children((ref, env2) for _, env2, _, ref
+                          in sld_step(g.atoms, env, p)) == want
+    assert _loop_children((ref, env2) for _, env2, ref, _
+                          in subst_step(g, p, env)) == want
+    assert list(env.bindings.items()) == [("X", Var("Y")), ("Y", Var("X"))]
+
+
+def test_colp_hyp_siblings_that_bind_nothing_share_one_answer():
+    # q(V2) closes on both q ancestors binding nothing, and so does q(V3)
+    # on all three: those answers share the previous answer's bindings and
+    # kind, which tells the CLI it has printed them already.
+    p = parse_program("p(f(X)) :- p(X), q(X). q(Y) :- q(Y).")
+    verdict = colp_solve(parse_goal("p(X)"), p,
+                         Budget(max_steps=40, max_answers=6), trace=True)
+    answers = verdict.answers
+    assert [(a.kind, a.steps_used, print_answer(a, "mu"))
+            for a in answers] == [("rational", 4, "X = f(X)"),
+                                  ("rational", 5, "X = f(X)"),
+                                  ("rational", 5, "X = f(X)"),
+                                  ("rational", 6, "X = f(X)"),
+                                  ("rational", 6, "X = f(X)"),
+                                  ("rational", 6, "X = f(X)")]
+    assert [a.trace[-1] for a in answers] == [
+        f"#{n} hyp clause {ref} atom 0 σ={{}}"
+        for n, ref in [(4, 1), (5, 1), (5, 2), (6, 1), (6, 2), (6, 3)]]
+    assert [a.bindings is b.bindings for a, b in zip(answers, answers[1:])] \
+        == [False, True, False, True, True]
+
+
 # ---------------------------------------------------------------------------
 # SLD / Co-LP search
 
