@@ -36,6 +36,17 @@ only what its ancestors had not found ground.  What an expansion at branch
 length L added is dropped at the next expansion at length L or less, where
 ``_search`` has cut the branch back past it.
 
+A search holds its branch's bindings in one ``Store`` (see ``terms``),
+whose trail lists each binding with the value it replaced.  A step binds
+each of its children into the store in turn, taking all but the last back
+off (``_park``), and a pending child keeps its parent's trail mark beside
+``at`` and what its step bound.  Taking the child undoes the store to that
+mark, where ``path`` is cut back to ``at``, and binds the step's bindings
+again; a step with one child leaves them in place.  So a step costs what
+it binds, not what its branch holds.  An answer's bindings and certificate
+environment, and the results of ``sld_step``, ``subst_step`` and
+``rewrite_normalize``, are environments of their own, copied once.
+
 A diverging rewriting phase is evidence against universal observability and
 turns into a ``not_universally_observable`` verdict carrying the witness,
 the goals of the phase's last steps, rendered once it has diverged.
@@ -57,8 +68,8 @@ from hornlog.terms import (
     EMPTY_ENV,
     Goal,
     Program,
+    Store,
     Var,
-    _bound_since,
     _fp_under,
     bump_counter_past,
     has_cycle,
@@ -163,12 +174,13 @@ def goal_var_names(g: Goal) -> tuple:
                                for v in term_vars(t)))
 
 
-def _new_bindings(env: BindingEnv, parent: BindingEnv) -> list:
-    """What a step bound, as its trace line shows it: each name ``env`` binds
-    and ``parent`` does not, resolved to at most 12 levels so that a line
-    stays line-sized however long the chain of bindings behind it."""
-    return [(name, resolve(env, Var(name), 2, cut=12))
-            for name in sorted(_bound_since(env, parent))]
+def _new_bindings(store: Store, mark: int) -> list:
+    """What a step bound, as its trace line shows it: each name the trail
+    holds past ``mark``, resolved under ``store`` to at most 12 levels so
+    that a line stays line-sized however long the chain of bindings behind
+    it."""
+    return [(name, resolve(store, Var(name), 2, cut=12))
+            for name in sorted({name for name, _ in store.trail[mark:]})]
 
 
 def _trace_lines(path: list) -> list:
@@ -180,45 +192,75 @@ def _trace_lines(path: list) -> list:
 # Single steps
 
 
+def _park(store: Store, children: list, mark: int) -> None:
+    """Set ``store`` back to a step's trail ``mark`` before its next
+    alternative.  A step binds each of its ``children``, ``(atoms, bound,
+    counter, kind, ref)`` with ``counter`` where the child's fresh names
+    start, into the store in turn.  The last one's bindings stay on it,
+    with ``bound`` None, until this takes them off into ``bound``, the
+    ``(name, value)`` pairs that ``Store.redo`` binds again."""
+    if children and children[-1][1] is None:
+        atoms, _, counter, kind, ref = children[-1]
+        children[-1] = (atoms, store.bound(mark), counter, kind, ref)
+        store.undo(mark)
+
+
+def _frozen(env: BindingEnv, store: Store, children: list) -> list:
+    """The ``children`` of a step on ``store``, a store made from ``env``,
+    as ``(atoms, env2, kind, ref)``, each ``env2`` an environment of its
+    own."""
+    _park(store, children, 0)
+    return [(atoms, BindingEnv._wrap({**env.bindings, **dict(bound)},
+                                     counter), kind, ref)
+            for atoms, bound, counter, kind, ref in children]
+
+
+def _resolve(atoms: tuple, store: Store, p: Program, occurs_check: bool,
+             children: list) -> list:
+    """The SLD resolvents of ``atoms`` on ``store``, in clause order,
+    appended to ``children`` (see ``_park``)."""
+    selected = atoms[0]
+    rest = atoms[1:]
+    mark = len(store.trail)
+    for clause in p.select(selected, store):
+        _park(store, children, mark)
+        resolved = unify_head(clause, selected, store, occurs_check)
+        if resolved is not None:
+            ren = resolved[0]
+            children.append((rename_body(clause, ren) + rest, None,
+                             store.counter + len(ren), "sld", clause.idx))
+    return children
+
+
 def sld_step(atoms: tuple, env: BindingEnv, p: Program,
              occurs_check: bool = True) -> list:
     """Resolvents of ``atoms`` under SLD resolution, in clause order, as
     ``(atoms, env, "sld", clause index)``."""
-    if not atoms:
-        return []
-    selected = atoms[0]
-    rest = atoms[1:]
-    children = []
-    for clause in p.select(selected, env):
-        resolved = unify_head(clause, selected, env, occurs_check)
-        if resolved is None:
-            continue
-        ren, u = resolved
-        children.append((rename_body(clause, ren) + rest, u, "sld",
-                         clause.idx))
-    return children
+    store = Store(env)
+    return _frozen(env, store, _resolve(atoms, store, p, occurs_check, []))
 
 
-def colp_step(atoms: tuple, env: BindingEnv, path: list,
+def colp_step(atoms: tuple, store: Store, path: list,
               p: Program, table: Optional[dict] = None) -> tuple:
     """Resolvents under the coinductive discipline, on the branch whose
-    ``Step``s, root first, are ``path``, and the selected atom's
-    ``Step.fps``: hypothesis closures against same-predicate ancestors
-    (most recent first, as ``(atoms, env, "hyp", steps back)``) come before
-    clause resolvents; unification runs without the occurs check.
+    ``Step``s, root first, are ``path`` and whose bindings ``store`` holds,
+    as children bound into ``store`` in turn (see ``_park``), and the
+    selected atom's ``Step.fps``.  Hypothesis closures against
+    same-predicate ancestors (most recent first, kind ``hyp``, ``ref`` the
+    steps back) come before clause resolvents; unification runs without
+    the occurs check.
 
     An ancestor whose ``fps`` differ from the selected atom's at a position
     where both are set is skipped without unifying: bindings only grow along
     a branch, so a term ground under the ancestor's environment is the same
-    tree under ``env``, and two different ground trees never unify.
+    tree under ``store``, and two different ground trees never unify.
     ``table`` is the branch's ``_fp_under`` table (a fresh one if None)."""
-    if not atoms:
-        return [], None
     table = {} if table is None else table
     selected = atoms[0]
     rest = atoms[1:]
     pred, arity = selected.pred, len(selected.args)
-    fps = tuple(_fp_under(env, a, table) for a in selected.args)
+    fps = tuple(_fp_under(store, a, table) for a in selected.args)
+    mark = len(store.trail)
     children = []
     for back, anc in enumerate(reversed(path), 1):
         a = anc.atom
@@ -227,11 +269,13 @@ def colp_step(atoms: tuple, env: BindingEnv, path: list,
                 if x != y and x is not None and y is not None:
                     break
             else:
-                u = unify_atoms(a, selected, env, occurs_check=False)
-                if u is not None:
-                    children.append((rest, u, "hyp", back))
-    children.extend(sld_step(atoms, env, p, occurs_check=False))
-    return children, fps
+                _park(store, children, mark)
+                if unify_atoms(a, selected, store,
+                               occurs_check=False) is not None:
+                    children.append((rest, None, store.counter, "hyp",
+                                     back))
+    _park(store, children, mark)
+    return _resolve(atoms, store, p, False, children), fps
 
 
 # ---------------------------------------------------------------------------
@@ -249,48 +293,69 @@ def _classify(env: BindingEnv, goal_vars: tuple) -> str:
 def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
             lazy_k=inf, trace: bool = False,
             certificate: bool = False) -> Verdict:
-    """The search of the module docstring, under the caps of ``b``.  A
-    node is ``(atoms, env, depth, at, step)``: its depth counts the
-    expansions on its branch, and its branch is the first ``at`` entries
-    of ``path`` followed by ``step`` (None for the root, and for every node
-    whose step nobody reads).
-    ``reduce(atoms, env, path)`` gives ``(atoms, env, steps, witness)`` and
-    may append steps to ``path``; a witness ends the search as not
-    universally observable.  ``expand(atoms, env, path)`` gives
-    ``(resolvents, ai, fps, taken)``: resolvents ``(atoms, env, kind,
-    ref)`` of ``atoms[ai]``, first child first, the ``Step.fps`` of that
-    atom or None, and the steps taken, which ``max_subst_steps`` bounds."""
+    """The search of the module docstring, under the caps of ``b``, on one
+    ``Store``.  A node is ``(atoms, mark, bound, counter, depth, at,
+    step)``: its branch's bindings are the store's up to trail ``mark``
+    plus ``bound``, or None when they are on the store already, and its
+    fresh names start at ``counter``; its depth counts the expansions on
+    its branch, and its branch is the first ``at`` entries of ``path``
+    followed by ``step`` (None for the root, and for every node whose step
+    nobody reads).
+    ``reduce(atoms, store, path)`` gives ``(atoms, steps, witness)`` and
+    may bind into the store and append steps to ``path``; a witness ends
+    the search as not universally observable.  ``expand(atoms, store,
+    path)`` gives ``(children, ai, fps, taken)``: the children of
+    ``atoms[ai]``, first child first, as ``_park`` says, the ``Step.fps``
+    of that atom or None, and the steps taken, which ``max_subst_steps``
+    bounds."""
     goal_vars = goal_var_names(g)
-    stack = [(g.atoms, bump_counter_past(EMPTY_ENV, p, g), 0, 0, None)]
+    store = Store(bump_counter_past(EMPTY_ENV, p, g))
+    trail = store.trail
+    stack = [(g.atoms, 0, None, store.counter, 0, 0, None)]
     path = []
     answers = []
     steps = expanded = 0
     without_answers = "failed"
-    done_env = None  # the previous answer's env, if it was not partial
+    # the store at the previous answer, its bindings and kind, if it was
+    # not partial
+    done = None
     while stack:
-        atoms, env, depth, at, step = stack.pop()
+        atoms, mark, bound, counter, depth, at, step = stack.pop()
         del path[at:]
+        if bound is not None:
+            store.undo(mark)
+            store.redo(bound)
+        store.counter = counter
         if step is not None:
+            if trace:
+                step.bound.extend(_new_bindings(store, mark))
             path.append(step)
         if reduce is not None:
-            atoms, env, reduced, witness = reduce(atoms, env, path)
+            atoms, reduced, witness = reduce(atoms, store, path)
             steps += reduced
             if witness is not None:
                 return Verdict("not_universally_observable", answers,
                                witness=witness, steps_used=steps)
         if not atoms or depth >= lazy_k:
             if atoms:
-                done_env, bindings = None, env.restrict(goal_vars)
+                done, bindings = None, store.restrict(goal_vars)
                 kind = "partial"
-            elif env is not done_env:
-                done_env, bindings = env, env.restrict(goal_vars)
-                kind = _classify(bindings, goal_vars)
-            # else colp closed sibling branches in one env, binding nothing:
-            # the previous answer's bindings and kind stand
+            else:
+                # a trail entry is never pushed twice, so the same top,
+                # length and counter are the same store
+                top, now = trail[-1] if trail else None, (len(trail),
+                                                          store.counter)
+                if done is None or done[0] is not top or done[1] != now:
+                    bindings = store.restrict(goal_vars)
+                    done = top, now, bindings, _classify(bindings, goal_vars)
+                # else colp closed sibling branches binding nothing: the
+                # previous answer's bindings and kind stand
+                bindings, kind = done[2:]
             answers.append(Answer(
                 bindings, goal_vars, kind, steps,
                 _trace_lines(path) if trace else None,
-                env if certificate else None,
+                BindingEnv(store.bindings, store.counter)
+                if certificate else None,
                 tuple(s.atom for s in path) if certificate else None))
             if b.max_answers and len(answers) >= b.max_answers:
                 break
@@ -301,16 +366,18 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
         if depth >= b.max_depth:
             without_answers = "exhausted"
             continue
-        resolvents, ai, fps, taken = expand(atoms, env, path)
+        mark = len(trail)
+        children, ai, fps, taken = expand(atoms, store, path)
         steps += taken
         expanded += taken
+        if len(children) > 1:  # the first child is taken next, not the last
+            _park(store, children, mark)
         at = len(path)
         record = trace or certificate or fps is not None
-        for atoms2, env2, kind, ref in reversed(resolvents):
+        for atoms2, bound, counter2, kind, ref in reversed(children):
             # a loop, not a comprehension: colp runs 2% faster
-            stack.append((atoms2, env2, depth + 1, at, Step(
-                kind, ref, ai, atoms[ai],
-                _new_bindings(env2, env) if trace else None, fps)
+            stack.append((atoms2, mark, bound, counter2, depth + 1, at, Step(
+                kind, ref, ai, atoms[ai], [] if trace else None, fps)
                 if record else None))
     return Verdict("answers" if answers else without_answers, answers,
                    steps_used=steps)
@@ -321,8 +388,9 @@ def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
               certificate: bool = False) -> Verdict:
     """Depth-first SLD resolution; collects every answer reachable in budget."""
     return _search(g, p, replace(b, max_subst_steps=inf),
-                   lambda atoms, env, path: (
-                       sld_step(atoms, env, p, occurs_check), 0, None, 1),
+                   lambda atoms, store, path: (
+                       _resolve(atoms, store, p, occurs_check, []), 0, None,
+                       1),
                    trace=trace, certificate=certificate)
 
 
@@ -333,14 +401,14 @@ def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
     log = []  # (len(path), len(table)) before each expansion on the branch
     step = partial(colp_step, p=p, table=table)
 
-    def expand(atoms, env, path):
+    def expand(atoms, store, path):
         # what expansions this long or longer added is off the branch now
         while log and log[-1][0] >= len(path):
             for _ in range(len(table) - log.pop()[1]):
                 table.popitem()
         log.append((len(path), len(table)))
-        resolvents, fps = step(atoms, env, path)
-        return resolvents, 0, fps, 1
+        children, fps = step(atoms, store, path)
+        return children, 0, fps, 1
 
     return _search(g, p, replace(b, max_subst_steps=inf), expand,
                    trace=trace, certificate=certificate)
@@ -366,24 +434,28 @@ def rewrite_normalize(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV,
     literal ``V<n>`` in ``p`` and ``g``, so the renamed clauses never share
     a name with the goal.
     """
+    store = Store(bump_counter_past(env, p, g))
     path = []
-    atoms, env, steps, witness = _rewrite_normalize(
-        tuple(g.atoms), bump_counter_past(env, p, g), path, p, b,
-        collect_trace, None, observer)
+    atoms, steps, witness = _rewrite_normalize(
+        tuple(g.atoms), store, path, p, b, collect_trace, None, observer)
     return RewriteResult("normal_form" if witness is None else "diverged",
-                         Goal(atoms), env, steps, witness, _trace_lines(path))
+                         Goal(atoms),
+                         BindingEnv._wrap(store.bindings, store.counter),
+                         steps, witness, _trace_lines(path))
 
 
-def _rewrite_normalize(atoms: tuple, env: BindingEnv, path: list,
+def _rewrite_normalize(atoms: tuple, store: Store, path: list,
                        p: Program, b: Budget, collect_trace: bool,
                        consumed: Optional[dict], observer) -> tuple:
-    """``rewrite_normalize`` with ``env``'s counter already past ``p``'s
-    and the goal's names, as ``(atoms, env, steps, witness)``; the witness
-    is None for a normal form.  With ``collect_trace`` each step is
-    appended to ``path``."""
-    cur_env = env
+    """``rewrite_normalize`` binding into ``store``, whose counter is past
+    ``p``'s and the goal's names already, as ``(atoms, steps, witness)``;
+    the witness is None for a normal form.  With ``collect_trace`` each
+    step is appended to ``path``."""
+    trail = store.trail
     steps = 0
-    # (atoms, env) before each of the last steps; rendered on divergence.
+    # The goals before each of the last steps, rendered on divergence under
+    # the store as it is then: a step binds only its renamed head's fresh
+    # names, which no earlier goal holds, so each renders as it did.
     history: deque = deque(maxlen=8)
     # Atoms to the left of the last rewrite position stay dead for the rest
     # of the phase: a step binds only freshly renamed clause variables, which
@@ -391,18 +463,20 @@ def _rewrite_normalize(atoms: tuple, env: BindingEnv, path: list,
     # instantiates the goal side.  Resume each scan at that position.
     frontier = 0
     while True:
+        mark = len(trail)
         found = next(((ai, clause, matched)
                       for ai in range(frontier, len(atoms))
-                      for clause in p.select(atoms[ai], cur_env)
-                      if (matched := match_head(clause, atoms[ai], cur_env))
+                      for clause in p.select(atoms[ai], store)
+                      if (matched := match_head(clause, atoms[ai], store))
                       is not None), None)
         if found is None:
-            return atoms, cur_env, steps, None
+            return atoms, steps, None
         if steps >= b.max_rewrite_steps:
-            witness = [_goal_snapshot(a, e) for a, e in history]
-            witness.append(_goal_snapshot(atoms, cur_env))
-            return atoms, cur_env, steps, witness
-        ai, clause, (ren, sigma) = found
+            store.undo(mark)
+            return atoms, steps, [_goal_snapshot(a, store)
+                                  for a in (*history, atoms)]
+        ai, clause, (ren, _) = found
+        store.counter += len(ren)
         if consumed is not None:
             stack = list(clause.head.args)  # every compound occurrence
             while stack:
@@ -412,14 +486,13 @@ def _rewrite_normalize(atoms: tuple, env: BindingEnv, path: list,
                     stack.extend(x.args)
         if collect_trace:
             path.append(Step("rw", clause.idx, ai, atoms[ai],
-                             _new_bindings(sigma, cur_env)))
-        history.append((atoms, cur_env))
+                             _new_bindings(store, mark)))
+        history.append(atoms)
         atoms = atoms[:ai] + rename_body(clause, ren) + atoms[ai + 1:]
-        cur_env = sigma
         frontier = ai
         steps += 1
         if observer is not None:
-            observer(atoms, cur_env)
+            observer(atoms, BindingEnv(store.bindings, store.counter))
 
 
 def _goal_snapshot(atoms, env: BindingEnv) -> str:
@@ -450,39 +523,64 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
     atom only that liveness counts, so each later atom is unified with its
     selected heads only until one unifies.
     """
-    best: list = []
-    for ai, atom in enumerate(g.atoms):
-        options = []
+    store = Store(env)
+    children, ai = _substitute(g.atoms, store, p)
+    return [(g, env2, ref, ai)
+            for _, env2, _, ref in _frozen(env, store, children)]
+
+
+def _substitute(atoms: tuple, store: Store, p: Program,
+                introduced: Optional[dict] = None) -> tuple:
+    """``subst_step`` on ``store``: its options as ``su`` children bound
+    into the store in turn (see ``_park``), and the chosen atom's index.
+    ``introduced`` counts the functors of what each option binds the
+    goal's names to, while its bindings are on the store."""
+    trail = store.trail
+    mark = len(trail)
+    children = []
+    chosen = None
+    for ai, atom in enumerate(atoms):
         alive = False
-        for clause in p.select(atom, env):
-            resolved = unify_head(clause, atom, env)
+        for clause in p.select(atom, store):
+            _park(store, children, mark)
+            resolved = unify_head(clause, atom, store)
             if resolved is None:
                 continue
             alive = True
-            if best:
-                break  # past the chosen atom, only liveness counts
-            ren, u = resolved
+            if chosen is not None:  # past the chosen atom, only liveness counts
+                store.undo(mark)
+                break
+            ren = resolved[0]
             fresh = {v.name for v in ren.values()}
-            # binding only fresh names, a head may still have overwritten a
-            # goal's variable loop, which _bound_since does not list
-            if (any(name not in fresh for name in _bound_since(u, env))
-                    or not head_matches(clause.head, atom, env)):
-                options.append((g, u, clause.idx, ai))
+            bound = [name for name, _ in trail[mark:] if name not in fresh]
+            # a head that bound only fresh names left every walk from the
+            # goal as it was, so head_matches may ask under its bindings
+            if bound or not head_matches(clause.head, atom, store):
+                children.append((atoms, None, store.counter + len(ren), "su",
+                                 clause.idx))
+                for name in bound if introduced is not None else ():
+                    for x in subterms((Var(name),), store):
+                        if x.__class__ is Compound:
+                            introduced[x.functor] = \
+                                introduced.get(x.functor, 0) + 1
+            else:
+                store.undo(mark)
         if not alive:
-            return []
-        if options and not best:
-            best = options
-    return best
+            store.undo(mark)
+            return [], 0
+        if children and chosen is None:
+            chosen = ai
+    return children, chosen or 0
 
 
 def _structural(p: Program, b: Budget, trace: bool,
-                consumed: Optional[dict] = None) -> tuple:
+                consumed: Optional[dict] = None,
+                introduced: Optional[dict] = None) -> tuple:
     """Structural resolution as ``_search``'s ``reduce`` and ``expand``:
-    the rewriting phase, then one ``su`` resolvent per substitution option."""
-    def expand(atoms, env, path):
-        options = subst_step(Goal(atoms), p, env)
-        return ([(atoms, env2, "su", idx) for _, env2, idx, _ in options],
-                options[0][3] if options else 0, None, len(options))
+    the rewriting phase, then one ``su`` child per substitution option."""
+    def expand(atoms, store, path):
+        children, ai = _substitute(atoms, store, p, introduced)
+        return children, ai, None, len(children)
 
     return partial(_rewrite_normalize, p=p, b=b, collect_trace=trace,
                    consumed=consumed, observer=None), expand
@@ -515,21 +613,13 @@ def productivity_report(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET) -> Prod
     introduced: dict = {}
     consumed: dict = {}
     liveness = 0
-    reduce, expand = _structural(p, b, False, consumed)
+    reduce, expand = _structural(p, b, False, consumed, introduced)
 
-    def counting(atoms, env, path):
+    def counting(atoms, store, path):
         nonlocal liveness
-        resolvents, ai, fps, taken = expand(atoms, env, path)
+        children, ai, fps, taken = expand(atoms, store, path)
         liveness += taken
-        # the goal's names, not the renamed clause's (bump_counter_past)
-        for _, env2, _, _ in resolvents:
-            fresh = {f"V{i}" for i in range(env.counter, env2.counter)}
-            for name in _bound_since(env2, env):
-                if name not in fresh:
-                    for x in subterms((Var(name),), env2):
-                        if isinstance(x, Compound):
-                            introduced[x.functor] = introduced.get(x.functor, 0) + 1
-        return resolvents, ai, fps, taken
+        return children, ai, fps, taken
 
     verdict = _search(g, p, replace(b, max_depth=inf, max_answers=None),
                       counting, reduce)

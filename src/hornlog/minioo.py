@@ -150,9 +150,6 @@ class ClassDecl:
 class ClassTable:
     classes: dict  # name -> ClassDecl, declaration order
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.classes
-
     def decl(self, name: str) -> ClassDecl:
         return self.classes[name]
 

@@ -17,7 +17,9 @@ which costs a fraction of what a generated frozen ``__init__`` and
 builds nodes, so that cost is paid per node.  Fields, ``==``, ``hash``,
 ``repr``, ``dataclasses.replace``, copying and pickling are the
 dataclass's, and assigning or deleting a field still raises
-``FrozenInstanceError``.
+``FrozenInstanceError``.  Below Python 3.12, assigning a name that is no
+field raises ``TypeError: super(type, obj): ...`` instead, from the
+``__setattr__`` that ``slots=True`` generates there; the node is unchanged.
 
 Every :class:`Compound` carries a ground fingerprint ``fp``, computed once
 when the node is built from its functor and its arguments' fingerprints.
@@ -93,8 +95,11 @@ derived from: the private ``_wrap`` constructor takes a dict without copying
 it, and no dict is mutated after it has been wrapped.  ``_unify`` copies
 on its first write, and returns ``env`` itself when it binds nothing.  A
 derived dict holds its parent's bindings first, in order, then the new ones
-(a collapsed variable loop's member is overwritten in place), so
-``_bound_since`` reads what a step bound off its end.
+(a collapsed variable loop's member is overwritten in place).  The one dict
+mutated after it is wrapped is a search's :class:`Store`'s, which only that
+search holds: ``_unify`` binds into it in place and pushes each binding on
+its trail, so what a step bound is the trail past the step's mark, and
+undoing it leaves the dict as it was, in order.
 """
 
 from __future__ import annotations
@@ -376,6 +381,9 @@ class BindingEnv:
 
     __slots__ = ("_b", "counter")
 
+    #: A plain environment keeps no trail: see :class:`Store`.
+    trail = None
+
     def __init__(self, bindings: Optional[Mapping[str, Term]] = None, counter: int = 0):
         self._b = dict(bindings) if bindings else {}
         self.counter = counter
@@ -448,6 +456,44 @@ class BindingEnv:
 
 
 EMPTY_ENV = BindingEnv()
+
+
+class Store(BindingEnv):
+    """A search's one mutable environment: ``_unify``, and through it
+    ``unify``, ``unify_atoms`` and ``match``, and :func:`unify_head` and
+    :func:`match_head` bind into it in place and return it.  Each binding
+    pushes ``(name, old value)`` on ``trail``; the old value is None for a
+    name that was unbound, else the collapsed variable loop's link it
+    overwrote.  A trail mark is a length of ``trail``: ``undo`` takes back
+    what was bound since, and ``bound`` gives it as ``(name, value)`` pairs
+    that ``redo`` binds again.  An environment made from a store, by
+    ``restrict`` or ``BindingEnv(store.bindings)``, is a copy."""
+
+    __slots__ = ("trail",)
+
+    def __init__(self, env: BindingEnv):
+        super().__init__(env._b, env.counter)
+        self.trail = []
+
+    def bound(self, mark: int) -> list:
+        """What was bound since ``mark``, oldest first, as it stands."""
+        b = self._b
+        return [(name, b[name]) for name, _ in self.trail[mark:]]
+
+    def undo(self, mark: int) -> None:
+        trail, b = self.trail, self._b
+        while len(trail) > mark:
+            name, old = trail.pop()
+            if old is None:
+                del b[name]
+            else:
+                b[name] = old
+
+    def redo(self, bound: list) -> None:
+        trail, b = self.trail, self._b
+        for name, value in bound:
+            trail.append((name, b.get(name)))
+            b[name] = value
 
 
 def _walk(bindings: Mapping[str, Term], t: Term) -> Term:
@@ -555,9 +601,12 @@ def _unify(stack: list, env: BindingEnv, occurs_check: bool,
     where it would bind a name outside ``only`` or on the target side.
     ``heads`` holds pairs whose left side, an unrenamed clause head term, is
     read through ``ren``; one is taken when ``stack`` is empty, as it would
-    be if renamed on ``stack``, since goal terms spawn only goal pairs."""
-    work = env._b  # copied on the first write
-    shared = True
+    be if renamed on ``stack``, since goal terms spawn only goal pairs.
+    A :class:`Store` is bound in place, and left as it was on failure."""
+    work = env._b
+    trail = env.trail  # None: copy ``work`` on the first write
+    mark = 0 if trail is None else len(trail)
+    copied = False
     seen: set = set()
     while True:
         if stack:
@@ -573,30 +622,30 @@ def _unify(stack: list, env: BindingEnv, occurs_check: bool,
                 a = _rename((a,), ren)[0]
             elif (a.functor != b.functor or len(a.args) != len(b.args)
                   or a.fp != b.fp and a.fp is not None and b.fp is not None):
-                return None
+                break
             else:  # a renamed copy is never ``b`` nor met twice
                 heads.extend(zip(reversed(a.args), reversed(b.args)))
                 continue
         else:
-            break
+            return BindingEnv._wrap(work, env.counter) if copied else env
         if isinstance(a, Var):
             if isinstance(b, Var) and a.name == b.name:
                 continue
             name, value = a.name, b
             # (a walked variable in ``work`` is a collapsed variable loop)
             if only is not None and (name not in only or name in work):
-                return None
+                break
         elif isinstance(b, Var):
             if only is not None:
-                return None
+                break
             name, value = b.name, a
         else:
             if a is b:
                 continue
             if a.functor != b.functor or len(a.args) != len(b.args):
-                return None
+                break
             if a.fp != b.fp and a.fp is not None and b.fp is not None:
-                return None  # distinct ground terms
+                break  # distinct ground terms
             key = (id(a), id(b))
             if key in seen:
                 continue  # already demanded equal further up: rational-tree closure
@@ -604,17 +653,16 @@ def _unify(stack: list, env: BindingEnv, occurs_check: bool,
             stack.extend(zip(reversed(a.args), reversed(b.args)))
             continue
         if occurs_check and isinstance(value, Compound) and _occurs(work, name, value):
-            return None
-        if shared:
+            break
+        if trail is not None:
+            trail.append((name, work.get(name)))
+        elif not copied:
             work = dict(work)
-            shared = False
+            copied = True
         work[name] = value
-    return env if shared else BindingEnv._wrap(work, env.counter)
-
-
-def _bound_since(env: BindingEnv, parent: BindingEnv) -> Iterator[str]:
-    """What ``env``, derived from ``parent``, binds beyond it, newest first."""
-    return itertools.islice(reversed(env._b), len(env._b) - len(parent._b))
+    if trail is not None:
+        env.undo(mark)
+    return None
 
 
 def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[BindingEnv]:
@@ -1081,9 +1129,10 @@ def _renaming(c: Clause, counter: int) -> dict:
 def unify_head(c: Clause, atom: Atom, env: BindingEnv,
                occurs_check: bool = False) -> Optional[tuple]:
     """``(ren, env2)``, with ``env2`` what ``unify_atoms`` of the head of
-    ``rename_apart(c, env)`` with ``atom`` gives, bindings in order, or
-    None; the head is not copied.  ``ren`` is the renaming, for
-    :func:`rename_body`.
+    ``rename_apart(c, env)`` with ``atom``, an atom of the head's predicate
+    and arity, gives, bindings in order, or None; the head is not copied.
+    ``ren`` is the renaming, for :func:`rename_body`.  A :class:`Store` is
+    bound in place and returned as ``env2``, its counter left as it was.
 
     A linear head, where no variable occurs twice, is unified without the
     occurs check, whatever ``occurs_check`` says: the problem is not subject
@@ -1092,30 +1141,33 @@ def unify_head(c: Clause, atom: Atom, env: BindingEnv,
     so it is unbound and unreferenced when it is bound, and a copied head
     subterm bound to a goal variable holds only unbound fresh variables
     that nothing else reaches.  Neither binding can close a cycle."""
-    head = c.head
-    if head.pred != atom.pred or len(head.args) != len(atom.args):
-        return None
     ren = _renaming(c, env.counter)
-    u = _unify([], BindingEnv._wrap(env._b, env.counter + len(ren)),
+    u = _unify([], env if env.trail is not None else
+               BindingEnv._wrap(env._b, env.counter + len(ren)),
                occurs_check and not c._linear_head,
-               heads=list(zip(reversed(head.args), reversed(atom.args))),
+               heads=list(zip(reversed(c.head.args), reversed(atom.args))),
                ren=ren)
     return None if u is None else (ren, u)
 
 
 def match_head(c: Clause, atom: Atom, env: BindingEnv) -> Optional[tuple]:
     """``unify_head`` with ``match_atoms``: the fresh names of the head's
-    variables, in order, bound to the targets ``head_matches`` walks to."""
+    variables, in order, bound to the targets ``head_matches`` walks to.
+    A :class:`Store` is bound in place as ``unify_head`` binds one."""
     own = _head_targets(c.head, atom, env)
     if own is None:
         return None
     ren = _renaming(c, env.counter)
-    bindings = env._b
-    if own:
-        bindings = dict(bindings)
-        for v in c._vars[:len(own)]:  # the head's variables come first
-            bindings[ren[v.name].name] = own[v.name]
-    return ren, BindingEnv._wrap(bindings, env.counter + len(ren))
+    trail = env.trail
+    bindings = env._b if trail is not None or not own else dict(env._b)
+    for v in c._vars[:len(own)]:  # the head's variables come first
+        name = ren[v.name].name
+        if trail is not None:
+            trail.append((name, bindings.get(name)))
+        bindings[name] = own[v.name]
+    if trail is None:
+        return ren, BindingEnv._wrap(bindings, env.counter + len(ren))
+    return ren, env
 
 
 def rename_body(c: Clause, ren: Mapping[str, Var]) -> tuple:

@@ -44,6 +44,7 @@ from hornlog.terms import (
     Compound,
     EMPTY_ENV,
     Goal,
+    Store,
     Var,
     canon_key,
     has_cycle,
@@ -188,6 +189,13 @@ def test_sld_step_dead_end_is_empty_list():
     assert sld_step(parse_goal("nothing(a)").atoms, EMPTY_ENV, ZEROS) == []
 
 
+def _colp_children(atoms, env, path, p) -> list:
+    """``colp_step``'s children on a store made from ``env``, each as
+    ``(atoms, env2, kind, ref)`` with an environment of its own."""
+    store = Store(env)
+    return engine._frozen(env, store, colp_step(atoms, store, path, p)[0])
+
+
 def test_colp_step_prefers_most_recent_ancestor():
     p = parse_program("g(s(X)) :- g(X).")
     atoms, env, path = parse_goal("g(A)").atoms, EMPTY_ENV, []
@@ -195,7 +203,7 @@ def test_colp_step_prefers_most_recent_ancestor():
         atoms2, env, kind, ref = sld_step(atoms, env, p, occurs_check)[0]
         path.append(Step(kind, ref, 0, atoms[0], None))
         atoms = atoms2
-    children = colp_step(atoms, env, path, p)[0]
+    children = _colp_children(atoms, env, path, p)
     assert [c[2:] for c in children[:2]] == [("hyp", 1), ("hyp", 2)]
     assert children[-1][2:] == ("sld", 1)
 
@@ -221,7 +229,7 @@ def test_colp_step_closes_on_ancestors_of_its_own_predicate_and_arity():
         atoms = parse_goal(text).atoms
         assert [(kind, ref,
                  term_text(resolve(env2, Compound("", atoms[0].args))))
-                for _, env2, kind, ref in colp_step(atoms, env, path, p)[0]] \
+                for _, env2, kind, ref in _colp_children(atoms, env, path, p)] \
             == children
 
 
@@ -763,6 +771,42 @@ def test_sres_len_walks_at_most_two_heads_per_cell_to_match(monkeypatch):
     assert 0 < calls <= 2 * n + 2
 
 
+def _entries_copied_per_step(monkeypatch, solve, n, options) -> float:
+    """Binding entries that ``terms`` copies per step of ``solve`` on
+    ``len`` with ``n`` cells, counted by a ``dict`` in ``terms``' namespace
+    that adds up what each one is built from."""
+    copied = 0
+
+    class Counting(dict):
+        def __init__(self, *args, **kwargs):
+            nonlocal copied
+            super().__init__(*args, **kwargs)
+            copied += len(self)
+
+    monkeypatch.setattr(terms, "dict", Counting, raising=False)
+    p = parse_program("len([], z). len([_|T], s(N)) :- len(T, N).")
+    g = parse_goal("len([" + ", ".join(["a"] * n) + "], N)")
+    verdict = solve(g, p, Budget(max_steps=10 * n, max_depth=10 * n,
+                                 max_subst_steps=10 * n, max_answers=1),
+                    **options)
+    monkeypatch.delattr(terms, "dict")
+    assert verdict.kind == "answers"
+    return copied / verdict.steps_used
+
+
+@pytest.mark.parametrize("solve, options", [
+    (sld_solve, {}), (sres_solve, {"lazy_k": None}),
+], ids=["sld", "sres"])
+def test_binding_entries_copied_per_step_stay_flat(monkeypatch, solve,
+                                                   options):
+    # A step binds into the search's one store: it copies no binding dict,
+    # so its cost does not grow with its branch.  Copying a step's dict on
+    # its first binding cost about n / 2 entries per step.
+    small, large = (_entries_copied_per_step(monkeypatch, solve, n, options)
+                    for n in (250, 2000))
+    assert large <= 1.25 * small
+
+
 # ---------------------------------------------------------------------------
 # colp: ancestors rejected by their ground fingerprints
 
@@ -814,21 +858,23 @@ def test_colp_call_chain_unifies_no_ancestor_that_cannot_close_it(
     assert _failed_ancestor_unifications(monkeypatch, solve) == 0
 
 
-def _unfiltered_colp_step(atoms, env, path, p):
+def _unfiltered_colp_step(atoms, store, path, p):
     """``colp_step`` as it was before fingerprints: it unifies against
-    every same-predicate ancestor."""
-    if not atoms:
-        return []
+    every same-predicate ancestor, binding each child into the store in
+    turn as ``colp_step`` does."""
     selected = atoms[0]
     rest = atoms[1:]
+    mark = len(store.trail)
     children = []
     for back, anc in enumerate(reversed(path), 1):
         if anc.atom.key == selected.key:
-            u = engine.unify_atoms(anc.atom, selected, env, occurs_check=False)
+            engine._park(store, children, mark)
+            u = engine.unify_atoms(anc.atom, selected, store,
+                                   occurs_check=False)
             if u is not None:
-                children.append((rest, u, "hyp", back))
-    children.extend(sld_step(atoms, env, p, occurs_check=False))
-    return children
+                children.append((rest, None, store.counter, "hyp", back))
+    engine._park(store, children, mark)
+    return engine._resolve(atoms, store, p, False, children)
 
 
 def _colp_text(verdict) -> list:

@@ -25,6 +25,7 @@ from hornlog.terms import (
     Compound,
     MuTerm,
     SourceSpan,
+    Store,
     UnificationError,
     Var,
     bump_counter_past,
@@ -238,12 +239,15 @@ def test_unify_and_match_never_change_the_input_env(t1, t2, t3):
     assert all(env.bindings[k] is v for k, v in before.items())
 
 
-def test_a_derived_environment_binds_its_new_names_last():
-    # What a step bound is read off the end of its environment's dict.  It
-    # must be exactly the names the parent lacks, also where unify
-    # overwrites the member of a collapsed variable loop X4 -> X5 -> X4.
+def test_a_store_trails_exactly_what_each_step_bound():
+    # What a step bound is read off its store's trail past the step's mark:
+    # each name it bound, and each member of a collapsed variable loop
+    # X4 -> X5 -> X4 it overwrote, with the old value.  The store's
+    # bindings end as the immutable call's, in the same order; undo gives
+    # back the parent, and redo of what was taken back the result again.
+    # A failed call leaves the store as it was.
     rng = random.Random(16)
-    derived = overwritten = 0
+    derived = overwritten = failed = 0
     for i in range(1500):
         env, t = _shared_env(rng)
         if i % 3 == 0:
@@ -251,24 +255,49 @@ def test_a_derived_environment_binds_its_new_names_last():
                               "X5": Var("X4")})
         other = _shared_env(rng)[1]
         target = Atom("p", (other, Var(rng.choice(_SHARE_VARS))))
-        renamed, env2 = rename_apart(Clause(Atom("p", (t, Var("X4")))), env)
-        steps = [(env, unify(t, other, env, oc)) for oc in (False, True)]
-        steps += [(env, unify(Var("X4"), other, env)), (env, env2),
-                  (env, env.bind("B", other)),
-                  (env, from_mu(to_mu(env, t), env)[1]),
-                  (env2, match(renamed.head.args[0], other, env2)),
-                  (env2, match_atoms(renamed.head, target, env2)),
-                  (env2, unify_atoms(renamed.head, target, env2))]
-        for parent, child in steps:
-            if child is None:
+        clause = Clause(Atom("p", (t, Var("X4"))))
+        renamed, env2 = rename_apart(clause, env)
+        steps = [(env, lambda e, oc=oc: unify(t, other, e, oc))
+                 for oc in (False, True)]
+        steps += [(env, lambda e: unify(Var("X4"), other, e)),
+                  (env2, lambda e: match(renamed.head.args[0], other, e)),
+                  (env2, lambda e: unify_atoms(renamed.head, target, e)),
+                  (env, lambda e: unify_head(clause, target, e)),
+                  (env, lambda e: match_head(clause, target, e))]
+        for parent, step in steps:
+            before = list(parent.bindings.items())
+            want = step(parent)
+            store = Store(parent)
+            got = step(store)
+            if want is None:
+                failed += 1
+                assert got is None and store.trail == []
+                assert list(store.bindings.items()) == before
                 continue
             derived += 1
-            assert sorted(term_module._bound_since(child, parent)) == \
-                sorted(child.bindings.keys() - parent.bindings.keys())
-            overwritten += any(child.bindings[k] is not v
-                               for k, v in parent.bindings.items())
-    assert derived > 5000
-    assert overwritten > 100
+            counter = parent.counter
+            if isinstance(want, tuple):  # the renaming, then the env
+                assert got[0] == want[0]
+                counter += len(got[0])
+                want, got = want[1], got[1]
+            # a store's counter is left for its search to advance
+            assert got is store and store.counter == parent.counter
+            assert want.counter == counter
+            assert list(store.bindings.items()) == \
+                list(want.bindings.items())
+            assert {name for name, _ in store.trail} == {
+                k for k, v in want.bindings.items()
+                if parent.bindings.get(k) is not v}
+            overwritten += any(old is not None for _, old in store.trail)
+            bound = store.bound(0)
+            store.undo(0)
+            assert store.trail == []
+            assert list(store.bindings.items()) == before
+            assert all(store.bindings[k] is v for k, v in before)
+            store.redo(bound)
+            assert list(store.bindings.items()) == \
+                list(want.bindings.items())
+    assert derived > 2500 and overwritten > 800 and failed > 5000
 
 
 # ---------------------------------------------------------------------------
