@@ -552,13 +552,13 @@ def _substitute(atoms: tuple, store: Store, p: Program,
                 break
             ren = resolved[0]
             fresh = {v.name for v in ren.values()}
-            bound = [name for name, _ in trail[mark:] if name not in fresh]
+            named = [name for name, _ in trail[mark:] if name not in fresh]
             # a head that bound only fresh names left every walk from the
             # goal as it was, so head_matches may ask under its bindings
-            if bound or not head_matches(clause.head, atom, store):
+            if named or not head_matches(clause.head, atom, store):
                 children.append((atoms, None, store.counter + len(ren), "su",
                                  clause.idx))
-                for name in bound if introduced is not None else ():
+                for name in named if introduced is not None else ():
                     for x in subterms((Var(name),), store):
                         if x.__class__ is Compound:
                             introduced[x.functor] = \

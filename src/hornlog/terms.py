@@ -1158,16 +1158,13 @@ def match_head(c: Clause, atom: Atom, env: BindingEnv) -> Optional[tuple]:
     if own is None:
         return None
     ren = _renaming(c, env.counter)
-    trail = env.trail
-    bindings = env._b if trail is not None or not own else dict(env._b)
-    for v in c._vars[:len(own)]:  # the head's variables come first
-        name = ren[v.name].name
-        if trail is not None:
-            trail.append((name, bindings.get(name)))
-        bindings[name] = own[v.name]
-    if trail is None:
-        return ren, BindingEnv._wrap(bindings, env.counter + len(ren))
-    return ren, env
+    # the head's variables come first
+    bound = [(ren[v.name].name, own[v.name]) for v in c._vars[:len(own)]]
+    if env.trail is not None:
+        env.redo(bound)
+        return ren, env
+    return ren, BindingEnv._wrap({**env._b, **dict(bound)} if bound
+                                 else env._b, env.counter + len(ren))
 
 
 def rename_body(c: Clause, ren: Mapping[str, Var]) -> tuple:

@@ -18,6 +18,7 @@ from genprog import random_atom, random_program, random_term
 
 from hornlog.compiler import compile_class_table, compile_expr
 from hornlog.engine import (
+    Answer,
     Budget,
     Step,
     colp_solve,
@@ -1053,3 +1054,33 @@ def test_every_answer_reads_its_own_branch():
                     assert (anc.pred, len(anc.args)) == \
                         (atom.pred, len(atom.args))
     assert answers >= 450 and hyps >= 750
+
+
+def test_no_environment_is_mutated_after_it_leaves_a_search(monkeypatch):
+    # A search binds into one store; what it hands out is a copy that the
+    # rest of the search leaves alone: each answer's bindings and
+    # certificate environment as the answer was made, and each
+    # environment rewrite_normalize's observer is given, as it was given.
+    made = []
+
+    def recording(bindings, goal_vars, kind, *rest):
+        answer = Answer(bindings, goal_vars, kind, *rest)
+        made.append((answer, [(e, list(e.bindings.items())) for e in
+                              (answer.bindings, answer.full_env) if e]))
+        return answer
+
+    monkeypatch.setattr(engine, "Answer", recording)
+    budget = Budget(max_steps=300, max_depth=40, max_answers=20)
+    rng = random.Random(2006)
+    for _ in range(150):
+        p, g = random_program(rng), Goal((random_atom(rng),))
+        colp_solve(g, p, budget, certificate=True)
+        sld_solve(g, p, budget, certificate=True)
+        sres_solve(g, p, budget)
+    seen = []
+    rewrite_normalize(parse_goal("q(X)"), EX3, b=Budget(
+        max_rewrite_steps=30), observer=lambda atoms, env: seen.append(
+            (env, list(env.bindings.items()))))
+    assert len(made) >= 150 and len(seen) == 30
+    for env, items in [pair for _, pairs in made for pair in pairs] + seen:
+        assert list(env.bindings.items()) == items
