@@ -110,7 +110,8 @@ class Step:
 
     ``ref`` is the clause index, or for a ``hyp`` step how many steps back
     the closing ancestor was selected; ``bound`` holds the ``(name, term)``
-    pairs of the step's trace line, or None when no trace is asked for.
+    pairs of the step's trace line, filled in when the step is taken, or
+    None when no trace is asked for.
     A ``colp`` step's ``fps`` are ``atom``'s per-argument ground fingerprints
     under the environment it was selected in (``None`` where not ground)."""
 
