@@ -542,6 +542,7 @@ def _substitute(atoms: tuple, store: Store, p: Program,
     chosen = None
     for ai, atom in enumerate(atoms):
         alive = False
+        _park(store, children, mark)  # select under the goal's own bindings
         for clause in p.select(atom, store):
             _park(store, children, mark)
             resolved = unify_head(clause, atom, store)

@@ -49,10 +49,12 @@ from hornlog.terms import (
     Var,
     canon_key,
     has_cycle,
+    head_matches,
     rational_equal,
     rename_apart,
     resolve,
     unify_atoms,
+    unify_head,
 )
 
 ZEROS = parse_program("zeros(cons(0, X)) :- zeros(X).")
@@ -439,6 +441,68 @@ def test_subst_step_past_the_chosen_atom_asks_only_liveness(monkeypatch):
     options = subst_step(g, p)
     assert [o[2:] for o in options] == [(1, 0)]
     assert [sum(a is b for b in calls) for a in g.atoms[1:]] == [1, 2, 1]
+
+
+def test_subst_step_asks_later_atoms_under_the_goals_own_bindings():
+    # Both heads of p give p(Y) an option, binding Y to a and to b; q(Y) is
+    # alive under the goal's own bindings, where q(a) unifies, whichever
+    # option was bound last.
+    p = parse_program("p(a). p(b). q(a).")
+    g = parse_goal("p(Y), q(Y)")
+    assert [o[2:] for o in subst_step(g, p)] == [(1, 0), (2, 0)]
+    verdict = sres_solve(g, p)
+    assert [term_text(a.binding("Y")) for a in verdict.answers] == ["a"]
+
+
+def _reference_subst_step(g, p, env) -> list:
+    """``subst_step`` on immutable environments, as it was before the
+    store: a unifier that bound or overwrote only the head's fresh names
+    gives an option only where the head does not match."""
+    best = []
+    for ai, atom in enumerate(g.atoms):
+        options, alive = [], False
+        for clause in p.select(atom, env):
+            resolved = unify_head(clause, atom, env)
+            if resolved is None:
+                continue
+            alive = True
+            if best:
+                break
+            ren, u = resolved
+            bound = {name for name, t in u.bindings.items()
+                     if env.bindings.get(name) is not t}
+            if (bound - {v.name for v in ren.values()}
+                    or not head_matches(clause.head, atom, env)):
+                options.append((g, u, clause.idx, ai))
+        if not alive:
+            return []
+        if options and not best:
+            best = options
+    return best
+
+
+def test_subst_step_agrees_with_the_immutable_reference():
+    # Random programs, goals of one to three atoms, and environments with
+    # cycles and variable loops: the same options, each with the same
+    # bindings in the same order and the same counter.
+    rng = random.Random(32)
+    options = multi = 0
+    for seed in range(2000):
+        p = random_program(rng, max_clauses=8)
+        bindings = {n: random_term(rng) for n in ("X", "Y", "Z")
+                    if rng.random() < 0.4}
+        if seed % 4 == 0:  # a variable loop X -> Y -> X
+            bindings.update(X=Var("Y"), Y=Var("X"))
+        env = BindingEnv(bindings, counter=seed % 3)
+        g = Goal(tuple(random_atom(rng) for _ in range(1 + seed % 3)))
+        got, want = (
+            [(ref, ai, list(e.bindings.items()), e.counter)
+             for _, e, ref, ai in step(g, p, env)]
+            for step in (subst_step, _reference_subst_step))
+        assert got == want, (seed, g, env)
+        options += len(got)
+        multi += len(got) > 1 and len(g.atoms) > 1
+    assert options >= 250 and multi >= 30
 
 
 def test_subst_step_no_options_on_rigid_goal():
