@@ -534,12 +534,13 @@ def _substitute(atoms: tuple, store: Store, p: Program,
                 introduced: Optional[dict] = None) -> tuple:
     """``subst_step`` on ``store``: its options as ``su`` children bound
     into the store in turn (see ``_park``), and the chosen atom's index.
-    ``introduced`` counts the functors of what each option binds the
-    goal's names to, while its bindings are on the store."""
+    ``introduced`` counts the functors of what the options given bind the
+    goal's names to, each walked while its bindings are on the store."""
     trail = store.trail
     mark = len(trail)
     children = []
     chosen = None
+    counts = {}  # introduced by these options, if they are given
     for ai, atom in enumerate(atoms):
         alive = False
         _park(store, children, mark)  # select under the goal's own bindings
@@ -563,8 +564,7 @@ def _substitute(atoms: tuple, store: Store, p: Program,
                 for name in named if introduced is not None else ():
                     for x in subterms((Var(name),), store):
                         if x.__class__ is Compound:
-                            introduced[x.functor] = \
-                                introduced.get(x.functor, 0) + 1
+                            counts[x.functor] = counts.get(x.functor, 0) + 1
             else:
                 store.undo(mark)
         if not alive:
@@ -572,6 +572,8 @@ def _substitute(atoms: tuple, store: Store, p: Program,
             return [], 0
         if children and chosen is None:
             chosen = ai
+    for f, n in counts.items():
+        introduced[f] = introduced.get(f, 0) + n
     return children, chosen or 0
 
 

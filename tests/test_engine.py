@@ -587,6 +587,16 @@ def test_productivity_terminating_goal_not_live():
     assert report.produced == {}
 
 
+def test_productivity_counts_only_what_the_options_given_introduce():
+    # p(V) has an option, binding V to f(b), but r(c) unifies with no head,
+    # so the step gives none: nothing is introduced, though rewriting
+    # t(f(a)) consumed an f.
+    p = parse_program("t(f(X)) :- p(Y), r(c). p(f(b)). r(b).")
+    report = productivity_report(parse_goal("t(f(a))"), p)
+    assert (report.observable, report.liveness, report.produced) == \
+        (True, 0, {})
+
+
 def _report_walks(monkeypatch, n):
     walks = []
     real = terms._walk
