@@ -344,8 +344,8 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
             else:
                 # a trail entry is never pushed twice, so the same top,
                 # length and counter are the same store
-                top, now = trail[-1] if trail else None, (len(trail),
-                                                          store.counter)
+                top = trail[-1] if trail else None
+                now = len(trail), store.counter
                 if done is None or done[0] is not top or done[1] != now:
                     bindings = store.restrict(goal_vars)
                     done = top, now, bindings, _classify(bindings, goal_vars)
