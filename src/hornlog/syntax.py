@@ -26,7 +26,6 @@ from hornlog.terms import (
     BindingEnv,
     Clause,
     Compound,
-    EMPTY_ENV,
     FIELD_FUNCTOR,
     Goal,
     LIST_FUNCTOR,
@@ -36,9 +35,8 @@ from hornlog.terms import (
     Term,
     UNION_FUNCTOR,
     Var,
-    has_cycle,
+    _walk,
     resolve,
-    subterms,
     to_mu,
 )
 
@@ -320,35 +318,66 @@ def parse_term(text: str, filename: str = "<term>") -> Term:
 
 _UNION_PRIO = 500
 _FIELD_PRIO = 200
+_BACK_EDGE = "a cycle closes through the bindings: the term is rational"
 
 
 def term_text(t: Term, max_prio: int = 1200, nested_lists: bool = False,
-              marked: Optional[set] = None) -> str:
-    """Render a finite term, of any depth: an explicit stack holds the text
-    still to come.
+              marked=None, env: Optional[BindingEnv] = None) -> str:
+    """Render a term, of any depth, read through ``env``'s bindings: an
+    explicit stack holds the text still to come, and each variable is
+    walked where it is met.
 
     ``nested_lists`` prints cons cells one pair at a time (``[a|[b|T]]``),
     which is how incremental answers are displayed; otherwise lists print
     compactly (``[a, b|T]``).  Variables whose names are in ``marked`` get a
-    trailing ``?``.
+    trailing ``?``; ``marked=True`` marks every variable.
 
     ``t`` may share subterms: a compound met again at a priority it was
-    printed at reuses that text, so a shared subterm is printed once.
+    printed at reuses that text, so a shared subterm is printed once.  The
+    compounds on the current path are marked, the cells of a compact list
+    included, and one met again while open is a back edge: the term is
+    rational, and :class:`PrintError` is raised.  A term read without an
+    environment is a finite tree and has none.
     """
+    bindings = env._b if env is not None else None
     pieces: list = []
     done: dict = {}  # (id, priority) -> its slice of pieces, then its text
-    stack: list = [(t, max_prio)]  # text pieces and (term, priority) items
+    path: set = set()  # ids of the open compounds
+    # Text pieces, ``[key, start]`` and cell-id exit markers, (term,
+    # priority) items, and (term, None) for the rest of a compact list.
+    stack: list = [(t, max_prio)]
     while stack:
         x = stack.pop()
         if x.__class__ is str:
             pieces.append(x)
             continue
         if x.__class__ is list:  # [key, start]: that compound is printed
-            done[x[0]] = (x[1], len(pieces))
+            key = x[0]
+            done[key] = (x[1], len(pieces))
+            path.discard(key[0])
+            continue
+        if x.__class__ is int:  # the id of a compact list's cell, done
+            path.discard(x)
             continue
         t, prio = x
-        if isinstance(t, Var):
-            pieces.append(t.name + ("?" if marked and t.name in marked else ""))
+        if t.__class__ is Var and bindings:
+            t = _walk(bindings, t)
+        if prio is None:  # after a compact list's item: its tail
+            if (t.__class__ is Var or t.functor != LIST_FUNCTOR
+                    or len(t.args) != 2):
+                if t.__class__ is Var or t.functor != "[]" or t.args:
+                    stack += ["]", (t, 999), "|"]
+                else:
+                    pieces.append("]")
+                continue
+            if id(t) in path:
+                raise PrintError(_BACK_EDGE)
+            path.add(id(t))
+            stack += [id(t), (t.args[1], None), (t.args[0], 999), ", "]
+            continue
+        if t.__class__ is Var:
+            pieces.append(t.name + "?" if marked is True or (
+                marked and t.name in marked) else t.name)
             continue
         if not t.args:
             pieces.append(t.functor)
@@ -360,37 +389,27 @@ def term_text(t: Term, max_prio: int = 1200, nested_lists: bool = False,
                 text = done[key] = "".join(pieces[text[0]:text[1]])
             pieces.append(text)
             continue
+        if key[0] in path:
+            raise PrintError(_BACK_EDGE)
+        path.add(key[0])
         stack.append([key, len(pieces)])
+        # What is still to come, last piece first.
         if t.functor == LIST_FUNCTOR and len(t.args) == 2:
             if nested_lists:
-                todo = ["[", (t.args[0], 999), "|", (t.args[1], 999), "]"]
+                stack += ["]", (t.args[1], 999), "|", (t.args[0], 999), "["]
             else:
-                todo = []
-                cur: Term = t
-                while (isinstance(cur, Compound) and cur.functor == LIST_FUNCTOR
-                       and len(cur.args) == 2):
-                    todo += [", ", (cur.args[0], 999)]
-                    cur = cur.args[1]
-                todo[0] = "["
-                if isinstance(cur, Compound) and cur.functor == "[]" and not cur.args:
-                    todo.append("]")
-                else:
-                    todo += ["|", (cur, 999), "]"]
+                stack += [(t.args[1], None), (t.args[0], 999), "["]
         elif t.functor == UNION_FUNCTOR and len(t.args) == 2:
-            todo = [(t.args[0], _UNION_PRIO - 1), " \\/ ", (t.args[1], _UNION_PRIO)]
-            if _UNION_PRIO > prio:
-                todo = ["(", *todo, ")"]
+            todo = [(t.args[1], _UNION_PRIO), " \\/ ", (t.args[0], _UNION_PRIO - 1)]
+            stack += [")", *todo, "("] if _UNION_PRIO > prio else todo
         elif t.functor == FIELD_FUNCTOR and len(t.args) == 2:
-            todo = [(t.args[0], _FIELD_PRIO - 1), ":", (t.args[1], _FIELD_PRIO - 1)]
-            if _FIELD_PRIO > prio:
-                todo = ["(", *todo, ")"]
+            todo = [(t.args[1], _FIELD_PRIO - 1), ":", (t.args[0], _FIELD_PRIO - 1)]
+            stack += [")", *todo, "("] if _FIELD_PRIO > prio else todo
         else:
-            todo = []
-            for a in t.args:
-                todo += [", ", (a, 999)]
-            todo[0] = t.functor + "("
-            todo.append(")")
-        stack.extend(reversed(todo))
+            stack.append(")")
+            for a in reversed(t.args):
+                stack += [(a, 999), ", "]
+            stack[-1] = t.functor + "("
     return "".join(pieces)
 
 
@@ -422,33 +441,40 @@ def print_answer(answer, style: str = "flat", unfold: int = 3) -> str:
     * ``mu``: one equation per cycle entry, e.g. ``X = cons(0, X)``.
     * ``lazy``: unfold cycles ``unfold`` times, print cons cells pairwise, and
       mark every remaining variable with a trailing ``?``.
+
+    ``flat`` and ``lazy`` print each goal variable in one ``term_text``
+    walk through the bindings, which marks the compounds on its path.  A
+    compound met again on that path is a back edge: the binding is
+    rational.  There ``flat`` raises, and ``lazy`` prints instead the
+    finite tree that ``resolve`` unfolds to ``unfold`` levels.  So an
+    acyclic answer reads the same under every ``unfold``.
     """
     if style not in ("flat", "mu", "lazy"):
         raise ValueError(f"unknown style {style!r}")
     env: BindingEnv = answer.bindings
+    lazy = style == "lazy"
     parts = []
     for name in answer.goal_vars:
         v = Var(name)
         walked = env.walk(v)
         if isinstance(walked, Var) and walked.name == name:
             continue  # unconstrained
-        if style == "flat":
-            if has_cycle(env, v):
-                raise PrintError(
-                    f"{name} is bound to a rational term; "
-                    "the flat style cannot print it (use mu or lazy)")
-            parts.append(f"{name} = {term_text(resolve(env, v, 1))}")
-        elif style == "mu":
+        if style == "mu":
             m = to_mu(env, v)
             eqs = dict(m.equations)
             root = eqs.pop(name) if m.root == v and name in eqs else m.root
             parts.append(f"{name} = {term_text(root)}")
             parts.extend(f"{n} = {term_text(rhs)}" for n, rhs in sorted(eqs.items()))
-        elif style == "lazy":
-            t = resolve(env, v, unfold)
-            marked = {x.name for x in subterms((t,), EMPTY_ENV)
-                      if x.__class__ is Var}
-            parts.append(f"{name} = {term_text(t, nested_lists=True, marked=marked)}")
+            continue
+        try:
+            text = term_text(walked, 1200, lazy, lazy, env)
+        except PrintError:
+            if not lazy:
+                raise PrintError(
+                    f"{name} is bound to a rational term; "
+                    "the flat style cannot print it (use mu or lazy)") from None
+            text = term_text(resolve(env, v, unfold), 1200, True, True)
+        parts.append(f"{name} = {text}")
     return ", ".join(parts) if parts else "true"
 
 

@@ -13,8 +13,8 @@ plus a set of contractive equations, suitable for printing and comparison.
 dataclasses whose ``__init__`` is written by hand: it stores each field
 through the slot's own descriptor setter (``_set_functor`` and the like),
 which costs a fraction of what a generated frozen ``__init__`` and
-``object.__setattr__`` cost.  Every parser, renaming, resolve and print
-builds nodes, so that cost is paid per node.  Fields, ``==``, ``hash``,
+``object.__setattr__`` cost.  Every parser, renaming and resolve builds
+nodes, so that cost is paid per node.  Fields, ``==``, ``hash``,
 ``repr``, ``dataclasses.replace``, copying and pickling are the
 dataclass's, and assigning or deleting a field still raises
 ``FrozenInstanceError``.  Below Python 3.12, assigning a name that is no
@@ -59,6 +59,8 @@ each for its own question:
 * ``has_cycle`` and ``to_mu`` each mark the compounds on the path of a
   walk of their own: one met again while on it is a back edge, where a
   cycle closes.  ``has_cycle`` returns at the first; ``to_mu`` copies.
+  ``syntax.term_text`` prints a term through an environment the same way,
+  and stops at the first back edge, where the flat style refuses.
 * ``_occurs``, the occurs check, stays apart from ``subterms``: it runs on
   every binding to a compound when the check is on, and it never enters a
   ground compound.  :func:`unify_head` turns it off for a linear clause
@@ -89,6 +91,13 @@ the term graph costs.  ``_rename`` copies every occurrence, since
 subterms it copies; :func:`from_mu` alone passes it a memo, so that each
 node of its ``MuTerm`` is copied once.  ``canon_key`` lists the minimal
 graph flat.
+
+``resolve`` builds a finished copy of a term, so it is called only where
+a finished term is kept or handed on: by ``Answer.binding``, a trace
+line's σ (``engine._new_bindings``), a divergence witness
+(``engine._goal_snapshot``), the lazy print of a cyclic answer, whose
+unfolding is a finite tree, and the proof arguments that ``fixpoint``'s
+upward chain stores.  Answers print through their environment.
 
 A :class:`BindingEnv` may share its binding dict with the environment it was
 derived from: the private ``_wrap`` constructor takes a dict without copying

@@ -8,6 +8,7 @@ random programs under each engine."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
 
@@ -15,7 +16,9 @@ import pytest
 
 from test_replay import ENGINES, _cases
 
-from hornlog.syntax import PrintError, print_answer
+from hornlog import syntax, terms
+from hornlog.engine import Budget, sld_solve, sres_solve
+from hornlog.syntax import PrintError, parse_goal, parse_program, print_answer
 from hornlog.terms import (
     EMPTY_ENV,
     FIELD_FUNCTOR,
@@ -370,3 +373,118 @@ def test_print_answer_equals_the_reference_on_random_program_answers(
             assert_prints_as_reference(answer)
             seen.add(answer.kind)
     assert seen == kinds
+
+
+# ---------------------------------------------------------------------------
+# Work-count gate: one walk through the bindings, no copy, no second check
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+LEN = parse_program("len([], z).\nlen([_|T], s(N)) :- len(T, N).")
+DEEP = Budget(max_steps=10 ** 8, max_depth=10 ** 7, max_rewrite_steps=10 ** 8,
+              max_subst_steps=10 ** 8, max_answers=1)
+
+
+def _printing_work(monkeypatch, answer, style):
+    """Print ``answer``, counting the calls of ``resolve``, ``has_cycle``
+    and ``subterms`` swapped in ``syntax``'s namespace, and every variable
+    walk (``_walk`` in ``syntax``'s and ``terms``' namespaces)."""
+    calls = dict.fromkeys(("resolve", "has_cycle", "subterms", "_walk"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(terms, name), **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(syntax, name, counting, raising=False)
+        if name == "_walk":
+            monkeypatch.setattr(terms, name, counting)
+    try:
+        return print_answer(answer, style), calls
+    finally:
+        monkeypatch.undo()
+
+
+def _len_answer(n):
+    goal = parse_goal("len([" + ", ".join(["a"] * n) + "], N)")
+    [answer] = sld_solve(goal, LEN, DEEP).answers
+    assert answer.kind == "total"
+    return answer, "flat", "N = " + "s(" * n + "z" + ")" * n
+
+
+def _from_answer(k):
+    program = parse_program((SAMPLES / "from.lp").read_text())
+    [answer] = sres_solve(parse_goal("from(0, X)"), program, DEEP,
+                          lazy_k=k).answers
+    assert answer.kind == "partial"
+    return answer, "lazy", None
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (_len_answer, (250, 2000)),
+    (_from_answer, (50, 400)),
+])
+def test_printing_an_answer_walks_its_bindings_once(monkeypatch, make, sizes):
+    per_cell = []
+    for n in sizes:
+        answer, style, want = make(n)
+        text, calls = _printing_work(monkeypatch, answer, style)
+        assert want is None or text == want
+        assert calls["resolve"] == calls["has_cycle"] == calls["subterms"] \
+            == 0, (n, calls)
+        per_cell.append(calls["_walk"] / n)
+    assert per_cell[1] <= 1.25 * per_cell[0], per_cell
+
+
+# ---------------------------------------------------------------------------
+# Cycle and depth guards
+
+RATIONAL = ("{} is bound to a rational term; "
+            "the flat style cannot print it (use mu or lazy)")
+
+
+def _cyclic_answers(n):
+    """Cycles n nodes long: a compact list whose spine closes on itself,
+    the same spine through n variables, and a cycle entered below a node
+    the root reaches twice."""
+    items = [const(f"a{i % 7}") for i in range(n)]
+    spine = answer_of({"X": _list(items, Var("X"))}, ("X",))
+    cells = {f"L{i}": Compound(LIST_FUNCTOR, (items[i], Var(f"L{(i + 1) % n}")))
+             for i in range(n)}
+    cells["X"] = _list([const("h")], Var("L0"))
+    linked = answer_of(cells, ("X",))
+    shared = Compound("k", (Var("C"), const("a")))
+    below = Var("D")
+    for _ in range(n):
+        below = Compound("s", (below,))
+    under = answer_of({"R": Compound("g", (shared, shared)), "C": below,
+                       "D": shared}, ("R",))
+    return [("X", spine), ("X", linked), ("R", under)]
+
+
+def test_flat_refuses_a_long_cycle_without_recursing():
+    for name, answer in _cyclic_answers(20000):
+        with pytest.raises(PrintError) as exc:
+            print_answer(answer, "flat")
+        assert str(exc.value) == RATIONAL.format(name)
+
+
+def test_lazy_prints_a_long_cycle_as_the_reference_does():
+    for _, answer in _cyclic_answers(5000):
+        for unfold in (0, 1, 3):
+            assert (print_answer(answer, "lazy", unfold)
+                    == reference_print_answer(answer, "lazy", unfold))
+
+
+def test_a_long_acyclic_answer_prints_in_both_styles():
+    n = 10 ** 5
+    cells = {f"L{i}": Compound(LIST_FUNCTOR, (const("a"), Var(f"L{i + 1}")))
+             for i in range(n)}
+    nat = {f"N{i}": Compound("s", (Var(f"N{i + 1}"),)) for i in range(n)}
+    nat[f"N{n}"] = const("z")
+    answer = answer_of({**cells, **nat}, ("L0", "N0"))
+    s = "s(" * n + "z" + ")" * n
+    assert print_answer(answer, "flat") == (
+        "L0 = [" + ", ".join(["a"] * n) + f"|L{n}], N0 = {s}")
+    assert print_answer(answer, "lazy") == (
+        "L0 = " + "[a|" * n + f"L{n}?" + "]" * n + f", N0 = {s}")
+    closed = answer_of({**cells, f"L{n}": NIL}, ("L0",))
+    assert print_answer(closed, "flat") == "L0 = [" + ", ".join(["a"] * n) + "]"
+    assert print_answer(closed, "lazy") == "L0 = " + "[a|" * n + "[]" + "]" * n
