@@ -7,7 +7,7 @@ from hornlog.compiler import (
     runtime_clauses,
 )
 from hornlog.engine import Budget
-from hornlog.minioo import parse_classes, parse_expr
+from hornlog.minioo import BinOp, IntLit, New, parse_classes, parse_expr
 from hornlog.syntax import clause_text, parse_goal, parse_program, parse_term
 from hornlog.terms import (
     Compound,
@@ -187,6 +187,16 @@ def test_compile_literal_has_empty_goal():
     goal, result = compile_expr(parse_expr("42"))
     assert goal.atoms == ()
     assert result == Compound("int")
+
+
+@pytest.mark.parametrize("expr", [
+    parse_term("a"),
+    New("a", (IntLit(1), parse_term("a"))),
+    BinOp("<=", IntLit(1), object()),
+])
+def test_compile_expr_refuses_a_foreign_node(expr):
+    with pytest.raises(TypeError, match="not an expression node"):
+        compile_expr(expr)
 
 
 def test_if_results_are_unions():

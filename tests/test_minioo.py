@@ -138,6 +138,16 @@ def test_roundtrip_through_printer():
     assert parse_expr(expr_text(e)) == e
 
 
+@pytest.mark.parametrize("expr", [
+    object(),
+    New("a", (IntLit(1), object())),
+    BinOp("-", Var("x"), object()),
+])
+def test_expr_text_refuses_a_foreign_node(expr):
+    with pytest.raises(TypeError, match="not an expression node"):
+        expr_text(expr)
+
+
 def test_printed_comparisons_parse_back():
     a, b, c = Var("a"), Var("b"), Var("c")
     for e, text in (

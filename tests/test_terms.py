@@ -300,6 +300,16 @@ def test_a_store_trails_exactly_what_each_step_bound():
     assert derived > 2500 and overwritten > 800 and failed > 5000
 
 
+def test_bind_refuses_a_bound_name_and_leaves_the_env_as_it_was():
+    env = EMPTY_ENV.bind("X", const("a"))
+    with pytest.raises(UnificationError, match="variable X is already bound"):
+        env.bind("X", const("b"))
+    assert dict(env.bindings) == {"X": const("a")}
+    assert dict(env.bind("Y", Var("X")).bindings) == {"X": const("a"),
+                                                      "Y": Var("X")}
+    assert "Y" not in env and len(EMPTY_ENV) == 0
+
+
 # ---------------------------------------------------------------------------
 # Matching
 
