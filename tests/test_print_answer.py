@@ -8,6 +8,8 @@ random programs under each engine."""
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -143,6 +145,22 @@ def reference_print_answer(answer, style: str = "flat", unfold: int = 3) -> str:
 STYLES = [("flat", 3), ("mu", 3)] + [("lazy", k) for k in range(4)]
 
 
+@contextmanager
+def _within(seconds):
+    """Fail with ``TimeoutError`` if the block runs longer than ``seconds``:
+    a printer that loops on a cycle stops there, before its stack grows
+    without bound."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still printing after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def _outcome(printer, answer, style, unfold):
     try:
         return printer(answer, style, unfold)
@@ -155,7 +173,8 @@ def assert_prints_as_reference(answer) -> dict:
     out = {}
     for style, unfold in STYLES:
         want = _outcome(reference_print_answer, answer, style, unfold)
-        got = _outcome(print_answer, answer, style, unfold)
+        with _within(5):
+            got = _outcome(print_answer, answer, style, unfold)
         assert got == want, (style, unfold, answer.bindings, answer.goal_vars)
         out[style, unfold] = want
     return out
@@ -461,7 +480,7 @@ def _cyclic_answers(n):
 
 def test_flat_refuses_a_long_cycle_without_recursing():
     for name, answer in _cyclic_answers(20000):
-        with pytest.raises(PrintError) as exc:
+        with _within(3), pytest.raises(PrintError) as exc:
             print_answer(answer, "flat")
         assert str(exc.value) == RATIONAL.format(name)
 
@@ -469,8 +488,19 @@ def test_flat_refuses_a_long_cycle_without_recursing():
 def test_lazy_prints_a_long_cycle_as_the_reference_does():
     for _, answer in _cyclic_answers(5000):
         for unfold in (0, 1, 3):
-            assert (print_answer(answer, "lazy", unfold)
-                    == reference_print_answer(answer, "lazy", unfold))
+            with _within(3):
+                text = print_answer(answer, "lazy", unfold)
+            assert text == reference_print_answer(answer, "lazy", unfold)
+
+
+def test_a_tail_that_only_looks_like_a_list_prints_as_a_tail():
+    a, b = const("a"), const("b")
+    for tail in (Compound("[]", (b,)), Compound(LIST_FUNCTOR, (b,)),
+                 Compound(LIST_FUNCTOR, (a, b, NIL)), Var("T")):
+        answer = answer_of({"X": _list([a, a], Var("Y")), "Y": tail},
+                           ("X", "Y"))
+        out = assert_prints_as_reference(answer)
+        assert "|" in out["flat", 3], out
 
 
 def test_a_long_acyclic_answer_prints_in_both_styles():
