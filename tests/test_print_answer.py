@@ -11,12 +11,12 @@ import random
 import signal
 from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional
 
 import pytest
 
 from test_replay import ENGINES, _cases
+from test_syntax import answer_of
 
 from hornlog import syntax, terms
 from hornlog.engine import Budget, sld_solve, sres_solve
@@ -33,6 +33,7 @@ from hornlog.terms import (
     Var,
     const,
     has_cycle,
+    mklist,
     resolve,
     subterms,
     to_mu,
@@ -180,12 +181,6 @@ def assert_prints_as_reference(answer) -> dict:
     return out
 
 
-def answer_of(bindings, goal_vars):
-    """An answer as ``test_syntax`` builds one: bindings and goal variables,
-    no ``kind``."""
-    return SimpleNamespace(bindings=BindingEnv(bindings), goal_vars=goal_vars)
-
-
 # ---------------------------------------------------------------------------
 # Seeded environments
 
@@ -204,12 +199,6 @@ def _dag(rng, names, size):
         made.append(Compound(name, tuple(rng.choice(made)
                                          for _ in range(arity))))
     return made[len(LEAVES) + len(names):] or [Compound("f", (LEAVES[0],))]
-
-
-def _list(items, tail):
-    for item in reversed(items):
-        tail = Compound(LIST_FUNCTOR, (item, tail))
-    return tail
 
 
 def env_dag(rng):
@@ -249,7 +238,7 @@ def env_cycle_below_shared(rng):
     if shape == 0:
         b[root] = Compound("g", (n, n))
     elif shape == 1:
-        b[root] = _list([n, const("a"), n], Var(rng.choice(NAMES)))
+        b[root] = mklist([n, const("a"), n], Var(rng.choice(NAMES)))
     else:
         b[root] = Compound(UNION_FUNCTOR, (Compound("f", (n,)), n))
     return b
@@ -263,11 +252,11 @@ def env_cyclic_spine(rng):
     items = _dag(rng, NAMES, 4)
     for i, n in enumerate(ring):
         nxt = Var(ring[(i + 1) % len(ring)])
-        b[n] = _list([rng.choice(items + LEAVES)
+        b[n] = mklist([rng.choice(items + LEAVES)
                       for _ in range(rng.randrange(1, 4))], nxt)
     if rng.random() < 0.5:  # enter the loop from a list in front of it
         front = rng.choice([n for n in NAMES if n not in ring])
-        b[front] = _list([const("h")], Var(ring[0]))
+        b[front] = mklist([const("h")], Var(ring[0]))
     return b
 
 
@@ -282,7 +271,7 @@ def env_var_loop(rng):
         if n not in ring and rng.random() < 0.4:
             b[n] = rng.choice([Var(rng.choice(ring)),
                                Compound("f", (Var(rng.choice(ring)),)),
-                               _list([Var(rng.choice(ring))],
+                               mklist([Var(rng.choice(ring))],
                                      Var(rng.choice(ring)))])
     return b
 
@@ -299,8 +288,8 @@ def env_list_tails(rng):
             items = [rng.choice(LEAVES + [Var(x) for x in later])
                      for _ in range(rng.randrange(0, 4))]
             if items and rng.random() < 0.3:
-                items[0] = _list(items[1:], NIL)
-            b[n] = _list(items, tail) if items else tail
+                items[0] = mklist(items[1:], NIL)
+            b[n] = mklist(items, tail)
     return b
 
 
@@ -464,10 +453,10 @@ def _cyclic_answers(n):
     the same spine through n variables, and a cycle entered below a node
     the root reaches twice."""
     items = [const(f"a{i % 7}") for i in range(n)]
-    spine = answer_of({"X": _list(items, Var("X"))}, ("X",))
+    spine = answer_of({"X": mklist(items, Var("X"))}, ("X",))
     cells = {f"L{i}": Compound(LIST_FUNCTOR, (items[i], Var(f"L{(i + 1) % n}")))
              for i in range(n)}
-    cells["X"] = _list([const("h")], Var("L0"))
+    cells["X"] = mklist([const("h")], Var("L0"))
     linked = answer_of(cells, ("X",))
     shared = Compound("k", (Var("C"), const("a")))
     below = Var("D")
@@ -497,7 +486,7 @@ def test_a_tail_that_only_looks_like_a_list_prints_as_a_tail():
     a, b = const("a"), const("b")
     for tail in (Compound("[]", (b,)), Compound(LIST_FUNCTOR, (b,)),
                  Compound(LIST_FUNCTOR, (a, b, NIL)), Var("T")):
-        answer = answer_of({"X": _list([a, a], Var("Y")), "Y": tail},
+        answer = answer_of({"X": mklist([a, a], Var("Y")), "Y": tail},
                            ("X", "Y"))
         out = assert_prints_as_reference(answer)
         assert "|" in out["flat", 3], out
