@@ -209,7 +209,11 @@ def _cmd_compile(args) -> int:
     n_runtime = len(runtime_clauses().clauses)
     lines = [f"% provenance: {'runtime' if i < n_runtime else c.span}\n"
              f"{clause_text(c)}" for i, c in enumerate(unit.program.clauses)]
-    _emit("\n".join(lines) + "\n", args.output)
+    text = "\n".join(lines) + "\n"
+    if args.output:
+        _write(args.output, text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -265,16 +269,12 @@ def _cmd_check(args) -> int:
 
 def _atom_line(atom: Atom, env: BindingEnv) -> str:
     """Render a fragment atom; rational arguments get `where` equations."""
-    eqs = {}
-    roots = []
-    for arg in atom.args:
-        m = to_mu(env, arg)
-        roots.append(m.root)
-        eqs.update(dict(m.equations))
-    text = atom_text(Atom(atom.pred, tuple(roots)))
-    if eqs:
+    m = to_mu(env, Compound(atom.pred, atom.args))
+    text = atom_text(Atom(atom.pred, m.root.args))
+    if m.equations:
         text += "  where " + ", ".join(
-            f"{name} = {term_text(rhs)}" for name, rhs in sorted(eqs.items()))
+            f"{name} = {term_text(rhs)}"
+            for name, rhs in sorted(m.equations.items()))
     return text
 
 
@@ -300,13 +300,6 @@ def _cmd_oracle(args) -> int:
     if trace.fixed_point:
         print("fixed point reached", file=sys.stderr)
     return EXIT_OK
-
-
-def _emit(text: str, output) -> None:
-    if output:
-        _write(output, text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

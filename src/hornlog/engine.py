@@ -225,9 +225,8 @@ def _resolve(atoms: tuple, store: Store, p: Program, occurs_check: bool,
     mark = len(store.trail)
     for clause in p.select(selected, store):
         _park(store, children, mark)
-        resolved = unify_head(clause, selected, store, occurs_check)
-        if resolved is not None:
-            ren = resolved[0]
+        ren = unify_head(clause, selected, store, occurs_check)
+        if ren is not None:
             children.append((rename_body(clause, ren) + rest, None,
                              store.counter + len(ren), "sld", clause.idx))
     return children
@@ -242,7 +241,7 @@ def sld_step(atoms: tuple, env: BindingEnv, p: Program,
 
 
 def colp_step(atoms: tuple, store: Store, path: list,
-              p: Program, table: Optional[dict] = None) -> tuple:
+              p: Program, table: dict) -> tuple:
     """Resolvents under the coinductive discipline, on the branch whose
     ``Step``s, root first, are ``path`` and whose bindings ``store`` holds,
     as children bound into ``store`` in turn (see ``_park``), and the
@@ -255,8 +254,7 @@ def colp_step(atoms: tuple, store: Store, path: list,
     where both are set is skipped without unifying: bindings only grow along
     a branch, so a term ground under the ancestor's environment is the same
     tree under ``store``, and two different ground trees never unify.
-    ``table`` is the branch's ``_fp_under`` table (a fresh one if None)."""
-    table = {} if table is None else table
+    ``table`` is the branch's ``_fp_under`` table."""
     selected = atoms[0]
     rest = atoms[1:]
     pred, arity = selected.pred, len(selected.args)
@@ -465,10 +463,10 @@ def _rewrite_normalize(atoms: tuple, store: Store, path: list,
     frontier = 0
     while True:
         mark = len(trail)
-        found = next(((ai, clause, matched)
+        found = next(((ai, clause, ren)
                       for ai in range(frontier, len(atoms))
                       for clause in p.select(atoms[ai], store)
-                      if (matched := match_head(clause, atoms[ai], store))
+                      if (ren := match_head(clause, atoms[ai], store))
                       is not None), None)
         if found is None:
             return atoms, steps, None
@@ -476,7 +474,7 @@ def _rewrite_normalize(atoms: tuple, store: Store, path: list,
             store.undo(mark)
             return atoms, steps, [_goal_snapshot(a, store)
                                   for a in (*history, atoms)]
-        ai, clause, (ren, _) = found
+        ai, clause, ren = found
         store.counter += len(ren)
         if consumed is not None:
             stack = list(clause.head.args)  # every compound occurrence
@@ -546,14 +544,13 @@ def _substitute(atoms: tuple, store: Store, p: Program,
         _park(store, children, mark)  # select under the goal's own bindings
         for clause in p.select(atom, store):
             _park(store, children, mark)
-            resolved = unify_head(clause, atom, store)
-            if resolved is None:
+            ren = unify_head(clause, atom, store)
+            if ren is None:
                 continue
             alive = True
             if chosen is not None:  # past the chosen atom, only liveness counts
                 store.undo(mark)
                 break
-            ren = resolved[0]
             fresh = {v.name for v in ren.values()}
             named = [name for name, _ in trail[mark:] if name not in fresh]
             # a head that bound only fresh names left every walk from the

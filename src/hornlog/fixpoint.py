@@ -30,7 +30,7 @@ atom of the predicate product takes its key from the keys of its
 arguments.  ``atom_key`` looks a finite ground argument up among the
 finite ground members before it keys one.  The loops below carry the keys
 of the atoms they hold (from ``frag.atoms`` or from a stage set) instead of
-keying them again.  ``tp_step`` and ``_proof_step`` join clause bodies
+keying them again.  ``tp_step`` and ``_proof_stage`` join clause bodies
 against a stage with one generator, ``_joins``, which scans members and
 keys none.  Candidates are picked by first argument through the one index
 that ``Program.select`` reads too (``first_index`` and ``first_pick`` in
@@ -55,7 +55,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Optional
 
 from hornlog.syntax import atom_text
 from hornlog.terms import (
@@ -105,13 +104,12 @@ class GroundFragment:
     # finite ground member -> its key; equal terms hash alike (``fp``)
     _ground_keys: dict = field(default_factory=dict, repr=False)
 
-    def atom_key(self, a: Atom, env: Optional[BindingEnv] = None):
-        e = env if env is not None else self.env
+    def atom_key(self, a: Atom, env: BindingEnv):
         key = [a.pred, len(a.args)]
         for t in a.args:
-            t = e.walk(t)
+            t = env.walk(t)
             k = self._ground_keys.get(t) if t.fp is not None else None
-            key.append(canon_key(t, e) if k is None else k)
+            key.append(canon_key(t, env) if k is None else k)
         return tuple(key)
 
     def add_term(self, t, env: BindingEnv):
@@ -446,41 +444,8 @@ def _iterate(first: dict, n: int, step) -> FixpointTrace:
     return FixpointTrace(sets, fixed)
 
 
-def _proof_step(p_trans: Program, frag: GroundFragment, atoms: dict,
-                stage: dict) -> dict:
-    """The members of ``atoms`` (atoms by key, over the original signature)
-    that a clause of ``p_trans`` derives from ``stage``, each atom read
-    without its proof argument.  In the downward chain of ``p_trans``, stage
-    0 is every fragment atom, and since stages only shrink, stage k is the
-    step of stage k-1 over the members of stage k-1.
-
-    Each clause is renamed apart from the fixed arena once, and read
-    without its proof arguments (``_proof_heads``).  A body atom the head
-    unifier leaves ground is looked up by key; the rest join ``stage`` as
-    in ``tp_step``.  The universe is closed under subterms, so whatever the
-    join binds a body-only variable to, a product over the universe would
-    have tried too.  Proof positions stay unconstrained: the downward
-    iteration only inspects k constructor layers of a proof, so any
-    completion works.
-
-    ``atoms`` are ground, so the head unifier grounds the head's variables:
-    a body atom whose variables the head holds is looked up, and a joined
-    atom that is existential given the head joins one member.  Only whether
-    a join exists is asked, and one member leaves that unchanged.
-
-    A head is unified with an atom only if their first arguments do not
-    clash in functor or arity (``first_pick``, the one first-argument
-    index that ``Program.select`` reads too) and, for ground
-    atoms, ``head_matches`` says it will succeed; that binds nothing, so a
-    failing head copies no arena.  A chain builds the table of heads once
-    and steps with ``_proof_stage``, which keys each (atom, clause) pair's
-    looked-up body atoms once: later stages only look the keys up.
-    """
-    return _proof_stage(_proof_heads(p_trans, frag), frag, atoms, stage)
-
-
 def _proof_heads(p_trans: Program, frag: GroundFragment) -> dict:
-    """``first_index`` of ``_proof_step``'s clauses by their stripped head:
+    """``first_index`` of ``p_trans``'s clauses by their stripped head:
     the head, the body, the renamed clause's environment, the body's split
     into looked-up and joined atoms with the join plan (None in a fragment
     with free variables, where it depends on the atom), and what the head
@@ -501,7 +466,36 @@ def _proof_heads(p_trans: Program, frag: GroundFragment) -> dict:
 
 def _proof_stage(heads: dict, frag: GroundFragment, atoms: dict,
                  stage: dict) -> dict:
-    """``_proof_step`` from its ``_proof_heads``."""
+    """The members of ``atoms`` (atoms by key, over the original signature)
+    that a clause of the proof-carrying program ``p_trans`` of
+    ``heads = _proof_heads(p_trans, frag)`` derives from ``stage``, each
+    atom read without its proof argument.  In the downward chain of
+    ``p_trans``, stage 0 is every fragment atom, and since stages only
+    shrink, stage k is the step of stage k-1 over the members of stage k-1:
+    ``_proof_stage(heads, frag, s, s)``.
+
+    Each clause is renamed apart from the fixed arena once, and read
+    without its proof arguments (``_proof_heads``).  A body atom the head
+    unifier leaves ground is looked up by key; the rest join ``stage`` as
+    in ``tp_step``.  The universe is closed under subterms, so whatever the
+    join binds a body-only variable to, a product over the universe would
+    have tried too.  Proof positions stay unconstrained: the downward
+    iteration only inspects k constructor layers of a proof, so any
+    completion works.
+
+    ``atoms`` are ground, so the head unifier grounds the head's variables:
+    a body atom whose variables the head holds is looked up, and a joined
+    atom that is existential given the head joins one member.  Only whether
+    a join exists is asked, and one member leaves that unchanged.
+
+    A head is unified with an atom only if their first arguments do not
+    clash in functor or arity (``first_pick``, the one first-argument
+    index that ``Program.select`` reads too) and, for ground
+    atoms, ``head_matches`` says it will succeed; that binds nothing, so a
+    failing head copies no arena.  A chain builds ``heads`` once, and each
+    (atom, clause) pair's looked-up body atoms are keyed once: later stages
+    only look the keys up.
+    """
     by_pred = {}
     for a in stage.values():
         by_pred.setdefault(a.key, []).append(a)

@@ -150,9 +150,6 @@ class ClassDecl:
 class ClassTable:
     classes: dict  # name -> ClassDecl, declaration order
 
-    def decl(self, name: str) -> ClassDecl:
-        return self.classes[name]
-
     def fields_of(self, name: str) -> tuple:
         """All fields of ``name`` including inherited ones, root first.
 

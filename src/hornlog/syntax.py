@@ -36,6 +36,7 @@ from hornlog.terms import (
     UNION_FUNCTOR,
     Var,
     _walk,
+    mklist,
     resolve,
     to_mu,
 )
@@ -226,7 +227,7 @@ class _Parser(_Cursor):
                 if kind == "|":
                     _, opener, items = stack.pop()
                     self.expect("]")
-                    done = _bracket_list(items, done, opener.span)
+                    done = mklist(items, done, opener.span)
                     continue
                 stack[-1][2].append(done)
                 if self.peek().text == ",":
@@ -242,7 +243,7 @@ class _Parser(_Cursor):
                     break
                 else:
                     self.expect("]")
-                    done = _bracket_list(items, NIL, opener.span)
+                    done = mklist(items, NIL, opener.span)
 
     # -- clauses ------------------------------------------------------------
 
@@ -251,6 +252,12 @@ class _Parser(_Cursor):
         term = self.term()
         if isinstance(term, Var):
             raise ParseError("a goal atom cannot be a variable", t.span)
+        # atom_text would print either as a functor that no parser reads
+        # back: .(a, b) or \/(a, b)
+        if term.functor == LIST_FUNCTOR:
+            raise ParseError("an atom cannot be a bracket list", term.span)
+        if term.functor == UNION_FUNCTOR:
+            raise ParseError("an atom cannot be a \\/ union", term.span)
         return Atom(term.functor, term.args, term.span or t.span)
 
     def clause(self, idx: int) -> Clause:
@@ -290,13 +297,6 @@ class _Parser(_Cursor):
         return Goal(tuple(atoms))
 
 
-def _bracket_list(items: list, tail: Term, span: SourceSpan) -> Term:
-    out = tail
-    for item in reversed(items):
-        out = Compound(LIST_FUNCTOR, (item, out), span)
-    return out
-
-
 def parse_program(text: str, filename: str = "<string>") -> Program:
     return _Parser(text, filename).program()
 
@@ -322,15 +322,15 @@ _BACK_EDGE = "a cycle closes through the bindings: the term is rational"
 
 
 def term_text(t: Term, max_prio: int = 1200, nested_lists: bool = False,
-              marked=None, env: Optional[BindingEnv] = None) -> str:
+              marked: bool = False, env: Optional[BindingEnv] = None) -> str:
     """Render a term, of any depth, read through ``env``'s bindings: an
     explicit stack holds the text still to come, and each variable is
     walked where it is met.
 
     ``nested_lists`` prints cons cells one pair at a time (``[a|[b|T]]``),
     which is how incremental answers are displayed; otherwise lists print
-    compactly (``[a, b|T]``).  Variables whose names are in ``marked`` get a
-    trailing ``?``; ``marked=True`` marks every variable.
+    compactly (``[a, b|T]``).  With ``marked`` every variable gets a
+    trailing ``?``.
 
     ``t`` may share subterms: a compound met again at a priority it was
     printed at reuses that text, so a shared subterm is printed once.  The
@@ -376,8 +376,7 @@ def term_text(t: Term, max_prio: int = 1200, nested_lists: bool = False,
             stack += [id(t), (t.args[1], None), (t.args[0], 999), ", "]
             continue
         if t.__class__ is Var:
-            pieces.append(t.name + "?" if marked is True or (
-                marked and t.name in marked) else t.name)
+            pieces.append(t.name + "?" if marked else t.name)
             continue
         if not t.args:
             pieces.append(t.functor)

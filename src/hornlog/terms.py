@@ -205,17 +205,13 @@ _set_span = Compound.span.__set__
 _set_fp = Compound.fp.__set__
 
 
-def _fp_under(env: "BindingEnv", t, table: Optional[dict] = None
-              ) -> Optional[int]:
+def _fp_under(env: "BindingEnv", t, table: dict) -> Optional[int]:
     """``t``'s ground fingerprint under ``env``, in ``Compound.fp``'s scheme,
     or ``None`` if the walk reaches an unbound variable or a cycle.
 
     ``table`` maps ``id(node)`` to ``(node, fp)`` for compounds found ground
     under ``env`` or under an environment ``env`` was derived from; the walk
-    reads it and adds every compound it finishes.  Without one it starts
-    from an empty table."""
-    if table is None:
-        table = {}
+    reads it and adds every compound it finishes."""
     bindings = env._b
     opened: set = set()  # ids of compounds open on the path
     out: list = []  # finished fingerprints, left to right
@@ -265,10 +261,13 @@ def const(name: str, span: Optional[SourceSpan] = None) -> Compound:
     return Compound(name, (), span)
 
 
-def mklist(items, tail: Term = NIL) -> Term:
+def mklist(items, tail: Term = NIL,
+           span: Optional[SourceSpan] = None) -> Term:
+    """The bracket list of ``items`` ending in ``tail``, each cell with
+    ``span``."""
     out = tail
     for item in reversed(list(items)):
-        out = Compound(LIST_FUNCTOR, (item, out))
+        out = Compound(LIST_FUNCTOR, (item, out), span)
     return out
 
 
@@ -469,8 +468,9 @@ EMPTY_ENV = BindingEnv()
 
 class Store(BindingEnv):
     """A search's one mutable environment: ``_unify``, and through it
-    ``unify``, ``unify_atoms`` and ``match``, and :func:`unify_head` and
-    :func:`match_head` bind into it in place and return it.  Each binding
+    ``unify``, ``unify_atoms`` and ``match``, bind into it in place and
+    return it; :func:`unify_head` and :func:`match_head` take only a store,
+    and bind it in place.  Each binding
     pushes ``(name, old value)`` on ``trail``; the old value is None for a
     name that was unbound, else the collapsed variable loop's link it
     overwrote.  A trail mark is a length of ``trail``: ``undo`` takes back
@@ -688,19 +688,10 @@ def match(pattern: Term, target: Term, env: BindingEnv = EMPTY_ENV) -> Optional[
                   {v.name for v in term_vars(pattern)})
 
 
-def match_atoms(pattern: Atom, target: Atom, env: BindingEnv = EMPTY_ENV) -> Optional[BindingEnv]:
-    """``match`` on the argument tuples of two atoms of one predicate."""
-    if pattern.pred != target.pred or len(pattern.args) != len(target.args):
-        return None
-    pat_vars = {v.name for a in pattern.args for v in term_vars(a)}
-    return _unify(list(zip(reversed(pattern.args), reversed(target.args))),
-                  env, False, pat_vars)
-
-
 def head_matches(head: Atom, target: Atom, env: BindingEnv) -> bool:
-    """Would ``match_atoms`` of a renamed copy of ``head`` succeed against
-    ``target`` under ``env``?  Nothing is renamed, built or bound in
-    ``env``."""
+    """Is ``target`` of ``head``'s predicate and arity, with arguments
+    that ``match`` of a renamed copy of ``head``'s succeeds against under
+    ``env``?  Nothing is renamed, built or bound in ``env``."""
     return _head_targets(head, target, env) is not None
 
 
@@ -1135,13 +1126,14 @@ def _renaming(c: Clause, counter: int) -> dict:
             for i, v in enumerate(c._vars)}
 
 
-def unify_head(c: Clause, atom: Atom, env: BindingEnv,
-               occurs_check: bool = False) -> Optional[tuple]:
-    """``(ren, env2)``, with ``env2`` what ``unify_atoms`` of the head of
-    ``rename_apart(c, env)`` with ``atom``, an atom of the head's predicate
-    and arity, gives, bindings in order, or None; the head is not copied.
-    ``ren`` is the renaming, for :func:`rename_body`.  A :class:`Store` is
-    bound in place and returned as ``env2``, its counter left as it was.
+def unify_head(c: Clause, atom: Atom, store: Store,
+               occurs_check: bool = False) -> Optional[dict]:
+    """Bind ``store`` in place to what ``unify_atoms`` of the head of
+    ``rename_apart(c, store)`` with ``atom``, an atom of the head's
+    predicate and arity, binds, in order, and return the renaming, for
+    :func:`rename_body`; or return None and leave ``store`` as it was.
+    The head is not copied, and the store's counter is left for its
+    search to advance past the renaming.
 
     A linear head, where no variable occurs twice, is unified without the
     occurs check, whatever ``occurs_check`` says: the problem is not subject
@@ -1150,30 +1142,23 @@ def unify_head(c: Clause, atom: Atom, env: BindingEnv,
     so it is unbound and unreferenced when it is bound, and a copied head
     subterm bound to a goal variable holds only unbound fresh variables
     that nothing else reaches.  Neither binding can close a cycle."""
-    ren = _renaming(c, env.counter)
-    u = _unify([], env if env.trail is not None else
-               BindingEnv._wrap(env._b, env.counter + len(ren)),
-               occurs_check and not c._linear_head,
-               heads=list(zip(reversed(c.head.args), reversed(atom.args))),
-               ren=ren)
-    return None if u is None else (ren, u)
+    ren = _renaming(c, store.counter)
+    return None if _unify(
+        [], store, occurs_check and not c._linear_head,
+        heads=list(zip(reversed(c.head.args), reversed(atom.args))),
+        ren=ren) is None else ren
 
 
-def match_head(c: Clause, atom: Atom, env: BindingEnv) -> Optional[tuple]:
-    """``unify_head`` with ``match_atoms``: the fresh names of the head's
-    variables, in order, bound to the targets ``head_matches`` walks to.
-    A :class:`Store` is bound in place as ``unify_head`` binds one."""
-    own = _head_targets(c.head, atom, env)
+def match_head(c: Clause, atom: Atom, store: Store) -> Optional[dict]:
+    """``unify_head`` with ``match``: bind the fresh names of the head's
+    variables, in order, to the targets ``head_matches`` walks to."""
+    own = _head_targets(c.head, atom, store)
     if own is None:
         return None
-    ren = _renaming(c, env.counter)
+    ren = _renaming(c, store.counter)
     # the head's variables come first
-    bound = [(ren[v.name].name, own[v.name]) for v in c._vars[:len(own)]]
-    if env.trail is not None:
-        env.redo(bound)
-        return ren, env
-    return ren, BindingEnv._wrap({**env._b, **dict(bound)} if bound
-                                 else env._b, env.counter + len(ren))
+    store.redo([(ren[v.name].name, own[v.name]) for v in c._vars[:len(own)]])
+    return ren
 
 
 def rename_body(c: Clause, ren: Mapping[str, Var]) -> tuple:

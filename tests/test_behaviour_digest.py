@@ -57,7 +57,7 @@ Cases:
   stages 0-7.
 * ``referee/<name>/stages``: the stages 0-3 of ``tp_up``, ``tp_down``,
   ``tp_up`` with ``ignore_last`` over the proof-carrying program and the
-  proof-carrying downward chain (``_proof_step``), each stage's atoms
+  proof-carrying downward chain (``_proof_stage``), each stage's atoms
   printed in the stage dict's order, so that insertion order and
   representatives are pinned.  The programs are the ``referee/<name>``
   ones over the same fragment; hand-written ones, over the ``d = 2,
@@ -299,11 +299,10 @@ def term_cases() -> dict:
         lines.append(f"to_mu {m!r}")
         for depth in (0, 1, 2):
             r = resolve(env, t, depth)
-            marked = {v.name for v in term_vars(r)}
             lines += [f"resolve {depth} {r!r}",
                       f"  flat {term_text(r)}",
                       f"  nested {term_text(r, nested_lists=True)}",
-                      f"  marked {term_text(r, nested_lists=True, marked=marked)}"]
+                      f"  marked {term_text(r, nested_lists=True, marked=True)}"]
         copy, copy_env = from_mu(m, EMPTY_ENV)
         classes = [first_with_key.setdefault(canon_key(x, e), i)
                    for x, e in ((t, env), (copy, copy_env))]
@@ -1240,8 +1239,8 @@ def _chains(p, frag) -> list:
         ("down", lambda: tp_down(p, n, frag)),
         ("proof-up", lambda: tp_up(proof_side, n, frag, ignore_last=True)),
         ("proof-down", lambda: fixpoint._iterate(
-            dict(frag.atoms), n,
-            lambda s: fixpoint._proof_step(proof_side, frag, s, s))),
+            dict(frag.atoms), n, lambda s: fixpoint._proof_stage(
+                fixpoint._proof_heads(proof_side, frag), frag, s, s))),
     ]
 
 

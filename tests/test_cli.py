@@ -654,6 +654,15 @@ def test_lp_parse_error_reports_span(capsys, tmp_path):
     assert "bad.lp:1:" in err
 
 
+def test_a_list_read_as_an_atom_is_a_parse_error(capsys, tmp_path):
+    assert run(capsys, "solve", ZEROS, "[X|Y]") == (
+        3, "", "error: <goal>:1:1: an atom cannot be a bracket list\n")
+    bad = tmp_path / "bad.lp"
+    bad.write_text("p(a).\np(X) :- a \\/ X.\n")
+    assert run(capsys, "transform", str(bad)) == (
+        3, "", f"error: {bad}:2:11: an atom cannot be a \\/ union\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "x.lp", "?- a.", "--engine", "prolog"),
     ("oracle", "x.lp", "sideways"),

@@ -54,7 +54,6 @@ from hornlog.terms import (
     rename_apart,
     resolve,
     unify_atoms,
-    unify_head,
 )
 
 ZEROS = parse_program("zeros(cons(0, X)) :- zeros(X).")
@@ -196,7 +195,8 @@ def _colp_children(atoms, env, path, p) -> list:
     """``colp_step``'s children on a store made from ``env``, each as
     ``(atoms, env2, kind, ref)`` with an environment of its own."""
     store = Store(env)
-    return engine._frozen(env, store, colp_step(atoms, store, path, p)[0])
+    return engine._frozen(env, store, colp_step(atoms, store, path, p,
+                                                {})[0])
 
 
 def test_colp_step_prefers_most_recent_ancestor():
@@ -462,16 +462,16 @@ def _reference_subst_step(g, p, env) -> list:
     for ai, atom in enumerate(g.atoms):
         options, alive = [], False
         for clause in p.select(atom, env):
-            resolved = unify_head(clause, atom, env)
-            if resolved is None:
+            renamed, env2 = rename_apart(clause, env)
+            u = unify_atoms(renamed.head, atom, env2)
+            if u is None:
                 continue
             alive = True
             if best:
                 break
-            ren, u = resolved
             bound = {name for name, t in u.bindings.items()
                      if env.bindings.get(name) is not t}
-            if (bound - {v.name for v in ren.values()}
+            if (bound - {v.name for v in renamed._vars}
                     or not head_matches(clause.head, atom, env)):
                 options.append((g, u, clause.idx, ai))
         if not alive:
@@ -1075,10 +1075,10 @@ def test_tabled_fingerprints_equal_fresh_ones(monkeypatch):
         reads += bool(table)
         if entries:
             for node, fp in table.values():
-                assert real(env, node) == fp
+                assert real(env, node, {}) == fp
             checked += len(table)
         fp = real(env, t, table)
-        assert fp == real(env, t)
+        assert fp == real(env, t, {})
         return fp
 
     monkeypatch.setattr(engine, "_fp_under", checking)

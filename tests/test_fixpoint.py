@@ -16,6 +16,7 @@ from genprog import (
     random_terminating_query,
 )
 from hornlog import fixpoint
+from hornlog.cli import main
 from hornlog.engine import Budget, colp_solve, sld_solve, sres_solve
 from hornlog.fixpoint import (
     FragmentError,
@@ -48,8 +49,10 @@ from hornlog.transform import transform_program
 
 ROOT = Path(__file__).resolve().parent.parent
 FROM = parse_program((ROOT / "samples" / "from.lp").read_text())
+SUBCLASS = ROOT / "samples" / "subclass.lp"
 ZEROS = parse_program("zeros(cons(0, X)) :- zeros(X).")
-ADD = parse_program("add(0, Y, Y). add(s(X), Y, s(Z)) :- add(X, Y, Z).")
+ADD_TEXT = "add(0, Y, Y). add(s(X), Y, s(Z)) :- add(X, Y, Z)."
+ADD = parse_program(ADD_TEXT)
 AB = parse_program("b. a :- b.")
 SUBCLASS_AB = parse_program("""
 subclass(X, X) :- class(X).
@@ -111,6 +114,27 @@ def test_fragment_cap_enforced(monkeypatch):
         build_fragment(ADD, 3, 0)
 
 
+@pytest.mark.parametrize("text, d, cap, message", [
+    # 3 terms at depth 1 already
+    ("p(s(0)).", 2, 2, "fragment cap 2 exceeded"),
+    # 2 terms, so 8 atoms of add/3
+    (ADD_TEXT, 1, 4, "atom product for add/3 exceeds cap 4"),
+    # 2 terms, and products of 4, 2 and 4 atoms
+    (SUBCLASS.read_text(), 0, 5, "fragment cap 5 exceeded"),
+], ids=["terms", "product", "atoms"])
+def test_each_fragment_cap_is_enforced(capsys, monkeypatch, tmp_path, text,
+                                       d, cap, message):
+    # The universe, one predicate's product and the atom set each stop at
+    # the cap, and the oracle exits 2 on what it raises.
+    monkeypatch.setattr(fixpoint, "CAP", cap)
+    with pytest.raises(FragmentError, match=f"^{message}$"):
+        build_fragment(parse_program(text), d, 0)
+    path = tmp_path / "p.lp"
+    path.write_text(text)
+    assert main(["oracle", str(path), "down", "-d", str(d), "-c", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_fragment_seeding_brings_subterms():
     env = EMPTY_ENV.bind("T", parse_term("g(h(a), T)"))
     seed = Atom("p", (Var("T"),))
@@ -123,7 +147,7 @@ def test_fragment_seeding_brings_subterms():
 
 def _assert_keys_hold_in_the_arena(frag):
     for key, a in frag.atoms.items():
-        assert frag.atom_key(a) == key
+        assert frag.atom_key(a, frag.env) == key
     for key, t in frag.universe.items():
         assert canon_key(t, frag.env) == key
 
@@ -489,7 +513,8 @@ def test_tp_step_matches_grounding_by_product():
             for s in trace.sets:
                 by_product = _step_by_product(p, s, frag)
                 assert set(tp_step(p, s, frag)) == by_product
-                assert set(fixpoint._proof_step(p_trans, frag, s, s)) \
+                assert set(fixpoint._proof_stage(
+                    fixpoint._proof_heads(p_trans, frag), frag, s, s)) \
                     == set(s) & by_product
                 stages += 1
     assert stages == 400
@@ -509,7 +534,8 @@ def test_proof_chains_leave_the_arena_fixed(monkeypatch):
     assert [len(s) for s in up.sets] == [0, 3, 6, 6, 6]
     assert len(renamed) == len(p.clauses)
     renamed.clear()
-    fixpoint._proof_step(p, frag, frag.atoms, frag.atoms)
+    fixpoint._proof_stage(fixpoint._proof_heads(p, frag), frag, frag.atoms,
+                          frag.atoms)
     assert 0 < len(renamed) <= len(p.clauses)
     renamed.clear()
     down = fixpoint._proof_chain(fixpoint._proof_heads(p, frag), 4, frag)
@@ -580,8 +606,8 @@ def test_joins_by_need_keep_every_stage_of_the_full_join(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(fixpoint, "_joins", _all_branching_joins)
             want = _chains(p, free, n, lambda pt: fixpoint._iterate(
-                dict(free.atoms), n,
-                lambda s: fixpoint._proof_step(pt, free, s, s)))
+                dict(free.atoms), n, lambda s: fixpoint._proof_stage(
+                    fixpoint._proof_heads(pt, free), free, s, s)))
         assert got == want, [str(c) for c in p.clauses]
 
 
@@ -728,6 +754,60 @@ def test_lemmas_hold_for_infinite_programs():
     report = check_transform_lemmas(
         parse_program("p(f(X)) :- p(X). q(X) :- q(X)."), n=3, d=2, c=1)
     assert report.holds, report.counterexamples
+
+
+# The referee can fail: a transform that breaks a lemma is reported.
+
+# subclass.lp's proof side without its last clause, extends(a, object)
+DROPPED_LAST_CLAUSE = [
+    *(f"up k={k}: extends(a, object) has no proof-carrying counterpart"
+      for k in range(1, 5)),
+    *(f"down k={k}: extends(a, object) in plain iteration but proof side "
+      "says False" for k in range(1, 5)),
+]
+
+
+def _sabotage(monkeypatch, edit) -> None:
+    """Make the lemma check transform a program into what ``edit`` makes of
+    the transformed clauses."""
+    real = fixpoint.transform_program
+
+    def sabotaged(p):
+        t = real(p)
+        return replace(t, program=Program(edit(t.program.clauses)))
+
+    monkeypatch.setattr(fixpoint, "transform_program", sabotaged)
+
+
+def test_the_lemma_check_reports_a_transform_that_drops_a_clause(
+        monkeypatch):
+    _sabotage(monkeypatch, lambda clauses: clauses[:-1])
+    report = check_transform_lemmas(parse_program(SUBCLASS.read_text()))
+    assert not report.holds
+    assert report.counterexamples == DROPPED_LAST_CLAUSE
+
+
+def test_the_lemma_check_reports_a_transform_that_adds_a_fact(monkeypatch):
+    # extends(object, a) is a fragment atom that subclass.lp does not derive
+    extra = parse_program("extends(object, a, k$9).").clauses
+    _sabotage(monkeypatch, lambda clauses: clauses + extra)
+    report = check_transform_lemmas(parse_program(SUBCLASS.read_text()))
+    lines = report.counterexamples
+    for k in range(1, 5):
+        assert (f"up k={k}: the proof-carrying atom extends(object, a, k$9) "
+                "strips to an atom outside the plain iteration") in lines
+        assert (f"down k={k}: extends(object, a) not in plain iteration but "
+                "proof side says True") in lines
+    assert not any("no proof-carrying counterpart" in line for line in lines)
+
+
+def test_oracle_lemmas_prints_each_counterexample_and_exits_1(
+        capsys, monkeypatch):
+    _sabotage(monkeypatch, lambda clauses: clauses[:-1])
+    assert main(["oracle", str(SUBCLASS), "lemmas"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("".join(f"{line}\n" for line in DROPPED_LAST_CLAUSE),
+                          "")
 
 
 def test_lemmas_vacuous_on_empty_program():

@@ -61,7 +61,7 @@ class ListFact extends Object {
 def test_parse_linked_lists():
     ct = parse_classes(LISTS_SRC)
     assert list(ct.classes) == ["elist", "nelist"]
-    nelist = ct.decl("nelist")
+    nelist = ct.classes["nelist"]
     assert nelist.fields == ("head", "tail")
     assert nelist.parent == "object"
     assert nelist.ctor.params == ("head", "tail")
@@ -72,13 +72,13 @@ def test_parse_linked_lists():
 
 def test_elist_addlast_body():
     ct = parse_classes(LISTS_SRC)
-    body = ct.decl("elist").methods["addlast"].body
+    body = ct.classes["elist"].methods["addlast"].body
     assert body == New("nelist", (Var("elem"), This()))
 
 
 def test_nelist_addlast_body():
     ct = parse_classes(LISTS_SRC)
-    body = ct.decl("nelist").methods["addlast"].body
+    body = ct.classes["nelist"].methods["addlast"].body
     assert body == New("nelist", (
         FieldAcc(This(), "head"),
         Invoke(FieldAcc(This(), "tail"), "addlast", (Var("elem"),)),
@@ -87,7 +87,7 @@ def test_nelist_addlast_body():
 
 def test_parse_replicate_if():
     ct = parse_classes(LISTFACT_SRC)
-    body = ct.decl("listfact").methods["replicate"].body
+    body = ct.classes["listfact"].methods["replicate"].body
     assert body == If(
         BinOp("<=", Var("n"), IntLit(0)),
         New("elist", ()),
@@ -123,7 +123,7 @@ class Cons extends NEList {
 }
 """)
     assert ct.fields_of("cons") == ("head", "tail", "extra")
-    assert ct.decl("cons").ctor.super_args == (Var("h"), Var("t"))
+    assert ct.classes["cons"].ctor.super_args == (Var("h"), Var("t"))
 
 
 def test_empty_input_yields_empty_table():
@@ -195,7 +195,7 @@ def test_errors_carry_spans_in_bounds():
 
 def test_unknown_parent_is_allowed():
     ct = parse_classes("class A extends Mystery { A() { super(); } }")
-    assert ct.decl("a").parent == "mystery"
+    assert ct.classes["a"].parent == "mystery"
     assert ct.fields_of("a") == ()
 
 
@@ -207,8 +207,8 @@ class Box {  // no explicit parent: object is implied
     BOX(item) { super(); this.ITEM = item; }
 }
 """)
-    assert ct.decl("box").fields == ("item",)
-    assert ct.decl("box").parent == "object"
+    assert ct.classes["box"].fields == ("item",)
+    assert ct.classes["box"].parent == "object"
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_expr_text_prints_any_depth(text):
 def test_parse_classes_reads_a_deep_method_body():
     body = "(" * DEEP + "this.m()" + ")" * DEEP
     ct = parse_classes(f"class A {{ m() {{ {body} }} }}")
-    assert ct.decl("a").methods["m"].body == Invoke(This(), "m", ())
+    assert ct.classes["a"].methods["m"].body == Invoke(This(), "m", ())
 
 
 def test_if_is_only_a_full_expression():

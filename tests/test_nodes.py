@@ -113,6 +113,6 @@ def test_fingerprints_are_the_scheme_fp_under_folds():
     terms += [_ground(rng, 6) for _ in range(300)]
     for t in terms:
         if t.__class__ is Compound:
-            assert t.fp == _fp_under(EMPTY_ENV, t)
+            assert t.fp == _fp_under(EMPTY_ENV, t, {})
     assert sum(t.fp is not None for t in terms) > 300
     assert sum(t.__class__ is Compound and t.fp is None for t in terms) > 50

@@ -111,6 +111,31 @@ def test_parse_goal_empty_is_error():
         parse_goal("?- .")
 
 
+@pytest.mark.parametrize("text, column, what", [
+    ("[a|b]", 1, "a bracket list"),
+    ("[a, b]", 1, "a bracket list"),
+    ("a \\/ b", 3, "a \\/ union"),
+    ("(a \\/ b)", 4, "a \\/ union"),
+])
+def test_an_atom_written_as_a_list_or_a_union_is_refused(text, column,
+                                                          what):
+    # Such an atom would print as .(a, b) or \/(a, b), which no parser
+    # reads back.  A head, a body atom and a goal atom are refused alike,
+    # at the bracket or the union.
+    for parse, source, offset in (
+            (parse_program, f"{text}.", 0),
+            (parse_program, f"p :- q, {text}.", 8),
+            (parse_goal, text, 0), (parse_goal, f"q, {text}", 3)):
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert str(exc.value).endswith(
+            f":1:{column + offset}: an atom cannot be {what}")
+    # a field term prints back as fld(x, y), so it stays an atom
+    assert program_text(parse_program("x:y.")) == "fld(x, y).\n"
+    assert parse_program("fld(x, y).").clauses == parse_program(
+        "x:y.").clauses
+
+
 def test_parse_anonymous_vars_are_distinct():
     p = parse_program("p(_, _).")
     a, b = p.clauses[0].head.args
@@ -245,7 +270,7 @@ def test_term_text_of_a_dag_is_the_text_of_its_tree():
         tree = _tree_copy(dag)
         for prio in (1200, 999, 500, 499, 200, 199, 0):
             for nested in (False, True):
-                for marked in (None, {"X"}):
+                for marked in (False, True):
                     assert (term_text(dag, prio, nested, marked)
                             == term_text(tree, prio, nested, marked))
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import hornlog.terms as term_module
 from genprog import random_atom, random_program, random_term
+from replay import _matched
 
 from hornlog.terms import (
     EMPTY_ENV,
@@ -35,7 +36,6 @@ from hornlog.terms import (
     has_cycle,
     head_matches,
     match,
-    match_atoms,
     match_head,
     mklist,
     rational_equal,
@@ -257,16 +257,24 @@ def test_a_store_trails_exactly_what_each_step_bound():
         target = Atom("p", (other, Var(rng.choice(_SHARE_VARS))))
         clause = Clause(Atom("p", (t, Var("X4"))))
         renamed, env2 = rename_apart(clause, env)
-        steps = [(env, lambda e, oc=oc: unify(t, other, e, oc))
+        # Each step with what the immutable call gives: the same call on
+        # the parent, or for a clause head, which binds only into a store,
+        # the call on the head rename_apart renamed, whose renaming it
+        # returns.
+        calls = [lambda e, oc=oc: unify(t, other, e, oc)
                  for oc in (False, True)]
-        steps += [(env, lambda e: unify(Var("X4"), other, e)),
-                  (env2, lambda e: match(renamed.head.args[0], other, e)),
-                  (env2, lambda e: unify_atoms(renamed.head, target, e)),
-                  (env, lambda e: unify_head(clause, target, e)),
-                  (env, lambda e: match_head(clause, target, e))]
-        for parent, step in steps:
+        calls.append(lambda e: unify(Var("X4"), other, e))
+        steps = [(env, call, call(env)) for call in calls]
+        steps += [(env2, call, call(env2)) for call in (
+            lambda e: match(renamed.head.args[0], other, e),
+            lambda e: unify_atoms(renamed.head, target, e))]
+        steps += [(env, lambda e: unify_head(clause, target, e),
+                   unify_atoms(renamed.head, target, env2)),
+                  (env, lambda e: match_head(clause, target, e),
+                   _matched(renamed.head, target, env2))]
+        ren = dict(zip((v.name for v in clause._vars), renamed._vars))
+        for parent, step, want in steps:
             before = list(parent.bindings.items())
-            want = step(parent)
             store = Store(parent)
             got = step(store)
             if want is None:
@@ -275,14 +283,9 @@ def test_a_store_trails_exactly_what_each_step_bound():
                 assert list(store.bindings.items()) == before
                 continue
             derived += 1
-            counter = parent.counter
-            if isinstance(want, tuple):  # the renaming, then the env
-                assert got[0] == want[0]
-                counter += len(got[0])
-                want, got = want[1], got[1]
+            assert got == ren if isinstance(got, dict) else got is store
             # a store's counter is left for its search to advance
-            assert got is store and store.counter == parent.counter
-            assert want.counter == counter
+            assert store.counter == parent.counter
             assert list(store.bindings.items()) == \
                 list(want.bindings.items())
             assert {name for name, _ in store.trail} == {
@@ -1064,7 +1067,7 @@ def test_builders_and_printer_on_deep_terms_do_not_recurse():
     text = term_text(m.equations["X0"])
     assert text == "s(" * n + "X0" + ")" * n
     lazy = resolve(ring, mklist([const("a")] * n, Var("X0")), 1)
-    assert term_text(lazy, nested_lists=True, marked={"X0"}).endswith(
+    assert term_text(lazy, nested_lists=True, marked=True).endswith(
         "X0?" + ")" * n + "]" * n)
 
 
@@ -1130,7 +1133,7 @@ def test_atom_unify_and_match_build_no_compound(monkeypatch):
     for a1, a2, env in pairs:
         unify_atoms(a1, a2, env)
         unify_atoms(a1, a2, env, occurs_check=True)
-        match_atoms(a1, a2, env)
+        match_head(Clause(a1), a2, Store(env))
     assert built == []
 
 
@@ -1140,8 +1143,11 @@ def test_atom_unify_and_match_agree_with_wrapped_atoms():
         pairs = [(unify_atoms(a1, a2, env, oc),
                   unify(_wrapped(a1), _wrapped(a2), env, oc))
                  for oc in (False, True)]
-        pairs.append((match_atoms(a1, a2, env),
-                      match(_wrapped(a1), _wrapped(a2), env)))
+        store = Store(env)
+        renamed, env2 = rename_apart(Clause(a1), env)
+        pairs.append((None if match_head(Clause(a1), a2, store) is None
+                      else store,
+                      match(_wrapped(renamed.head), _wrapped(a2), env2)))
         for got, want in pairs:
             assert (got is None) == (want is None)
             if got is not None:
@@ -1185,20 +1191,6 @@ def test_match_is_unify_binding_only_pattern_variables(t1, t2, bindings):
         assert _same_bindings(matched, unified)
 
 
-def test_match_atoms_is_unify_atoms_binding_only_pattern_variables():
-    successes = 0
-    for a1, a2, env in _atom_pairs(400):
-        matched = match_atoms(a1, a2, env)
-        unified = unify_atoms(a1, a2, env)
-        names = {v.name for a in a1.args for v in term_vars(a)}
-        assert (matched is not None) == (
-            unified is not None and _binds_only(unified, env, names))
-        if matched is not None:
-            successes += 1
-            assert _same_bindings(matched, unified)
-    assert successes > 20
-
-
 # ---------------------------------------------------------------------------
 # Matching a clause's own head, unrenamed
 
@@ -1236,7 +1228,7 @@ def test_head_matches_agrees_with_match_atoms_of_the_renamed_head():
         head = Atom("p", tuple(_head_term(rng, resolve(env, a, 1, cut=4), 3,
                                           named) for a in target.args))
         renamed, env2 = rename_apart(Clause(head), env)
-        want = match_atoms(renamed.head, target, env2) is not None
+        want = _matched(renamed.head, target, env2) is not None
         assert head_matches(head, target, env) == want, (head, target, env)
         seen[want] += 1
         names = [v.name for a in head.args for v in term_vars(a)]
@@ -1269,16 +1261,23 @@ def _resolvent(env, body):
             [(a.pred, a.span, [_nodes(x) for x in a.args]) for a in body])
 
 
-def _in_place(resolved, c):
-    return None if resolved is None else _resolvent(
-        resolved[1], rename_body(c, resolved[0]))
+def _in_place(step, c, env):
+    """``_resolvent`` of ``c`` after ``step``, ``unify_head`` or
+    ``match_head`` of ``c``, binds a store made from ``env``, the store's
+    counter advanced past the renaming ``step`` returns."""
+    store = Store(env)
+    ren = step(store)
+    return None if ren is None else _resolvent(
+        BindingEnv(store.bindings, store.counter + len(ren)),
+        rename_body(c, ren))
 
 
 def test_head_resolution_gives_what_renaming_the_whole_clause_gave():
     # unify_head and match_head against rename_apart then unify_atoms or
-    # match_atoms of the renamed head, on genprog clauses and atoms printed
-    # and parsed back so that every node has a span, under environments with
-    # cycles and variable loops whose names the clauses share.
+    # match (replay's _matched) of the renamed head, on genprog clauses and
+    # atoms printed and parsed back so that every node has a span, under
+    # environments with cycles and variable loops whose names the clauses
+    # share.
     rng = random.Random(18)
     triples = 0
     outcomes = dict.fromkeys(["unify", "occurs", "match", "cycle", "loop"],
@@ -1303,10 +1302,12 @@ def test_head_resolution_gives_what_renaming_the_whole_clause_gave():
                 for oc in (False, True):
                     want = _resolvent(unify_atoms(rc.head, atom, env2, oc),
                                       rc.body)
-                    assert _in_place(unify_head(c, atom, env, oc), c) == want
+                    assert _in_place(lambda s: unify_head(c, atom, s, oc),
+                                     c, env) == want
                     results.append(want is not None)
-                want = _resolvent(match_atoms(rc.head, atom, env2), rc.body)
-                assert _in_place(match_head(c, atom, env), c) == want
+                want = _resolvent(_matched(rc.head, atom, env2), rc.body)
+                assert _in_place(lambda s: match_head(c, atom, s),
+                                 c, env) == want
                 outcomes["unify"] += results[0]
                 outcomes["occurs"] += results[0] and not results[1]
                 outcomes["match"] += want is not None
@@ -1357,7 +1358,8 @@ def test_unify_head_skips_the_occurs_check_only_where_it_cannot_fire():
                 for a in c.head.args))
             rc, env2 = rename_apart(c, env)
             want = unify_atoms(rc.head, atom, env2, True)
-            got = unify_head(c, atom, env, True)
+            store = Store(env)
+            got = unify_head(c, atom, store, True)
             assert (got is None) == (want is None), (c, atom, env)
             if want is None:
                 if unify_atoms(rc.head, atom, env2) is not None:
@@ -1366,7 +1368,7 @@ def test_unify_head_skips_the_occurs_check_only_where_it_cannot_fire():
                 continue
             outcomes["unify"] += 1
             for v in {v.name for a in atom.args for v in term_vars(a)}:
-                assert rational_equal(Var(v), Var(v), got[1], want)
+                assert rational_equal(Var(v), Var(v), store, want)
     assert min(outcomes.values()) >= 50, outcomes
 
 

@@ -177,6 +177,21 @@ def test_render_proof_rational_back_reference():
     assert lines[1].strip() == "↻ k$1"
 
 
+def test_render_proof_prints_a_node_of_no_source_clause_as_its_term():
+    # k$9 names no clause of the source program: it and what it holds
+    # print as one term
+    tp = transform_program(SUBCLASS_AB)
+    text = render_proof(parse_term("k$2(k$9(a, [b|T]))"), tp)
+    assert text.splitlines() == [
+        "clause 2: subclass(X, object)",
+        "  k$9(a, [b|T])",
+    ]
+
+
+def test_proof_measure_skips_an_atom_with_no_arguments():
+    assert proof_measure(parse_goal("ok, p(a, k$2(k$5)), done").atoms) == 2
+
+
 def test_proof_measure_counts_proof_positions_only():
     tp = transform_program(SUBCLASS_AB)
     g = parse_goal("subclass(a, object, k$2(k$5))")
