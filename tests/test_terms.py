@@ -1160,6 +1160,9 @@ def test_atom_unify_and_match_agree_with_wrapped_atoms():
 def test_mklist():
     t = mklist([const("a"), const("b")], Var("T"))
     assert t == Compound(".", (const("a"), Compound(".", (const("b"), Var("T")))))
+    span = SourceSpan("<term>", 1, 1, 1)  # the parser's, at the bracket
+    cells = mklist([const("a"), const("b")], Var("T"), span)
+    assert cells == t and cells.span is span and cells.args[1].span is span
 
 
 # ---------------------------------------------------------------------------
