@@ -1,10 +1,10 @@
 """Derivation engines: SLD, coinductive SLD, and structural resolution.
 
-All three engines run one depth-first search (``_search``) over nodes
-``(atoms, env, depth, at, step)``, leftmost atom first and clauses in order.
-It pops a node, lets the engine reduce it in place, and then records an
-answer, stops on a cap, or pushes a child for each resolvent the engine
-gives.  The engines differ in how an atom may be closed or reduced:
+All three engines run one depth-first search (``_search``), leftmost atom
+first and clauses in order.  It lets the engine reduce a node in place,
+and then records an answer, stops on a cap, or pushes a choice point for
+the children the engine gives, and takes the next child of the latest
+choice point.  The engines differ in how an atom may be closed or reduced:
 
 * ``sld_solve``: classic resolution, occurs check on by default (skipped
   for a clause head where no variable occurs twice: it cannot fire there).
@@ -37,15 +37,15 @@ length L added is dropped at the next expansion at length L or less, where
 ``_search`` has cut the branch back past it.
 
 A search holds its branch's bindings in one ``Store`` (see ``terms``),
-whose trail lists each binding with the value it replaced.  A step binds
-each of its children into the store in turn, taking all but the last back
-off (``_park``), and a pending child keeps its parent's trail mark beside
-``at`` and what its step bound.  Taking the child undoes the store to that
-mark, where ``path`` is cut back to ``at``, and binds the step's bindings
-again; a step with one child leaves them in place.  So a step costs what
-it binds, not what its branch holds.  An answer's bindings and certificate
-environment, and the results of ``sld_step``, ``subst_step`` and
-``rewrite_normalize``, are environments of their own, copied once.
+whose trail lists each binding with the value it replaced.  Children are
+made one at a time, as the search takes them (the WAM's ``try``, ``retry``
+and ``trust``; Ait-Kaci 1991): each undoes the store to its choice point's
+trail mark and binds only itself, and the last candidate pops the choice
+point.  So a step costs what it binds, not what its branch holds, and a
+child never taken is never unified.  ``sres`` finds all its options first
+and binds each again when it is taken.  An answer's bindings and
+certificate environment, and the results of ``sld_step``, ``subst_step``
+and ``rewrite_normalize``, are environments of their own, copied once.
 
 A diverging rewriting phase is evidence against universal observability and
 turns into a ``not_universally_observable`` verdict carrying the witness,
@@ -193,43 +193,25 @@ def _trace_lines(path: list) -> list:
 # Single steps
 
 
-def _park(store: Store, children: list, mark: int) -> None:
-    """Set ``store`` back to a step's trail ``mark`` before its next
-    alternative.  A step binds each of its ``children``, ``(atoms, bound,
-    counter, kind, ref)`` with ``counter`` where the child's fresh names
-    start, into the store in turn.  The last one's bindings stay on it,
-    with ``bound`` None, until this takes them off into ``bound``, the
-    ``(name, value)`` pairs that ``Store.redo`` binds again."""
-    if children and children[-1][1] is None:
-        atoms, _, counter, kind, ref = children[-1]
-        children[-1] = (atoms, store.bound(mark), counter, kind, ref)
-        store.undo(mark)
+def _frozen(store: Store, children) -> list:
+    """The ``children`` of a step on ``store``, as ``(atoms, env2, kind,
+    ref)``, each ``env2`` a copy of the store while that child is bound."""
+    return [(atoms, BindingEnv(store.bindings, counter), kind, ref)
+            for atoms, counter, kind, ref, _ in children]
 
 
-def _frozen(env: BindingEnv, store: Store, children: list) -> list:
-    """The ``children`` of a step on ``store``, a store made from ``env``,
-    as ``(atoms, env2, kind, ref)``, each ``env2`` an environment of its
-    own."""
-    _park(store, children, 0)
-    return [(atoms, BindingEnv._wrap({**env.bindings, **dict(bound)},
-                                     counter), kind, ref)
-            for atoms, bound, counter, kind, ref in children]
-
-
-def _resolve(atoms: tuple, store: Store, p: Program, occurs_check: bool,
-             children: list) -> list:
-    """The SLD resolvents of ``atoms`` on ``store``, in clause order,
-    appended to ``children`` (see ``_park``)."""
-    selected = atoms[0]
-    rest = atoms[1:]
+def _resolve(atoms: tuple, store: Store, p: Program, occurs_check: bool):
+    """The SLD resolvents of ``atoms`` on ``store``, in clause order, as
+    children (see ``_search``)."""
+    selected, rest = atoms[0], atoms[1:]
     mark = len(store.trail)
-    for clause in p.select(selected, store):
-        _park(store, children, mark)
+    clauses = p.select(selected, store)
+    for clause in clauses:
         ren = unify_head(clause, selected, store, occurs_check)
         if ren is not None:
-            children.append((rename_body(clause, ren) + rest, None,
-                             store.counter + len(ren), "sld", clause.idx))
-    return children
+            yield (rename_body(clause, ren) + rest, store.counter + len(ren),
+                   "sld", clause.idx, clause is clauses[-1])
+            store.undo(mark)
 
 
 def sld_step(atoms: tuple, env: BindingEnv, p: Program,
@@ -237,18 +219,17 @@ def sld_step(atoms: tuple, env: BindingEnv, p: Program,
     """Resolvents of ``atoms`` under SLD resolution, in clause order, as
     ``(atoms, env, "sld", clause index)``."""
     store = Store(env)
-    return _frozen(env, store, _resolve(atoms, store, p, occurs_check, []))
+    return _frozen(store, _resolve(atoms, store, p, occurs_check))
 
 
 def colp_step(atoms: tuple, store: Store, path: list,
               p: Program, table: dict) -> tuple:
     """Resolvents under the coinductive discipline, on the branch whose
     ``Step``s, root first, are ``path`` and whose bindings ``store`` holds,
-    as children bound into ``store`` in turn (see ``_park``), and the
-    selected atom's ``Step.fps``.  Hypothesis closures against
-    same-predicate ancestors (most recent first, kind ``hyp``, ``ref`` the
-    steps back) come before clause resolvents; unification runs without
-    the occurs check.
+    as children (see ``_search``), and the selected atom's ``Step.fps``.
+    Closures against the same-predicate ancestors, listed now (most recent
+    first, kind ``hyp``, ``ref`` the steps back), come before clause
+    resolvents; unification runs without the occurs check.
 
     An ancestor whose ``fps`` differ from the selected atom's at a position
     where both are set is skipped without unifying: bindings only grow along
@@ -256,11 +237,9 @@ def colp_step(atoms: tuple, store: Store, path: list,
     tree under ``store``, and two different ground trees never unify.
     ``table`` is the branch's ``_fp_under`` table."""
     selected = atoms[0]
-    rest = atoms[1:]
     pred, arity = selected.pred, len(selected.args)
     fps = tuple(_fp_under(store, a, table) for a in selected.args)
-    mark = len(store.trail)
-    children = []
+    ancestors = []
     for back, anc in enumerate(reversed(path), 1):
         a = anc.atom
         if a.pred == pred and len(a.args) == arity:
@@ -268,13 +247,17 @@ def colp_step(atoms: tuple, store: Store, path: list,
                 if x != y and x is not None and y is not None:
                     break
             else:
-                _park(store, children, mark)
-                if unify_atoms(a, selected, store,
-                               occurs_check=False) is not None:
-                    children.append((rest, None, store.counter, "hyp",
-                                     back))
-    _park(store, children, mark)
-    return _resolve(atoms, store, p, False, children), fps
+                ancestors.append((back, a))
+
+    def children():
+        mark = len(store.trail)
+        for back, a in ancestors:
+            if unify_atoms(a, selected, store, occurs_check=False) is not None:
+                yield atoms[1:], store.counter, "hyp", back, False
+                store.undo(mark)
+        yield from _resolve(atoms, store, p, False)
+
+    return children(), fps
 
 
 # ---------------------------------------------------------------------------
@@ -293,42 +276,29 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
             lazy_k=inf, trace: bool = False,
             certificate: bool = False) -> Verdict:
     """The search of the module docstring, under the caps of ``b``, on one
-    ``Store``.  A node is ``(atoms, mark, bound, counter, depth, at,
-    step)``: its branch's bindings are the store's up to trail ``mark``
-    plus ``bound``, or None when they are on the store already, and its
-    fresh names start at ``counter``; its depth counts the expansions on
-    its branch, and its branch is the first ``at`` entries of ``path``
-    followed by ``step`` (None for the root, and for every node whose step
-    nobody reads).
-    ``reduce(atoms, store, path)`` gives ``(atoms, steps, witness)`` and
-    may bind into the store and append steps to ``path``; a witness ends
-    the search as not universally observable.  ``expand(atoms, store,
-    path)`` gives ``(children, ai, fps, taken)``: the children of
-    ``atoms[ai]``, first child first, as ``_park`` says, the ``Step.fps``
-    of that atom or None, and the steps taken, which ``max_subst_steps``
-    bounds."""
+    ``Store``.  ``reduce(atoms, store, path)`` gives ``(atoms, steps,
+    witness)`` and may bind into the store and append steps to ``path``; a
+    witness ends the search as not universally observable.  ``expand(atoms,
+    store, path)`` gives ``(children, ai, fps, taken)``: the children of
+    ``atoms[ai]``, the ``Step.fps`` of that atom or None, and the steps
+    taken, which ``max_subst_steps`` bounds.  ``children`` binds each child
+    into the store only when asked for, and yields it as ``(atoms, counter,
+    kind, ref, last)``, its fresh names from ``counter`` and ``last`` set
+    when no candidate is left; it undoes the child before the next.  A
+    choice point is ``(children, mark, counter, depth, at, atoms, ai,
+    fps)``: the trail mark and counter it was made at, the children's
+    depth, ``path``'s length before them, and what their ``Step`` reads."""
     goal_vars = goal_var_names(g)
     store = Store(bump_counter_past(EMPTY_ENV, p, g))
     trail = store.trail
-    stack = [(g.atoms, 0, None, store.counter, 0, 0, None)]
-    path = []
-    answers = []
+    atoms, depth = g.atoms, 0
+    stack, path, answers = [], [], []
     steps = expanded = 0
     without_answers = "failed"
     # the store at the previous answer, its bindings and kind, if it was
     # not partial
     done = None
-    while stack:
-        atoms, mark, bound, counter, depth, at, step = stack.pop()
-        del path[at:]
-        if bound is not None:
-            store.undo(mark)
-            store.redo(bound)
-        store.counter = counter
-        if step is not None:
-            if trace:
-                step.bound.extend(_new_bindings(store, mark))
-            path.append(step)
+    while True:
         if reduce is not None:
             atoms, reduced, witness = reduce(atoms, store, path)
             steps += reduced
@@ -358,26 +328,35 @@ def _search(g: Goal, p: Program, b: Budget, expand, reduce=None,
                 tuple(s.atom for s in path) if certificate else None))
             if b.max_answers and len(answers) >= b.max_answers:
                 break
-            continue
-        if steps >= b.max_steps or expanded >= b.max_subst_steps:
+        elif steps >= b.max_steps or expanded >= b.max_subst_steps:
             without_answers = "exhausted"
             break
-        if depth >= b.max_depth:
+        elif depth >= b.max_depth:
             without_answers = "exhausted"
-            continue
-        mark = len(trail)
-        children, ai, fps, taken = expand(atoms, store, path)
-        steps += taken
-        expanded += taken
-        if len(children) > 1:  # the first child is taken next, not the last
-            _park(store, children, mark)
-        at = len(path)
-        record = trace or certificate or fps is not None
-        for atoms2, bound, counter2, kind, ref in reversed(children):
-            # a loop, not a comprehension: colp runs 2% faster
-            stack.append((atoms2, mark, bound, counter2, depth + 1, at, Step(
-                kind, ref, ai, atoms[ai], [] if trace else None, fps)
-                if record else None))
+        else:
+            mark, counter = len(trail), store.counter
+            children, ai, fps, taken = expand(atoms, store, path)
+            steps += taken
+            expanded += taken
+            stack.append((children, mark, counter, depth + 1, len(path),
+                          atoms, ai, fps))
+        while stack:  # take the next child of the latest choice point
+            children, mark, counter, depth, at, parent, ai, fps = stack[-1]
+            store.counter = counter
+            child = next(children, None)
+            if child is not None:
+                break
+            stack.pop()
+        else:
+            break
+        atoms, store.counter, kind, ref, last = child
+        if last:
+            stack.pop()
+        del path[at:]
+        if trace or certificate or fps is not None:
+            path.append(Step(kind, ref, ai, parent[ai],
+                             _new_bindings(store, mark) if trace else None,
+                             fps))
     return Verdict("answers" if answers else without_answers, answers,
                    steps_used=steps)
 
@@ -388,8 +367,7 @@ def sld_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
     """Depth-first SLD resolution; collects every answer reachable in budget."""
     return _search(g, p, replace(b, max_subst_steps=inf),
                    lambda atoms, store, path: (
-                       _resolve(atoms, store, p, occurs_check, []), 0, None,
-                       1),
+                       _resolve(atoms, store, p, occurs_check), 0, None, 1),
                    trace=trace, certificate=certificate)
 
 
@@ -398,7 +376,6 @@ def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
     """SLD plus the coinductive hypothesis rule; computes rational answers."""
     table = {}  # the branch's _fp_under table, in the order entries came
     log = []  # (len(path), len(table)) before each expansion on the branch
-    step = partial(colp_step, p=p, table=table)
 
     def expand(atoms, store, path):
         # what expansions this long or longer added is off the branch now
@@ -406,7 +383,7 @@ def colp_solve(g: Goal, p: Program, b: Budget = DEFAULT_BUDGET,
             for _ in range(len(table) - log.pop()[1]):
                 table.popitem()
         log.append((len(path), len(table)))
-        children, fps = step(atoms, store, path)
+        children, fps = colp_step(atoms, store, path, p, table)
         return children, 0, fps, 1
 
     return _search(g, p, replace(b, max_subst_steps=inf), expand,
@@ -523,27 +500,40 @@ def subst_step(g: Goal, p: Program, env: BindingEnv = EMPTY_ENV) -> list:
     selected heads only until one unifies.
     """
     store = Store(env)
-    children, ai = _substitute(g.atoms, store, p)
+    children, _, ai = _substitute(g.atoms, store, p)
     return [(g, env2, ref, ai)
-            for _, env2, _, ref in _frozen(env, store, children)]
+            for _, env2, _, ref in _frozen(store, children)]
+
+
+def _park(store: Store, options: list, mark: int) -> None:
+    """Set ``store`` back to trail ``mark``.  The last of ``_substitute``'s
+    ``options``, ``(bound, counter, ref)``, has ``bound`` None while its
+    bindings are on the store; this takes them off into ``bound``, the
+    ``(name, value)`` pairs that ``Store.redo`` binds again."""
+    if options and options[-1][0] is None:
+        _, counter, ref = options[-1]
+        options[-1] = (store.bound(mark), counter, ref)
+        store.undo(mark)
 
 
 def _substitute(atoms: tuple, store: Store, p: Program,
                 introduced: Optional[dict] = None) -> tuple:
-    """``subst_step`` on ``store``: its options as ``su`` children bound
-    into the store in turn (see ``_park``), and the chosen atom's index.
+    """``subst_step`` on ``store``, as ``(children, taken, ai)``: its
+    options as ``su`` children (see ``_search``), all found first and each
+    bound again when asked for (the sole option of a goal's last atom stays
+    bound), how many there are, and the chosen atom's index.
     ``introduced`` counts the functors of what the options given bind the
     goal's names to, each walked while its bindings are on the store."""
     trail = store.trail
     mark = len(trail)
-    children = []
+    options = []
     chosen = None
     counts = {}  # introduced by these options, if they are given
     for ai, atom in enumerate(atoms):
         alive = False
-        _park(store, children, mark)  # select under the goal's own bindings
+        _park(store, options, mark)  # select under the goal's own bindings
         for clause in p.select(atom, store):
-            _park(store, children, mark)
+            _park(store, options, mark)
             ren = unify_head(clause, atom, store)
             if ren is None:
                 continue
@@ -556,8 +546,7 @@ def _substitute(atoms: tuple, store: Store, p: Program,
             # a head that bound only fresh names left every walk from the
             # goal as it was, so head_matches may ask under its bindings
             if named or not head_matches(clause.head, atom, store):
-                children.append((atoms, None, store.counter + len(ren), "su",
-                                 clause.idx))
+                options.append((None, store.counter + len(ren), clause.idx))
                 for name in named if introduced is not None else ():
                     for x in subterms((Var(name),), store):
                         if x.__class__ is Compound:
@@ -566,12 +555,23 @@ def _substitute(atoms: tuple, store: Store, p: Program,
                 store.undo(mark)
         if not alive:
             store.undo(mark)
-            return [], 0
-        if children and chosen is None:
+            options, counts, chosen = [], {}, None
+            break
+        if options and chosen is None:
             chosen = ai
     for f, n in counts.items():
         introduced[f] = introduced.get(f, 0) + n
-    return children, chosen or 0
+    if len(options) > 1:  # the first option is taken first
+        _park(store, options, mark)
+
+    def children():
+        for i, (bound, counter, ref) in enumerate(options, 1):
+            if bound is not None:
+                store.redo(bound)
+            yield atoms, counter, "su", ref, i == len(options)
+            store.undo(mark)
+
+    return children(), len(options), chosen or 0
 
 
 def _structural(p: Program, b: Budget, trace: bool,
@@ -580,8 +580,8 @@ def _structural(p: Program, b: Budget, trace: bool,
     """Structural resolution as ``_search``'s ``reduce`` and ``expand``:
     the rewriting phase, then one ``su`` child per substitution option."""
     def expand(atoms, store, path):
-        children, ai = _substitute(atoms, store, p, introduced)
-        return children, ai, None, len(children)
+        children, taken, ai = _substitute(atoms, store, p, introduced)
+        return children, ai, None, taken
 
     return partial(_rewrite_normalize, p=p, b=b, collect_trace=trace,
                    consumed=consumed, observer=None), expand

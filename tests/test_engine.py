@@ -195,8 +195,7 @@ def _colp_children(atoms, env, path, p) -> list:
     """``colp_step``'s children on a store made from ``env``, each as
     ``(atoms, env2, kind, ref)`` with an environment of its own."""
     store = Store(env)
-    return engine._frozen(env, store, colp_step(atoms, store, path, p,
-                                                {})[0])
+    return engine._frozen(store, colp_step(atoms, store, path, p, {})[0])
 
 
 def test_colp_step_prefers_most_recent_ancestor():
@@ -935,21 +934,19 @@ def test_colp_call_chain_unifies_no_ancestor_that_cannot_close_it(
 
 def _unfiltered_colp_step(atoms, store, path, p):
     """``colp_step`` as it was before fingerprints: it unifies against
-    every same-predicate ancestor, binding each child into the store in
-    turn as ``colp_step`` does."""
+    every same-predicate ancestor, each when its child is asked for, as
+    ``colp_step`` does, and then gives ``_resolve``'s children."""
     selected = atoms[0]
-    rest = atoms[1:]
+    ancestors = [(back, anc.atom)
+                 for back, anc in enumerate(reversed(path), 1)
+                 if anc.atom.key == selected.key]
     mark = len(store.trail)
-    children = []
-    for back, anc in enumerate(reversed(path), 1):
-        if anc.atom.key == selected.key:
-            engine._park(store, children, mark)
-            u = engine.unify_atoms(anc.atom, selected, store,
-                                   occurs_check=False)
-            if u is not None:
-                children.append((rest, None, store.counter, "hyp", back))
-    engine._park(store, children, mark)
-    return engine._resolve(atoms, store, p, False, children)
+    for back, atom in ancestors:
+        if engine.unify_atoms(atom, selected, store,
+                              occurs_check=False) is not None:
+            yield atoms[1:], store.counter, "hyp", back, False
+            store.undo(mark)
+    yield from engine._resolve(atoms, store, p, False)
 
 
 def _colp_text(verdict) -> list:
@@ -1007,16 +1004,20 @@ def test_colp_skips_only_ancestors_that_cannot_unify(monkeypatch):
 # colp: the branch's fingerprint table
 
 
-def _build_list(max_steps: int):
-    """colp on the paper's irrational type, ``buildList`` on lists.moo,
-    which no hypothesis closes: the run ends at ``max_steps``."""
+def _lists_unit():
     source = (Path(__file__).resolve().parent.parent / "samples"
               / "lists.moo").read_text()
-    unit = compile_class_table(parse_classes(source))
+    return compile_class_table(parse_classes(source))
+
+
+def _build_list(max_steps: int, trace: bool = False):
+    """colp on the paper's irrational type, ``buildList`` on lists.moo,
+    which no hypothesis closes: the run ends at ``max_steps``."""
     goal, _ = compile_expr(parse_expr("new ListFact().buildList(n, "
                                       "new EList())"),
                            {"n": parse_term("int")})
-    return colp_solve(goal, unit.program, Budget(max_steps=max_steps))
+    return colp_solve(goal, _lists_unit().program,
+                      Budget(max_steps=max_steps), trace=trace)
 
 
 def _fp_walk_per_step(monkeypatch, solve) -> float:
@@ -1158,3 +1159,142 @@ def test_no_environment_is_mutated_after_it_leaves_a_search(monkeypatch):
     assert len(made) >= 150 and len(seen) == 30
     for env, items in [pair for _, pairs in made for pair in pairs] + seen:
         assert list(env.bindings.items()) == items
+
+
+# ---------------------------------------------------------------------------
+# Choice points: each child is made when the search takes it
+
+
+def _built_and_taken(monkeypatch, solve) -> tuple:
+    """Children a traced ``solve`` made, the ``unify_head`` and
+    ``unify_atoms`` calls in ``engine`` that succeeded, and children it
+    took, the ``_new_bindings`` calls, with its ``steps_used``."""
+    counts = {"built": 0, "taken": 0}
+
+    def counting(name, key, only_success):
+        real = getattr(engine, name)
+
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            counts[key] += not only_success or out is not None
+            return out
+        monkeypatch.setattr(engine, name, call)
+
+    counting("unify_head", "built", True)
+    counting("unify_atoms", "built", True)
+    counting("_new_bindings", "taken", False)
+    verdict = solve()
+    monkeypatch.undo()
+    return counts["built"], counts["taken"], verdict.steps_used
+
+
+def test_a_step_makes_only_the_children_the_search_takes(monkeypatch):
+    # A step that unified all its children before taking the first made
+    # 26,715 for 19,165 taken on buildList under colp, 166 for 109 on the
+    # 8-call addLast chain under colp, and 487 for 431 on it under sld.
+    unit = _lists_unit()
+    chain, _ = compile_expr(parse_expr("new EList()" + ".addLast(1)" * 8),
+                            {})
+    first = Budget(max_answers=1)
+    runs = [
+        (lambda: _build_list(10000, trace=True), 10000),
+        (lambda: colp_solve(chain, unit.program, first, trace=True), 109),
+        (lambda: sld_solve(chain, unit.program, first, trace=True), 431),
+    ]
+    for solve, steps in runs:
+        built, taken, used = _built_and_taken(monkeypatch, solve)
+        assert used == steps
+        assert built == taken
+
+
+def _peak_per_cell(solve, n) -> float:
+    """``tracemalloc``'s peak, in bytes per cell, while ``solve`` proves
+    ``count`` of ``s`` applied ``n`` times to ``z``: its goal grows by an
+    ``ok`` atom per cell, and no step has a second candidate left."""
+    p = parse_program("count(z). count(s(N)) :- count(N), ok(N). ok(_).")
+    g = parse_goal("count(" + "s(" * n + "z" + ")" * n + ")")
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        verdict = solve(g, p, Budget(max_steps=10 * n, max_depth=10 * n,
+                                     max_answers=1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert verdict.kind == "answers"
+    return peak / n
+
+
+@pytest.mark.parametrize("solve, sizes", [
+    (sld_solve, (250, 2000)), (colp_solve, (100, 400)),
+], ids=["sld", "colp"])
+def test_a_choice_point_is_dropped_with_its_last_candidate(solve, sizes):
+    # A choice point kept until its iterator ran dry held each step's goal,
+    # about n / 2 atoms a step: 5.2x (sld) and 2.1x (colp) the peak per
+    # cell at the larger size.
+    small, large = (_peak_per_cell(solve, n) for n in sizes)
+    assert large <= 1.25 * small
+
+
+def _eager_search(g, p, colp: bool, max_depth: int) -> tuple:
+    """``sld_solve`` (``colp`` False) or ``colp_solve`` as a search that
+    makes every child of a step when it expands it, each child with an
+    environment of its own: ``sld_step``'s resolvents, or ``colp_step``'s
+    children frozen with ``_frozen``.  Only ``max_depth`` caps it.  Gives
+    the verdict's kind, its steps and ``_answer_keys`` of its answers."""
+    goal_vars = engine.goal_var_names(g)
+    tmpl = Compound("$ans", tuple(Var(n) for n in goal_vars))
+    stack = [(g.atoms, terms.bump_counter_past(EMPTY_ENV, p, g), ())]
+    answers, steps, pruned = [], 0, False
+    while stack:
+        atoms, env, path = stack.pop()
+        if not atoms:
+            kind = "rational" if has_cycle(env, tmpl) else "total"
+            answers.append((kind, steps, canon_key(tmpl, env)))
+            continue
+        if len(path) >= max_depth:
+            pruned = True
+            continue
+        steps += 1
+        if colp:
+            store = Store(env)
+            children, fps = colp_step(atoms, store, list(path), p, {})
+            children = engine._frozen(store, children)
+        else:
+            children, fps = sld_step(atoms, env, p), None
+        for atoms2, env2, kind, ref in reversed(children):
+            stack.append((atoms2, env2, path + (
+                Step(kind, ref, 0, atoms[0], None, fps),)))
+    kind = "answers" if answers else "exhausted" if pruned else "failed"
+    return kind, steps, answers
+
+
+def test_choice_points_search_as_the_eager_expansion_did():
+    # On random programs (cyclic answers among them) and the samples, with
+    # a step cap that no run reaches: the same answers, in the same order,
+    # with the same steps_used.
+    rng = random.Random(35)
+    cases = [(random_program(rng), Goal((random_atom(rng),)))
+             for _ in range(300)]
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    cases += [(parse_program((samples / f"{name}.lp").read_text()),
+               parse_goal(goal))
+              for name, goal in [("zeros", "zeros(X)"), ("ex3", "p(X)"),
+                                 ("ex3", "q(X)"), ("from", "from(0, X)"),
+                                 ("subclass", "subclass(X, Y)")]]
+    cases.append((_lists_unit().program, compile_expr(
+        parse_expr("new EList()" + ".addLast(1)" * 3), {})[0]))
+    budget = Budget(max_steps=10 ** 6, max_depth=8)
+    kinds = []
+    for p, g in cases:
+        for colp, solve in ((False, sld_solve), (True, colp_solve)):
+            verdict = solve(g, p, budget)
+            assert verdict.steps_used < budget.max_steps
+            assert (verdict.kind, verdict.steps_used,
+                    _answer_keys(verdict)) == _eager_search(
+                        g, p, colp, budget.max_depth)
+            kinds += [a.kind for a in verdict.answers]
+    assert kinds.count("rational") >= 20 and kinds.count("total") >= 100

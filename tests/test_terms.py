@@ -1217,7 +1217,7 @@ def _head_term(rng, t, depth, named):
                                      for a in t.args))
 
 
-def test_head_matches_agrees_with_match_atoms_of_the_renamed_head():
+def test_head_matches_agrees_with_matching_the_renamed_head():
     rng = random.Random(14)
     seen = {True: 0, False: 0}
     repeated_cyclic = 0
