@@ -1166,9 +1166,9 @@ def test_no_environment_is_mutated_after_it_leaves_a_search(monkeypatch):
 
 
 def _built_and_taken(monkeypatch, solve) -> tuple:
-    """Children a traced ``solve`` made, the ``unify_head`` and
-    ``unify_atoms`` calls in ``engine`` that succeeded, and children it
-    took, the ``_new_bindings`` calls, with its ``steps_used``."""
+    """``(built, taken, steps_used)`` of a traced ``solve``: the children
+    it made, the ``unify_head`` and ``unify_atoms`` calls in ``engine``
+    that succeeded, and those it took, the ``_new_bindings`` calls."""
     counts = {"built": 0, "taken": 0}
 
     def counting(name, key, only_success):
